@@ -22,7 +22,6 @@ from .errors import (
     NotTypeI,
     PrecisionExhausted,
     ValidationError,
-    WindowUnbounded,
     ZeroAfterCancellation,
 )
 from .padics import DEFAULT_PRECISION, FiniteField, QqContext, QqElement
@@ -83,7 +82,6 @@ __all__ = [
     "VarietySpec",
     "VerificationReport",
     "VirtualCrystal",
-    "WindowUnbounded",
     "ZeroAfterCancellation",
     "abs_valuation_inverse",
     "assemble",

@@ -27,10 +27,6 @@ class DegenerateCrystal(FqzetaError):
     """A Frobenius matrix is not invertible over the fraction field."""
 
 
-class WindowUnbounded(FqzetaError):
-    """Gauge window scan did not stabilize; signals non-integral data."""
-
-
 class NotTypeI(FqzetaError):
     """The desk Raynaud module has a slope >= 1, so V cannot be topologically nilpotent."""
 

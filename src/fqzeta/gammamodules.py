@@ -23,7 +23,7 @@ from fractions import Fraction
 from .errors import MultipleRootError, ValidationError
 from .padics import Zp, rational_valuation
 from .plinalg import mat_mul, right_kernel, smith_normal_form
-from .polys import rev_charpoly_fractions
+from .polys import rev_charpoly_fractions, root_multiplicity
 
 ModuleStructure = namedtuple("ModuleStructure", "free_rank torsion")
 # torsion: sorted list of exponents e, one per cyclic component Z/p^e
@@ -72,14 +72,7 @@ class GammaModule:
 
     def eigen_multiplicity_at_one(self):
         """Multiplicity of 1 as an eigenvalue of gamma, by exact deflation."""
-        coeffs = self.charpoly()
-        m = 0
-        while True:
-            quo, rem = _deflate_at_one(coeffs)
-            if rem != 0 or not quo:
-                return m, coeffs
-            m += 1
-            coeffs = quo
+        return root_multiplicity(self.charpoly(), 1)
 
     def _torsion_d(self, comp):
         """d = min(e, v_p(1 - u)): both Ker and coker on Z/p^e are Z/p^d."""
@@ -87,14 +80,6 @@ class GammaModule:
         if diff % self.prime ** comp.e == 0:
             return comp.e
         return min(comp.e, rational_valuation(diff, self.prime))
-
-
-def _deflate_at_one(coeffs):
-    b, prev = [], Fraction(0)
-    for a in coeffs:
-        prev = Fraction(a) + prev
-        b.append(prev)
-    return b[:-1], b[-1]
 
 
 def invariants_coinvariants(m: GammaModule):

@@ -1,13 +1,18 @@
 """Hodge gauges of virtual crystals: filtrations M^i, Hodge numbers, twists.
 
 A virtual crystal is an isocrystal together with a lattice N in its ambient
-space.  The gauge functor computes M^i = F^{-1}(p^i N) ∩ N for i in a window
-outside of which the filtration is forced (M^i = N below, M^{i+1} = p M^i
-above).  All computation happens in N-coordinates, where N is the standard
-lattice and F has matrix Atilde = B^{-1} A sigma(B).
+space.  The gauge functor computes M^i = F^{-1}(p^i N) ∩ N.  All computation
+happens in N-coordinates, where N is the standard lattice and F has matrix
+Atilde = B^{-1} A sigma(B).
 
-Hodge numbers are the graded dimensions h^i = dim_k M^i/(M^{i+1} + pM^{i-1});
-for torsion-free inputs they satisfy sum h^i = rank and sum i*h^i = v_p(det).
+The gauge is a closed form in the elementary divisors p^{e_k} of Atilde
+(B. Mazur, "Frobenius and the Hodge filtration", Bull. AMS 1972 and Ann. of
+Math. 1973): one Smith form Atilde = U diag(p^{e_k}) V gives the window
+[min e_k, max e_k], outside of which the filtration is forced (M^i = N
+below, M^{i+1} = p M^i above), the lattices M^i, and the Hodge numbers
+h^i = dim_k M^i/(M^{i+1} + pM^{i-1}) = #{k : e_k = i}.  Hence sum h^i = rank
+and sum i*h^i = v_p(det) hold by construction.
+
 The Newton polygon always lies on or above the Hodge polygon with the same
 endpoints; both polygons are emitted for inspection.
 """
@@ -17,15 +22,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import (DegenerateCrystal, NotTypeI, ValidationError,
-                     WindowUnbounded)
+from .errors import DegenerateCrystal, NotTypeI, ValidationError
 from .isocrystals import Isocrystal
-from .plinalg import (lattice_contains, lattice_equal,
-                      lattice_quotient_divisors, lattice_sum,
-                      lattice_intersect, mat_copy, mat_det_valuation,
-                      mat_from_ints, mat_identity, mat_inverse,
+from .plinalg import (mat_copy, mat_from_ints, mat_identity, mat_inverse,
                       mat_min_valuation, mat_mul, mat_shift, mat_sigma,
-                      mat_vec, semilinear_preimage)
+                      mat_vec, smith_normal_form)
 
 
 class VirtualCrystal:
@@ -77,28 +78,27 @@ class VirtualCrystal:
 class FGaugeWindow:
     """The computed gauge: window bounds, lattices M^i, Hodge numbers.
 
-    Lattices are stored in N-coordinates (so M^{i_min} is the identity
-    basis); `lattice_at` applies the boundary rules for indices outside the
-    stored window.  `ambient_lattice_at` converts back to the original
-    coordinates through the lattice basis B.
+    Everything is read off the elementary divisors p^{e_k} of Frobenius in
+    N-coordinates and the basis W = sigma^{-1}(V^{-1}) of N adapted to them
+    (see `hodge`).  `lattice_at` builds M^i = W diag(p^{max(0, i - e_k)}) on
+    demand, in N-coordinates; `ambient_lattice_at` converts back to the
+    original coordinates through the lattice basis B.
     """
 
-    def __init__(self, vc, i_min, i_max, lattices, hodge, det_val):
+    def __init__(self, vc, basis, exponents):
         self.vc = vc
         self.ctx = vc.ctx
-        self.i_min = i_min
-        self.i_max = i_max
-        self._lattices = lattices       # dict i -> basis matrix, N-coords
-        self.hodge_numbers = hodge      # dict i -> h^i, only nonzero entries
-        self.det_val = det_val
+        self._basis = basis             # W, columns span N
+        self._exponents = exponents     # e_k, one per column of W
+        self.i_min = min(exponents)
+        self.i_max = max(exponents)
+        self.hodge_numbers = {i: exponents.count(i)   # only nonzero entries
+                              for i in sorted(set(exponents))}
+        self.det_val = sum(exponents)
 
     def lattice_at(self, i):
-        if i <= self.i_min:
-            return mat_identity(self.ctx, self.vc.rank)
-        top = max(self._lattices)
-        if i <= top:
-            return self._lattices[i]
-        return mat_shift(self._lattices[top], i - top)
+        return [[x.shift(max(0, i - e)) for x, e in zip(row, self._exponents)]
+                for row in self._basis]
 
     def ambient_lattice_at(self, i):
         return mat_mul(self.vc.lattice, self.lattice_at(i))
@@ -118,105 +118,29 @@ class FGaugeWindow:
 
     def tate_twist(self, r: int):
         """Pure reindexing M(r)^i = M^{i+r}; inverse of twisting by -r."""
-        lats = {i - r: B for i, B in self._lattices.items()}
-        hodge = {i - r: h for i, h in self.hodge_numbers.items()}
-        return FGaugeWindow(self.vc.tate_twist(r), self.i_min - r,
-                            self.i_max - r, lats, hodge, self.det_val)
+        return FGaugeWindow(self.vc.tate_twist(r), self._basis,
+                            [e - r for e in self._exponents])
 
 
-def hodge(vc: VirtualCrystal, span_cap=None) -> FGaugeWindow:
-    """Compute the gauge filtration M^i = F^{-1}(p^i N) ∩ N of a crystal.
+def hodge(vc: VirtualCrystal) -> FGaugeWindow:
+    """The gauge M^i = F^{-1}(p^i N) ∩ N of a crystal, from one Smith form.
 
-    The window starts at the minimal entry valuation of Atilde (below it the
-    preimage already contains N) and the scan stops after M^{i+1} = pM^i
-    holds twice in a row.  A span cap of v_p(det) + 3 guards against runaway
-    scans on inconsistent data.
+    Write Atilde = U diag(p^{e_k}) V with U, V in GL_n(Z_q).  As U is
+    invertible over Z_q and N is sigma-stable, F(x) = Atilde sigma(x) lies
+    in p^i N exactly when (V sigma(x))_k lies in p^{i - e_k} Z_q for every k,
+    so M^i has basis sigma^{-1}(V^{-1}) diag(p^{max(0, i - e_k)}).  Hence
+    h^i = #{k : e_k = i} and the window is [min e_k, max e_k]: Mazur's theorem
+    that the Hodge polygon is the polygon of the elementary divisors of
+    Frobenius.
     """
-    ctx = vc.ctx
     At = vc.in_lattice_coordinates()
     try:
-        det_val = mat_det_valuation(At, ctx)
+        snf = smith_normal_form(At, vc.ctx)
     except ValidationError as exc:
         raise DegenerateCrystal(str(exc)) from exc
-    if det_val is None:
+    if any(e is None for e in snf.divisors):
         raise DegenerateCrystal("Frobenius is singular at working precision")
-    i_min = mat_min_valuation(At)
-    if i_min is None:
-        raise DegenerateCrystal("Frobenius matrix is zero at this precision")
-    if span_cap is None:
-        span_cap = abs(det_val) + 3
-    n = vc.rank
-    ident = mat_identity(ctx, n)
-    lattices = {i_min: ident}
-    i = i_min
-    stable = 0
-    while stable < 2:
-        if i - i_min > span_cap:
-            raise WindowUnbounded(
-                f"gauge window exceeded {span_cap} steps without stabilizing")
-        pre = semilinear_preimage(At, mat_shift(ident, i + 1), ctx)
-        nxt = lattice_intersect(pre, ident, ctx)
-        lattices[i + 1] = nxt
-        if lattice_equal(nxt, mat_shift(lattices[i], 1), ctx):
-            stable += 1
-        else:
-            stable = 0
-        i += 1
-    i_max = i - 2
-    _verify_axioms(ctx, At, lattices, i_min, i_max)
-    hnum = _hodge_numbers(ctx, lattices, i_min, i_max)
-    total = sum(hnum.values())
-    weight = sum(k * h for k, h in hnum.items())
-    if total != n or weight != det_val:
-        raise ValidationError(
-            f"gauge bookkeeping failed: sum h = {total} (rank {n}), "
-            f"sum i*h = {weight} (det valuation {det_val})")
-    return FGaugeWindow(vc, i_min, i_max, lattices, hnum, det_val)
-
-
-def _verify_axioms(ctx, At, lattices, i_min, i_max):
-    ident = mat_identity(ctx, len(At))
-    # (ii) M^{i_min} = N by recomputation
-    pre = semilinear_preimage(At, mat_shift(ident, i_min), ctx)
-    if not lattice_contains(pre, ident, ctx):
-        raise ValidationError("window start is not stable: F^{-1}(p^i N) "
-                              "does not contain N at i_min")
-    images = []
-    for i in range(i_min, i_max + 2):
-        Bi = lattices[i] if i in lattices else ident
-        # (i) p M^i ⊆ M^{i+1}
-        nxt = lattices.get(i + 1)
-        if nxt is not None and not lattice_contains(nxt, mat_shift(Bi, 1), ctx):
-            raise ValidationError("gauge axiom failed: pM^i not in M^{i+1}")
-        # (iii) p^{-i} F(M^i) ⊆ N; the image lattice is spanned by F(basis)
-        img = mat_shift(mat_mul(At, mat_sigma(Bi)), -i)
-        if not lattice_contains(ident, img, ctx):
-            raise ValidationError("gauge axiom failed: p^{-i}F(M^i) not "
-                                  "integral")
-        images.append(img)
-    span = images[0]
-    for img in images[1:]:
-        span = lattice_sum(span, img, ctx)
-    if not lattice_equal(span, ident, ctx):
-        raise ValidationError("gauge axiom failed: images of p^{-i}F(M^i) "
-                              "do not span N")
-
-
-def _hodge_numbers(ctx, lattices, i_min, i_max):
-    ident = mat_identity(ctx, len(lattices[i_min]))
-    out = {}
-    for i in range(i_min, i_max + 1):
-        cur = lattices[i] if i in lattices else ident
-        above = lattices.get(i + 1, mat_shift(cur, 1))
-        below = ident if i - 1 <= i_min else lattices[i - 1]
-        S = lattice_sum(above, mat_shift(below, 1), ctx)
-        divs = lattice_quotient_divisors(cur, S, ctx)
-        if any(e != 1 for e in divs):
-            raise ValidationError("graded piece of the gauge is not "
-                                  "elementary p-torsion")
-        if divs:
-            out[i] = len(divs)
-    return out
+    return FGaugeWindow(vc, mat_sigma(snf.V_inv, vc.ctx.a - 1), snf.divisors)
 
 
 # ---------------------------------------------------------------------------

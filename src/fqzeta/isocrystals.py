@@ -1,15 +1,10 @@
-"""F-isocrystals over F_q: linearization, Newton slopes, slope splitting.
+"""F-isocrystals over F_q: linearization, Newton slopes, eigenvalue products.
 
 An isocrystal is a pair (Q_q^n, F) with F(v) = A sigma(v) for an invertible
 matrix A.  Its linearization M = A sigma(A) ... sigma^{a-1}(A) is an honest
 linear operator, and det(1 - tM) carries the Newton polygon.  Everything an
 eigenvalue would be needed for is read off polynomials instead: polygons,
-Hensel-split slope factors, deflated evaluations.  No root extraction, no
-splitting fields.
-
-The key fact used for slope subspaces: F commutes with M (A sigma(M) = M A,
-since sigma^a fixes the entries), so kernels of sigma-invariant polynomials
-in M are F-stable and carry restricted isocrystal structure.
+kernel ranks, deflated evaluations.  No root extraction, no splitting fields.
 """
 
 from __future__ import annotations
@@ -19,9 +14,8 @@ from fractions import Fraction
 from .errors import (DegenerateCrystal, MultipleRootError, PrecisionExhausted,
                      ValidationError)
 from .padics import rational_valuation
-from .plinalg import (mat_augment, mat_copy, mat_identity, mat_inverse,
-                      mat_mul, mat_sigma, right_kernel, smith_normal_form)
-from .polys import deflate_once, rev_charpoly
+from .plinalg import mat_copy, mat_inverse, mat_mul, mat_sigma, right_kernel
+from .polys import rev_charpoly, root_multiplicity
 
 
 class Isocrystal:
@@ -72,9 +66,6 @@ class Isocrystal:
                 acc = term if acc is None else acc + term
             out.append(acc)
         return out
-
-    def slope_decompose(self):
-        return slope_decompose(self)
 
     def semisimple_at(self, r):
         return semisimple_at(self, r)
@@ -164,167 +155,6 @@ def profile_total(profile):
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over QqElement (local to slope splitting)
-
-
-def _qq_poly_trim(f):
-    while f and f[-1].is_zeroish():
-        f = f[:-1]
-    return f
-
-
-def _qq_poly_mul(f, g, ctx):
-    if not f or not g:
-        return []
-    out = [ctx.zero()] * (len(f) + len(g) - 1)
-    for i, x in enumerate(f):
-        for j, y in enumerate(g):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _qq_poly_sub(f, g, ctx):
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        x = f[i] if i < len(f) else ctx.zero()
-        y = g[i] if i < len(g) else ctx.zero()
-        out.append(x - y)
-    return out
-
-
-def _qq_poly_divmod(f, g, ctx):
-    """f = q*g + r with deg r < deg g; g must have unit leading coefficient."""
-    g = _qq_poly_trim(list(g))
-    lead_inv = g[-1].inverse()
-    r = list(f)
-    q = [ctx.zero()] * max(0, len(r) - len(g) + 1)
-    while len(_qq_poly_trim(r)) >= len(g):
-        r = _qq_poly_trim(r)
-        k = len(r) - len(g)
-        c = r[-1] * lead_inv
-        q[k] = q[k] + c
-        for i in range(len(g)):
-            r[k + i] = r[k + i] - c * g[i]
-        r = r[:-1]
-    return q, r
-
-
-def _qq_poly_eval_matrix(coeffs, T, ctx):
-    """Sum of c_k T^k by Horner."""
-    n = len(T)
-    acc = [[ctx.zero()] * n for _ in range(n)]
-    for c in reversed(coeffs):
-        acc = mat_mul(acc, T) if any(
-            not x.is_zeroish() for row in acc for x in row) else acc
-        for i in range(n):
-            acc[i][i] = acc[i][i] + c
-    return acc
-
-
-def _mat_pow(T, e, ctx):
-    n = len(T)
-    out = mat_identity(ctx, n)
-    base = mat_copy(T)
-    while e:
-        if e & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        e >>= 1
-    return out
-
-
-def _hensel_slope_factor(Q, k1, ctx):
-    """Split Q (unit constant term, polygon min slope 0 with length k1) as
-    G * H where G mod p is the degree-k1 unit-root part and H(0) = 1.
-
-    Q mod p has degree exactly k1 here, so the co-factor starts at 1 and the
-    lift is the textbook linear Hensel step against the fixed reduction of G.
-    """
-    prec = min(c.rel + max(c.val, 0) for c in Q if not c.is_zeroish())
-    # fixed mod-p representative of the slope factor, lifted coefficients
-    Gfix = []
-    for c in Q[: k1 + 1]:
-        if c.is_zeroish() or c.valuation() > 0:
-            Gfix.append(ctx.zero())
-        else:
-            Gfix.append(ctx.from_vector([x % ctx.p for x in c.coeffs], 0))
-    if Gfix[-1].is_zeroish():
-        raise PrecisionExhausted("slope factor has non-unit leading term")
-    G = list(Gfix)
-    H = [ctx.one()]
-    target = min(prec, ctx.prec)
-    for k in range(1, target):
-        err = _qq_poly_sub(Q, _qq_poly_mul(G, H, ctx), ctx)
-        if all(x.is_zeroish() and (x.is_exact_zero() or x.abs >= target)
-               for x in err):
-            break
-        if any((not x.is_zeroish()) and x.valuation() < k for x in err):
-            raise PrecisionExhausted("slope splitting lost Hensel progress")
-        eta = [x.shift(-k) for x in err]
-        dH, dG = _qq_poly_divmod(eta, Gfix, ctx)
-        G = _qq_poly_sub(G, [(-x.shift(k)) for x in dG], ctx)
-        H = _qq_poly_sub(H, [(-x.shift(k)) for x in dH], ctx)
-    # normalize G(0) = 1 and fold the unit into H
-    c0 = G[0]
-    ctx.certify(c0, "slope factor constant term")
-    inv0 = c0.inverse()
-    G = [x * inv0 for x in G]
-    H = [x * c0 for x in H]
-    return G, H
-
-
-def slope_decompose(E):
-    """[(slope, restricted isocrystal)] with slopes strictly increasing.
-
-    Peels the minimal slope: after an m-th power and a p-power rescaling the
-    minimal-slope part of the characteristic polynomial becomes the unit-root
-    factor, which Hensel splits off; its reversal evaluated at the linearized
-    Frobenius cuts out the slope subspace, which is F-stable because the
-    factor's coefficients are sigma-invariant.  Recurses on the complement.
-    """
-    ctx = E.ctx
-    profile = E.slopes()
-    if len(profile) == 1:
-        return [(profile[0][0], E)]
-    lam, k1 = profile[0]
-    n = E.rank
-    s = Fraction(lam) * ctx.a          # v_p-slope on the linearization
-    m0 = s.denominator
-    T = _mat_pow(E.linearize(), m0, ctx)
-    S0 = int(s * m0)                   # integer minimal slope of T
-    Q = rev_charpoly(T, ctx.zero(), ctx.one())
-    Qs = [c.shift(-S0 * i) for i, c in enumerate(Q)]   # unit-root rescale
-    G, H = _hensel_slope_factor(Qs, k1, ctx)
-    # undo the rescale: factors of det(1 - tT)
-    GQ = [c.shift(S0 * i) for i, c in enumerate(G)]
-    HQ = [c.shift(S0 * i) for i, c in enumerate(H)]
-    # monic reversals cut out the slope subspace and its complement
-    Ghat = list(reversed(GQ))
-    Hhat = list(reversed(_qq_poly_trim(HQ)))
-    GT = _mat_pow(_qq_poly_eval_matrix(Ghat, T, ctx), k1, ctx)
-    HT = _mat_pow(_qq_poly_eval_matrix(Hhat, T, ctx), n - k1, ctx)
-    BW = right_kernel(GT, ctx)
-    BC = right_kernel(HT, ctx)
-    if not BW or len(BW[0]) != k1 or len(BC[0]) != n - k1:
-        raise PrecisionExhausted(
-            "slope subspace dimensions could not be certified")
-    P = mat_augment(BW, BC)
-    C = mat_mul(mat_inverse(P, ctx), mat_mul(E.matrix, mat_sigma(P)))
-    for i in range(n):
-        for j in range(n):
-            same_block = (i < k1) == (j < k1)
-            if not same_block and not C[i][j].is_zeroish():
-                if C[i][j].valuation() < ctx.guard:
-                    raise PrecisionExhausted(
-                        "slope splitting left a visible off-diagonal block")
-    head = Isocrystal(ctx, [[C[i][j] for j in range(k1)] for i in range(k1)])
-    tail = Isocrystal(ctx, [[C[i][j] for j in range(k1, n)]
-                            for i in range(k1, n)])
-    return [(lam, head)] + slope_decompose(tail)
-
-
-# ---------------------------------------------------------------------------
 # semisimplicity at q^r and eigenvalue products
 
 
@@ -384,16 +214,7 @@ def eigenproduct_excluding(P, p, a, r, profile, crystal=None):
     verified and MultipleRootError raised if it fails.
     """
     q_r = Fraction(p) ** (a * r)
-    cur = [Fraction(c) for c in P]
-    while len(cur) > 1 and cur[-1] == 0:
-        cur.pop()
-    m = 0
-    while True:
-        quo, rem = deflate_once(cur, q_r)
-        if rem != 0 or not quo:
-            break
-        m += 1
-        cur = quo
+    m, cur = root_multiplicity(P, q_r)
     if m >= 2 and crystal is not None and not semisimple_at(crystal, r):
         raise MultipleRootError(
             f"q^{r} is a repeated root of the minimal polynomial")

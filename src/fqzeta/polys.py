@@ -20,16 +20,6 @@ def poly_trim(f, zero=Fraction(0)):
     return f
 
 
-def poly_add(f, g):
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else 0
-        b = g[i] if i < len(g) else 0
-        out.append(a + b)
-    return out
-
-
 def poly_mul(f, g):
     if not f or not g:
         return []
@@ -255,15 +245,3 @@ def mat_mul_fractions(A, B):
                 out[i][j] += a * B[t][j]
     return out
 
-
-def block_diag(blocks):
-    """Block-diagonal assembly of dense rational matrices."""
-    size = sum(len(b) for b in blocks)
-    out = [[Fraction(0)] * size for _ in range(size)]
-    off = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            for j, x in enumerate(row):
-                out[off + i][off + j] = Fraction(x)
-        off += len(b)
-    return out

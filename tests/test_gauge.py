@@ -1,15 +1,13 @@
 """Gauge windows, Hodge numbers, and the Newton-Hodge comparison."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from fqzeta.errors import (
-    DegenerateCrystal,
-    NotTypeI,
-    WindowUnbounded,
-)
+from fqzeta.cli import main as cli_main
+from fqzeta.errors import DegenerateCrystal, NotTypeI
 from fqzeta.gauges import (
     GaugeComplex,
     VirtualCrystal,
@@ -20,6 +18,7 @@ from fqzeta.gauges import (
 )
 from fqzeta.isocrystals import Isocrystal
 from fqzeta.padics import QqContext, Zp
+from fqzeta.serialize import dump_json, encode_virtual_crystal
 
 
 def _vc(ctx, rows, lattice=None):
@@ -112,8 +111,10 @@ def test_tate_twist_shifts_the_window():
     g = hodge(vc)
     twisted_window = g.tate_twist(1)
     assert twisted_window.hodge_numbers == {-1: 1, 0: 1}
-    # twisting the crystal first gives the same numbers
-    assert hodge(vc.tate_twist(1)).hodge_numbers == {-1: 1, 0: 1}
+    # twisting the crystal first gives the same numbers and determinant
+    direct = hodge(vc.tate_twist(1))
+    assert direct.hodge_numbers == {-1: 1, 0: 1}
+    assert twisted_window.det_val == direct.det_val == -1
 
 
 def test_direct_sum_adds_hodge_numbers():
@@ -146,10 +147,21 @@ def test_degenerate_crystal_rejected():
         hodge(_vc(ctx, [[1, 1], [1, 1]]))
 
 
-def test_window_cap_raises():
+def test_wide_window_is_not_refused(tmp_path, capsys):
+    """Hodge numbers spread wider than |v_p(det)| + 3 are valid input."""
     ctx = Zp(5, prec=32)
-    with pytest.raises(WindowUnbounded):
-        hodge(_vc(ctx, [[0, -5], [1, -3]]), span_cap=0)
+    one, zero = ctx.one(), ctx.zero()
+    vc = VirtualCrystal(Isocrystal(ctx, [[one.shift(-2), zero],
+                                         [zero, one.shift(3)]]))
+    g = hodge(vc)
+    assert g.hodge_numbers == {-2: 1, 3: 1}
+    assert (g.i_min, g.i_max, g.det_val) == (-2, 3, 1)
+    crystal = tmp_path / "wide.json"
+    crystal.write_text(dump_json(encode_virtual_crystal(vc)))
+    assert cli_main(["gauge", "--input", str(crystal)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["hodge_numbers"] == {"-2": 1, "3": 1}
+    assert doc["window"] == {"i_min": -2, "i_max": 3}
 
 
 def test_raynaud_relations_on_type_one_models():
