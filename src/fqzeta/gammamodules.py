@@ -225,12 +225,6 @@ def rho_from_ranks(ranks):
     return sum((-1) ** (j + 1) * j * rk for j, rk in ranks.items())
 
 
-def rho_from_multiplicities(multiplicities):
-    """Same number as rho_from_ranks, via the telescoped identity
-    sum (-1)^j m_j."""
-    return sum((-1) ** j * mult for j, mult in multiplicities.items())
-
-
 def chi_from_zf(z_values):
     """Alternating product prod_j z_j^{(-1)^j} over a dict degree -> z."""
     chi = Fraction(1)

@@ -81,8 +81,8 @@ class FGaugeWindow:
     Everything is read off the elementary divisors p^{e_k} of Frobenius in
     N-coordinates and the basis W = sigma^{-1}(V^{-1}) of N adapted to them
     (see `hodge`).  `lattice_at` builds M^i = W diag(p^{max(0, i - e_k)}) on
-    demand, in N-coordinates; `ambient_lattice_at` converts back to the
-    original coordinates through the lattice basis B.
+    demand, in N-coordinates; the lattice basis B carries it back to the
+    ambient coordinates.
     """
 
     def __init__(self, vc, basis, exponents):
@@ -99,9 +99,6 @@ class FGaugeWindow:
     def lattice_at(self, i):
         return [[x.shift(max(0, i - e)) for x, e in zip(row, self._exponents)]
                 for row in self._basis]
-
-    def ambient_lattice_at(self, i):
-        return mat_mul(self.vc.lattice, self.lattice_at(i))
 
     def rank(self):
         return self.vc.rank
@@ -141,37 +138,6 @@ def hodge(vc: VirtualCrystal) -> FGaugeWindow:
     if any(e is None for e in snf.divisors):
         raise DegenerateCrystal("Frobenius is singular at working precision")
     return FGaugeWindow(vc, mat_sigma(snf.V_inv, vc.ctx.a - 1), snf.divisors)
-
-
-# ---------------------------------------------------------------------------
-# complexes with zero differentials
-
-
-class GaugeComplex:
-    """Finite family (cohomological degree j, virtual crystal), d = 0."""
-
-    def __init__(self, items):
-        degs = [j for j, _ in items]
-        if len(set(degs)) != len(degs):
-            raise ValidationError("duplicate cohomological degrees")
-        self.items = sorted(items, key=lambda it: it[0])
-
-    def degrees(self):
-        return [j for j, _ in self.items]
-
-    def windows(self):
-        return {j: hodge(vc) for j, vc in self.items}
-
-    def profiles(self):
-        return {j: vc.crystal.slopes() for j, vc in self.items}
-
-    def simple_cohomology(self):
-        """H^n of the associated simple complex: with zero differentials the
-        degree-n piece is exactly the stored isocrystal."""
-        return {j: vc.crystal for j, vc in self.items}
-
-    def tate_twist(self, r: int):
-        return GaugeComplex([(j - r, vc.tate_twist(r)) for j, vc in self.items])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ together with the corresponding p-adic crystals.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter, namedtuple
 from fractions import Fraction
 
@@ -23,10 +24,12 @@ from .errors import (
 )
 from .gauges import VirtualCrystal
 from .isocrystals import Isocrystal, purity_check
-from .lfun import _matrix_power, assemble
+from .lfun import assemble
 from .padics import DEFAULT_PRECISION, FiniteField, QqContext
 from .polys import (
     companion_of_reversed,
+    kron,
+    mat_pow_fractions,
     poly_mul,
     poly_pow,
     poly_trim,
@@ -349,14 +352,11 @@ def _leaf_counts(spec, degrees, budget, extend):
 
 def _counts(spec, degrees, budget, extend):
     if spec.kind == "product":
-        per = [_counts(f, degrees, budget, extend) for f in spec.factors]
-        out = []
-        for e in range(degrees):
-            n_e = 1
-            for factor_counts in per:
-                n_e *= factor_counts[e]
-            out.append(n_e)
-        return out
+        # a repeated factor is counted once, under the shared budget
+        per = {f: _counts(f, degrees, budget, extend)
+               for f in dict.fromkeys(spec.factors)}
+        return [math.prod(per[f][e] for f in spec.factors)
+                for e in range(degrees)]
     if spec.kind == "complement":
         amb = _counts(spec.ambient, degrees, budget, extend)
         sub = _counts(spec.closed, degrees, budget, extend)
@@ -444,22 +444,9 @@ class CohomologyPackage:
             if data.u < 0:
                 raise ValidationError("unipotent exponent must be >= 0")
 
-    def factor(self, j):
-        data = self.degrees.get(j)
-        return list(data.poly) if data else [Fraction(1)]
-
     def zeta(self):
         return assemble({j: d.poly for j, d in self.degrees.items()
                          if len(poly_trim(list(d.poly))) > 1})
-
-    def with_u(self, overrides):
-        """Copy with the unipotent exponents in `overrides` replaced."""
-        degrees = dict(self.degrees)
-        for j, u in overrides.items():
-            if j not in degrees:
-                raise ValidationError(f"no degree {j} in package")
-            degrees[j] = degrees[j]._replace(u=int(u))
-        return CohomologyPackage(self.p, self.a, self.dim, degrees)
 
     def check_purity(self):
         """purity_check for every degree carrying a weight tag."""
@@ -508,29 +495,12 @@ def _crystal_from_rational(ctx, rows, lattice=None):
     return VirtualCrystal(Isocrystal(ctx, mat), lattice)
 
 
-def _kron_qq(ctx, A, B):
-    if not A or not B:
-        return []
-    ra, ca, rb, cb = len(A), len(A[0]), len(B), len(B[0])
-    out = [[ctx.zero() for _ in range(ca * cb)] for _ in range(ra * rb)]
-    for i in range(ra):
-        for j in range(ca):
-            a = A[i][j]
-            if a.is_exact_zero():
-                continue
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k][j * cb + l] = a * B[k][l]
-    return out
-
-
 def _crystal_tensor(vc1, vc2):
     if vc1 is None or vc2 is None:
         return None
-    ctx = vc1.ctx
-    mat = _kron_qq(ctx, vc1.crystal.matrix, vc2.crystal.matrix)
-    lat = _kron_qq(ctx, vc1.lattice, vc2.lattice)
-    return VirtualCrystal(Isocrystal(ctx, mat), lat)
+    mat = kron(vc1.crystal.matrix, vc2.crystal.matrix)
+    return VirtualCrystal(Isocrystal(vc1.ctx, mat),
+                          kron(vc1.lattice, vc2.lattice))
 
 
 def _pure_degree(poly, weight, crystal):
@@ -638,7 +608,7 @@ def _apply_twist(ctx, degrees, twist):
     rank = len(rows)
     if any(len(r) != rank for r in rows):
         raise ValidationError("twist matrix must be square")
-    p0 = rev_charpoly_fractions(_matrix_power(rows, ctx.a))
+    p0 = rev_charpoly_fractions(mat_pow_fractions(rows, ctx.a))
     twist_vc = _crystal_from_rational(ctx, rows)
     out = {}
     for j, d in degrees.items():

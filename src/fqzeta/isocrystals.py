@@ -15,7 +15,7 @@ from .errors import (DegenerateCrystal, MultipleRootError, PrecisionExhausted,
                      ValidationError)
 from .padics import rational_valuation
 from .plinalg import mat_copy, mat_inverse, mat_mul, mat_sigma, right_kernel
-from .polys import rev_charpoly, root_multiplicity
+from .polys import poly_eval, rev_charpoly, root_multiplicity
 
 
 class Isocrystal:
@@ -66,9 +66,6 @@ class Isocrystal:
                 acc = term if acc is None else acc + term
             out.append(acc)
         return out
-
-    def semisimple_at(self, r):
-        return semisimple_at(self, r)
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +144,6 @@ def newton_slopes_exact(coeffs, p, a):
     return _profile_from_points(points, [], n, a)
 
 
-def profile_total(profile):
-    """(rank, sum of slope*mult) for consistency checks."""
-    rank = sum(m for _, m in profile)
-    total = sum(Fraction(s) * m for s, m in profile)
-    return rank, total
-
-
 # ---------------------------------------------------------------------------
 # semisimplicity at q^r and eigenvalue products
 
@@ -218,10 +208,7 @@ def eigenproduct_excluding(P, p, a, r, profile, crystal=None):
     if m >= 2 and crystal is not None and not semisimple_at(crystal, r):
         raise MultipleRootError(
             f"q^{r} is a repeated root of the minimal polynomial")
-    value = Fraction(0)
-    x = 1 / q_r
-    for c in reversed(cur):
-        value = value * x + c
+    value = poly_eval(cur, 1 / q_r)
     if value == 0:
         raise ValidationError("deflation failed to remove all q^r roots")
     slope_sum = sum((Fraction(r) - s) * mult for s, mult in profile if s < r)

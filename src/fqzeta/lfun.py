@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import ValidationError, ZeroAfterCancellation
 from .padics import rational_valuation
 from .polys import (
-    mat_mul_fractions,
+    mat_pow_fractions,
     poly_eval,
     poly_inverse_series,
     poly_mul,
@@ -50,6 +50,7 @@ def _poly_gcd(f, g):
     """Monic-at-constant gcd (constant term scaled to 1 when possible)."""
     a, b = poly_trim(list(f)), poly_trim(list(g))
     while b:
+        b = [c / b[-1] for c in b]
         _, r = _poly_divmod(a, b)
         a, b = b, r
     if a and a[0] != 0:
@@ -157,26 +158,13 @@ def abs_valuation_inverse(x, prime):
     return Fraction(prime) ** rational_valuation(x, prime)
 
 
-def _matrix_power(mat, e):
-    n = len(mat)
-    out = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i in range(n)]
-    base = [[Fraction(x) for x in row] for row in mat]
-    while e:
-        if e & 1:
-            out = mat_mul_fractions(out, base)
-        base = mat_mul_fractions(base, base)
-        e >>= 1
-    return out
-
-
 def _local_factor(d, frobenius):
     """det(1 - t^d F^d) for a closed point of degree d (F = 1 untwisted)."""
     if frobenius is None:
         out = [Fraction(0)] * (d + 1)
         out[0], out[d] = Fraction(1), Fraction(-1)
         return out
-    char = rev_charpoly_fractions(_matrix_power(frobenius, d))
+    char = rev_charpoly_fractions(mat_pow_fractions(frobenius, d))
     out = [Fraction(0)] * (d * (len(char) - 1) + 1)
     for i, coeff in enumerate(char):
         out[i * d] = coeff

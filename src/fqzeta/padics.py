@@ -46,24 +46,13 @@ def rational_valuation(x, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over F_p (dense int lists, low degree first)
+# polynomial helpers over F_p and Z/cap (dense int lists, low degree first)
 
 
 def _fp_trim(f):
     while f and f[-1] == 0:
         f.pop()
     return f
-
-
-def _fp_mul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _fp_trim(out)
 
 
 def _fp_mod(f, m, p):
@@ -80,13 +69,34 @@ def _fp_mod(f, m, p):
     return _fp_trim(f)
 
 
-def _fp_powmod(f, e, m, p):
-    result = [1]
-    base = _fp_mod(list(f), m, p)
+def _mulmod(u, v, m, cap):
+    """u * v in (Z/cap)[x]/(m(x)) for monic m of degree a >= 1.
+
+    u and v have at most a coefficients (low degree first); the result has
+    exactly a.
+    """
+    a = len(m) - 1
+    out = [0] * (2 * a - 1)
+    for i, x in enumerate(u):
+        if x:
+            for j, y in enumerate(v):
+                out[i + j] = (out[i + j] + x * y) % cap
+    # reduce: x^a = -(m_0 + ... + m_{a-1} x^{a-1})
+    for d in range(2 * a - 2, a - 1, -1):
+        c = out[d]
+        if c:
+            for i in range(a):
+                out[d - a + i] = (out[d - a + i] - c * m[i]) % cap
+    return out[:a]
+
+
+def _powmod(u, e, m, cap):
+    """u^e in (Z/cap)[x]/(m(x)), e >= 0."""
+    result = [1] + [0] * (len(m) - 2)
     while e:
         if e & 1:
-            result = _fp_mod(_fp_mul(result, base, p), m, p)
-        base = _fp_mod(_fp_mul(base, base, p), m, p)
+            result = _mulmod(result, u, m, cap)
+        u = _mulmod(u, u, m, cap)
         e >>= 1
     return result
 
@@ -107,27 +117,20 @@ def _is_irreducible(m, p):
     a = len(m) - 1
     if a == 1:
         return True
-    x = [0, 1]
-    # x^(p^a) == x mod m
-    t = x
-    for _ in range(a):
-        t = _fp_powmod(t, p, m, p)
-    if _fp_trim([(u - v) % p for u, v in
-                 zip(t + [0] * len(x), x + [0] * len(t))]):
-        return False
-    # no factor of degree a/l for prime l | a
-    for ell in {d for d in range(2, a + 1) if a % d == 0 and _is_prime(d)}:
+    x = [0, 1] + [0] * (a - 2)
+
+    def frobenius_minus_x(n):
+        """x^(p^n) - x mod (m, p), trimmed."""
         t = x
-        for _ in range(a // ell):
-            t = _fp_powmod(t, p, m, p)
-        diff = _fp_trim([(u - v) % p for u, v in
-                         zip(t + [0] * len(x), x + [0] * len(t))])
-        if not _fp_gcd(diff, m, p):
-            continue
-        g = _fp_gcd(diff, m, p)
-        if len(g) - 1 >= 1:
-            return False
-    return True
+        for _ in range(n):
+            t = _powmod(t, p, m, p)
+        return _fp_trim([(u - v) % p for u, v in zip(t, x)])
+
+    # x^(p^a) == x mod m, and no factor of degree a/l for prime l | a
+    if frobenius_minus_x(a):
+        return False
+    return all(len(_fp_gcd(frobenius_minus_x(a // ell), m, p)) == 1
+               for ell in range(2, a + 1) if a % ell == 0 and _is_prime(ell))
 
 
 def _is_prime(n):
@@ -223,12 +226,7 @@ class FiniteField:
 
     def mul(self, u, v):
         self.ops += 1
-        prod = _fp_mod(_fp_mul(list(u), list(v), self.p),
-                       list(self.modulus), self.p)
-        return tuple(prod + [0] * (self.k - len(prod)))
-
-    def square(self, u):
-        return self.mul(u, u)
+        return tuple(_mulmod(u, v, self.modulus, self.p))
 
     def pow(self, u, e):
         if e < 0:
@@ -334,33 +332,6 @@ class QqContext:
 
     # -- construction of sigma ---------------------------------------------
 
-    def _zq_mul_ints(self, u, v, modcap):
-        """Multiply coefficient vectors mod (m(x), modcap)."""
-        a = self.a
-        out = [0] * (2 * a - 1)
-        for i, x in enumerate(u):
-            if x:
-                for j, y in enumerate(v):
-                    out[i + j] = (out[i + j] + x * y) % modcap
-        # reduce by monic m(x): x^a = -(m_0 + ... + m_{a-1} x^{a-1})
-        for d in range(2 * a - 2, a - 1, -1):
-            c = out[d]
-            if c:
-                for i in range(a):
-                    out[d - a + i] = (out[d - a + i] - c * self.modulus[i]) % modcap
-                out[d] = 0
-        return out[:a]
-
-    def _zq_pow_ints(self, u, e, modcap):
-        result = [1] + [0] * (self.a - 1)
-        base = list(u)
-        while e:
-            if e & 1:
-                result = self._zq_mul_ints(result, base, modcap)
-            base = self._zq_mul_ints(base, base, modcap)
-            e >>= 1
-        return result
-
     def _zq_inv_ints(self, u, modcap_digits):
         """Inverse of a unit vector mod (m(x), p^modcap_digits), by lifting."""
         p = self.p
@@ -372,20 +343,20 @@ class QqContext:
         while digits < modcap_digits:
             digits = min(2 * digits, modcap_digits)
             cap = p ** digits
-            prod = self._zq_mul_ints(u, inv, cap)
+            prod = _mulmod(u, inv, self.modulus, cap)
             # inv <- inv * (2 - u*inv)
             corr = [(-c) % cap for c in prod]
             corr[0] = (corr[0] + 2) % cap
-            inv = self._zq_mul_ints(inv, corr, cap)
+            inv = _mulmod(inv, corr, self.modulus, cap)
         return inv
 
     def _build_sigma(self):
         """Hensel-lift the root x -> x^p of m; columns are sigma(x^i)."""
         p, a, N = self.p, self.a, self.prec
-        # start: s = x^p mod (m, p)
-        s = self._zq_pow_ints([0, 1], p, p)
-        digits = 1
         mcoeffs = self.modulus  # length a+1, monic
+        # start: s = x^p mod (m, p)
+        s = _powmod([0, 1], p, mcoeffs, p)
+        digits = 1
         while digits < N:
             digits = min(2 * digits, N)
             cap = p ** digits
@@ -394,7 +365,7 @@ class QqContext:
             dm = [(i * mcoeffs[i]) % cap for i in range(1, a + 1)]
             dms = self._poly_eval_vec(dm, s, cap)
             dms_inv = self._zq_inv_ints(dms, digits)
-            delta = self._zq_mul_ints(ms, dms_inv, cap)
+            delta = _mulmod(ms, dms_inv, mcoeffs, cap)
             s = [(x - d) % cap for x, d in zip(s, delta)]
         cap = self.pN
         # column i of sigma is sigma(x^i) = s^i
@@ -402,14 +373,14 @@ class QqContext:
         power = [1] + [0] * (a - 1)
         for _ in range(a):
             cols.append(tuple(power))
-            power = self._zq_mul_ints(power, s, cap)
+            power = _mulmod(power, s, mcoeffs, cap)
         return tuple(cols)
 
     def _poly_eval_vec(self, coeffs, vec, cap):
         """Evaluate an integer polynomial at a Z_q vector, mod (m, cap)."""
         acc = [0] * self.a
         for c in reversed(coeffs):
-            acc = self._zq_mul_ints(acc, vec, cap)
+            acc = _mulmod(acc, vec, self.modulus, cap)
             acc[0] = (acc[0] + c) % cap
         return acc
 
@@ -494,7 +465,7 @@ class QqContext:
         cap = self.pN
         x = coeffs
         for _ in range(self.prec + 1):
-            x = self._zq_pow_ints(x, self.q, cap)
+            x = _powmod(x, self.q, self.modulus, cap)
         return self.from_vector(x, 0, self.prec)
 
     # -- policy ---------------------------------------------------------------
@@ -628,9 +599,8 @@ class QqElement:
             return ctx.ifz(lo_s + lo_o)
         rel = min(self.rel, other.rel)
         cap = ctx.p ** rel
-        prod = ctx._zq_mul_ints(
-            [c % cap for c in self.coeffs],
-            [c % cap for c in other.coeffs], cap)
+        prod = _mulmod([c % cap for c in self.coeffs],
+                       [c % cap for c in other.coeffs], ctx.modulus, cap)
         # product of units is a unit: F_q is a domain, no renormalization
         return QqElement(ctx, "n", self.val + other.val, tuple(prod), rel, 0)
 
@@ -764,10 +734,6 @@ class QqElement:
                 f"+ O(p^{self.val + self.rel}); a={self.ctx.a})")
 
 
-# The scalar type over Z_p/Q_p is just the a = 1 case of QqElement.
-PadicElement = QqElement
-
-
 def Zp(p: int, prec: int = DEFAULT_PRECISION, guard: int = GUARD_DIGITS):
     """Context for Z_p/Q_p (the a = 1 unramified extension)."""
     return QqContext(p, 1, prec, guard)
@@ -784,13 +750,3 @@ def val(x: QqElement):
     if v is None:
         raise ValueError("exact zero has infinite valuation")
     return v
-
-
-def frobenius(x: QqElement):
-    """sigma(x), the canonical Frobenius lift; a ring homomorphism."""
-    return x.frobenius()
-
-
-def teichmuller(ctx: QqContext, omega):
-    """Teichmuller lift into ctx; see QqContext.teichmuller."""
-    return ctx.teichmuller(omega)

@@ -49,14 +49,6 @@ def mat_copy(A):
     return [list(row) for row in A]
 
 
-def mat_add(A, B):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_sub(A, B):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def mat_neg(A):
     return [[-x for x in row] for row in A]
 
@@ -90,17 +82,9 @@ def mat_vec(A, v):
     return out
 
 
-def mat_scalar(A, c):
-    return [[c * x for x in row] for row in A]
-
-
 def mat_shift(A, k):
     """Multiply every entry by p^k (exact)."""
     return [[x.shift(k) for x in row] for row in A]
-
-
-def mat_transpose(A):
-    return [list(col) for col in zip(*A)]
 
 
 def mat_sigma(A, k=1):
@@ -110,10 +94,6 @@ def mat_sigma(A, k=1):
 
 def mat_augment(A, B):
     return [ra + rb for ra, rb in zip(A, B)]
-
-
-def mat_stack(A, B):
-    return mat_copy(A) + mat_copy(B)
 
 
 def mat_equal(A, B, digits=None):
@@ -261,11 +241,6 @@ def smith_normal_form(A, ctx=None):
         if e is not None:
             D[k][k] = ctx.from_int(1).shift(e)
     return SNFResult(T.U, D, T.V, T.U_inv, T.V_inv, divisors)
-
-
-def mat_rank(A, ctx=None):
-    snf = smith_normal_form(A, ctx)
-    return sum(1 for e in snf.divisors if e is not None)
 
 
 def right_kernel(A, ctx=None):

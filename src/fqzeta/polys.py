@@ -203,21 +203,8 @@ def companion_of_reversed(P):
 
 
 def kron(A, B):
-    """Kronecker product of dense rational matrices."""
-    if not A or not B:
-        return []
-    ra, ca = len(A), len(A[0])
-    rb, cb = len(B), len(B[0])
-    out = [[Fraction(0)] * (ca * cb) for _ in range(ra * rb)]
-    for i in range(ra):
-        for j in range(ca):
-            a = A[i][j]
-            if a == 0:
-                continue
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k][j * cb + l] = a * B[k][l]
-    return out
+    """Kronecker product of dense matrices over any ring (Fractions, Z_q)."""
+    return [[a * b for a in ra for b in rb] for ra in A for rb in B]
 
 
 def tensor_poly(P, Q):
@@ -245,3 +232,16 @@ def mat_mul_fractions(A, B):
                 out[i][j] += a * B[t][j]
     return out
 
+
+def mat_pow_fractions(mat, e):
+    """mat^e for a square rational matrix, e >= 0."""
+    n = len(mat)
+    out = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
+           for i in range(n)]
+    base = [[Fraction(x) for x in row] for row in mat]
+    while e:
+        if e & 1:
+            out = mat_mul_fractions(out, base)
+        base = mat_mul_fractions(base, base)
+        e >>= 1
+    return out

@@ -141,8 +141,7 @@ def encode_isocrystal(E: Isocrystal):
 
 def decode_isocrystal(data, prec=None):
     ctx = _context_of(data, prec)
-    E = Isocrystal(ctx, _decode_matrix(data["matrix"] if "matrix" in data
-                                       else _require(data, "matrix", "crystal"),
+    E = Isocrystal(ctx, _decode_matrix(_require(data, "matrix", "crystal"),
                                        ctx, "matrix"))
     if "rank" in data and int(data["rank"]) != E.rank:
         raise ValidationError(
@@ -321,6 +320,4 @@ def parse_json(text, expected=None, prec=None):
         return decode_variety(data)
     if kind not in _DECODERS:
         raise ValidationError(f"unknown record type {kind!r}")
-    if kind == "gamma_module":
-        return decode_gamma_module(data, prec)
     return _DECODERS[kind](data, prec)

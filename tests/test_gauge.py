@@ -9,7 +9,6 @@ import pytest
 from fqzeta.cli import main as cli_main
 from fqzeta.errors import DegenerateCrystal, NotTypeI
 from fqzeta.gauges import (
-    GaugeComplex,
     VirtualCrystal,
     check_raynaud_relations,
     hodge,
@@ -180,15 +179,3 @@ def test_raynaud_relations_in_extension_context():
     ctx = QqContext(3, 2, prec=24)
     vc = VirtualCrystal(Isocrystal(ctx, [[ctx.from_vector((1, 1))]]))
     assert check_raynaud_relations(vc)
-
-
-def test_gauge_complex_collects_windows():
-    ctx = Zp(5, prec=32)
-    cx = GaugeComplex([(0, _vc(ctx, [[1]])), (2, _vc(ctx, [[5]])),
-                       (1, _vc(ctx, [[0, -5], [1, -3]]))])
-    assert cx.degrees() == [0, 1, 2]
-    wins = cx.windows()
-    assert wins[0].hodge_numbers == {0: 1}
-    assert wins[2].hodge_numbers == {1: 1}
-    twisted = cx.tate_twist(1)
-    assert twisted.degrees() == [-1, 0, 1]

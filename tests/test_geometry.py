@@ -71,6 +71,14 @@ def test_certified_extension_matches_enumeration():
     assert small == full
 
 
+def test_repeated_product_factor_is_counted_once():
+    """E x E enumerates E once: counting it twice would leave too little of
+    the budget for degree 3 of the second copy."""
+    square = VarietySpec.product([ELLIPTIC, ELLIPTIC])
+    assert point_counts(square, 3, budget=700, extend=False) == \
+        (81, 729, 11664)
+
+
 def test_budget_exhaustion_without_extension():
     with pytest.raises(BudgetExceeded):
         point_counts(ELLIPTIC, 6, budget=200, extend=False)

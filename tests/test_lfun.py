@@ -1,5 +1,6 @@
 """Rational zeta functions: assembly, special values, Euler products."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from fqzeta.errors import ValidationError, ZeroAfterCancellation
 from fqzeta.lfun import (
     RationalFunction,
+    _poly_divmod,
+    _poly_gcd,
     abs_valuation_inverse,
     assemble,
     euler_product_series,
@@ -14,9 +17,24 @@ from fqzeta.lfun import (
     pole_order_at,
     rational_series,
 )
+from fqzeta.polys import poly_mul, poly_trim
 
 P1_FACTORS = {0: [1, -1], 2: [1, -5]}
 ELLIPTIC_FACTORS = {0: [1, -1], 1: [1, 3, 5], 2: [1, -5]}
+
+
+def _euclid_gcd(f, g):
+    """Plain Euclid on non-monic divisors, normalised like _poly_gcd: the
+    oracle for the monic-divisor version."""
+    a, b = poly_trim(list(f)), poly_trim(list(g))
+    while b:
+        _, r = _poly_divmod(a, b)
+        a, b = b, r
+    if a and a[0] != 0:
+        a = [c / a[0] for c in a]
+    elif a:
+        a = [c / a[-1] for c in a]
+    return a
 
 
 def test_rational_function_reduces():
@@ -132,3 +150,21 @@ def test_degree_of_factor():
     assert zeta.degree_of_factor(1) == 2
     assert zeta.degree_of_factor(0) == 1
     assert zeta.degree_of_factor(7) == 0
+
+
+def test_gcd_matches_plain_euclid_oracle():
+    rng = random.Random(21)
+
+    def poly(degree):
+        coeffs = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
+                  for _ in range(degree)]
+        return coeffs + [Fraction(rng.choice([-3, -1, 1, 2, 5]))]
+
+    for _ in range(60):
+        common = poly(rng.randrange(0, 4))
+        f = poly_mul(common, poly(rng.randrange(0, 5)))
+        g = poly_mul(common, poly(rng.randrange(0, 5)))
+        got = _poly_gcd(f, g)
+        assert got == _euclid_gcd(f, g)
+        # the planted factor divides the gcd
+        assert _poly_divmod(got, common)[1] == []

@@ -10,10 +10,35 @@ from fqzeta.padics import (
     FiniteField,
     QqContext,
     Zp,
+    _fp_mod,
+    _fp_trim,
+    _is_irreducible,
     int_valuation,
     rational_valuation,
     val,
 )
+
+
+def _fp_mul(f, g, p):
+    """Schoolbook product over F_p, trimmed: the oracle for the shared
+    multiply-and-reduce kernel."""
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return _fp_trim(out)
+
+
+def _monic_polys(p, degree):
+    """Every monic polynomial of the given degree over F_p."""
+    for code in range(p ** degree):
+        coeffs = []
+        for _ in range(degree):
+            code, c = divmod(code, p)
+            coeffs.append(c)
+        yield coeffs + [1]
 
 
 def test_integer_valuation():
@@ -52,6 +77,31 @@ def test_finite_field_element_wrapper_syntax():
     assert (x * x.inverse()).coeffs == F.one
     assert (x - x).is_zero()
     assert (x ** 8).coeffs == F.one
+
+
+def test_finite_field_mul_matches_schoolbook_oracle():
+    rng = random.Random(4)
+    for p in (2, 3, 5, 7):
+        for k in (1, 2, 3):
+            F = FiniteField(p, k)
+            for _ in range(40):
+                u = tuple(rng.randrange(p) for _ in range(k))
+                v = tuple(rng.randrange(p) for _ in range(k))
+                prod = _fp_mod(_fp_mul(list(u), list(v), p),
+                               list(F.modulus), p)
+                assert F.mul(u, v) == tuple(prod + [0] * (k - len(prod)))
+
+
+def test_is_irreducible_matches_trial_division():
+    for p in (2, 3, 5, 7):
+        a = 1
+        while p ** a <= 343:
+            for m in _monic_polys(p, a):
+                has_factor = any(
+                    not _fp_mod(m, g, p)
+                    for d in range(1, a // 2 + 1) for g in _monic_polys(p, d))
+                assert _is_irreducible(m, p) == (not has_factor), (p, m)
+            a += 1
 
 
 def test_finite_field_ops_counter():

@@ -19,7 +19,6 @@ from fqzeta.plinalg import (
     mat_identity,
     mat_inverse,
     mat_mul,
-    mat_rank,
     right_kernel,
     semilinear_preimage,
     smith_normal_form,
@@ -89,7 +88,7 @@ def test_snf_divisors_are_gl_invariants():
 def test_rank_and_kernel():
     ctx = Zp(5, prec=24)
     A = mat_from_ints(ctx, [[1, 2, 3], [2, 4, 6]])   # rank 1
-    assert mat_rank(A) == 1
+    assert sum(e is not None for e in smith_normal_form(A).divisors) == 1
     K = right_kernel(A)
     assert len(K) == 3 and len(K[0]) == 2
     for j in range(2):
