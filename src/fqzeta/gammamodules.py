@@ -37,6 +37,7 @@ class GammaModule:
     def __init__(self, ring, prime, gamma, torsion=(), prec=64):
         if ring not in ("Zp", "Zl"):
             raise ValidationError("ring tag must be 'Zp' or 'Zl'")
+        self._ctx = Zp(prime, prec)   # refuses a non-prime before any valuation
         self.ring = ring
         self.prime = prime
         self.gamma = [[Fraction(x) for x in row] for row in gamma]
@@ -58,7 +59,6 @@ class GammaModule:
             if comp.unit % prime == 0:
                 raise ValidationError("gamma must act by a unit on torsion")
         self.prec = prec
-        self._ctx = Zp(prime, prec)
 
     def one_minus_gamma(self):
         ctx = self._ctx

@@ -23,7 +23,7 @@ import random
 from fractions import Fraction
 
 from .errors import DegenerateCrystal, NotTypeI, ValidationError
-from .isocrystals import Isocrystal
+from .isocrystals import Isocrystal, polygon_value
 from .plinalg import (mat_copy, mat_from_ints, mat_identity, mat_inverse,
                       mat_min_valuation, mat_mul, mat_shift, mat_sigma,
                       mat_vec, smith_normal_form)
@@ -38,6 +38,9 @@ class VirtualCrystal:
         self.rank = crystal.rank
         self.lattice = (mat_identity(self.ctx, self.rank)
                         if lattice is None else mat_copy(lattice))
+        if (len(self.lattice) != self.rank
+                or any(len(row) != self.rank for row in self.lattice)):
+            raise ValidationError("lattice basis must be rank x rank")
 
     @classmethod
     def from_ints(cls, ctx, rows, lattice=None):
@@ -100,18 +103,9 @@ class FGaugeWindow:
         return [[x.shift(max(0, i - e)) for x, e in zip(row, self._exponents)]
                 for row in self._basis]
 
-    def rank(self):
-        return self.vc.rank
-
     def hodge_polygon(self):
         """Vertices of the polygon with slope i over length h^i."""
-        verts = [(0, Fraction(0))]
-        x, y = 0, Fraction(0)
-        for i in sorted(self.hodge_numbers):
-            h = self.hodge_numbers[i]
-            x, y = x + h, y + Fraction(i) * h
-            verts.append((x, y))
-        return verts
+        return newton_polygon_vertices(sorted(self.hodge_numbers.items()))
 
     def tate_twist(self, r: int):
         """Pure reindexing M(r)^i = M^{i+r}; inverse of twisting by -r."""
@@ -153,13 +147,6 @@ def newton_polygon_vertices(profile):
     return verts
 
 
-def _polygon_value(verts, x):
-    for (x1, y1), (x2, y2) in zip(verts, verts[1:]):
-        if x1 <= x <= x2:
-            return y1 + Fraction(y2 - y1, x2 - x1) * (x - x1)
-    raise ValidationError("abscissa outside polygon")
-
-
 def slope_gauge_check(vc: VirtualCrystal, g: FGaugeWindow):
     """Compare Newton and Hodge data of one crystal.
 
@@ -175,7 +162,7 @@ def slope_gauge_check(vc: VirtualCrystal, g: FGaugeWindow):
         raise ValidationError("polygon lengths differ")
     equal_endpoints = newton[-1] == hodgev[-1]
     on_or_above = all(
-        _polygon_value(newton, x) >= _polygon_value(hodgev, x)
+        polygon_value(newton, x) >= polygon_value(hodgev, x)
         for x in range(newton[-1][0] + 1))
     window_counts = {}
     for s, m in profile:

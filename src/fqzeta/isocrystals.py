@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (DegenerateCrystal, MultipleRootError, PrecisionExhausted,
-                     ValidationError)
+from .errors import DegenerateCrystal, PrecisionExhausted, ValidationError
 from .padics import rational_valuation
-from .plinalg import mat_copy, mat_inverse, mat_mul, mat_sigma, right_kernel
+from .plinalg import (mat_copy, mat_from_ints, mat_inverse, mat_mul,
+                      mat_sigma, right_kernel)
 from .polys import poly_eval, rev_charpoly, root_multiplicity
 
 
@@ -31,8 +31,7 @@ class Isocrystal:
 
     @classmethod
     def from_ints(cls, ctx, rows):
-        return cls(ctx, [[ctx.from_int(x) if isinstance(x, int) else x
-                          for x in row] for row in rows])
+        return cls(ctx, mat_from_ints(ctx, rows))
 
     def linearize(self):
         """M(F^a) = A sigma(A) ... sigma^{a-1}(A); equals A when a = 1."""
@@ -55,18 +54,6 @@ class Isocrystal:
             raise DegenerateCrystal(str(exc)) from exc
         return True
 
-    def apply(self, v):
-        """F(v) = A sigma(v)."""
-        sv = [x.frobenius() for x in v]
-        out = []
-        for row in self.matrix:
-            acc = None
-            for x, y in zip(row, sv):
-                term = x * y
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Newton polygons
@@ -87,6 +74,14 @@ def lower_hull(points):
     return hull
 
 
+def polygon_value(verts, x):
+    """Height at abscissa x of the polygon through `verts` (x increasing)."""
+    for (x1, y1), (x2, y2) in zip(verts, verts[1:]):
+        if x1 <= x <= x2:
+            return y1 + Fraction(y2 - y1, x2 - x1) * (x - x1)
+    raise ValidationError("abscissa outside polygon")
+
+
 def _profile_from_points(points, zero_bounds, n, a):
     """Slope profile from certified (i, v_p) points.
 
@@ -101,15 +96,11 @@ def _profile_from_points(points, zero_bounds, n, a):
             "Frobenius is not invertible")
     hull = lower_hull(points)
     for i, bound in zero_bounds:
-        # value of the hull at abscissa i
-        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-            if x1 <= i <= x2:
-                y = Fraction(y1) + Fraction(y2 - y1, x2 - x1) * (i - x1)
-                if Fraction(bound) < y:
-                    raise PrecisionExhausted(
-                        f"coefficient {i} known only to O(p^{bound}) but the "
-                        f"Newton polygon needs its valuation >= {y}")
-                break
+        y = polygon_value(hull, i)
+        if bound < y:
+            raise PrecisionExhausted(
+                f"coefficient {i} known only to O(p^{bound}) but the "
+                f"Newton polygon needs its valuation >= {y}")
     profile = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         s = Fraction(y2 - y1, x2 - x1)
@@ -194,20 +185,16 @@ class EigenProduct:
                 f"slope_sum={self.slope_sum})")
 
 
-def eigenproduct_excluding(P, p, a, r, profile, crystal=None):
+def eigenproduct_excluding(P, p, a, r, profile):
     """Product data for prod_{alpha != q^r} (1 - alpha/q^r) and the slope term.
 
     P is the exact zeta factor det(1 - t F^a) with Fraction/int coefficients;
     the first product is evaluated by deflating (1 - q^r t)^m out of P and
-    evaluating at q^{-r}; the second is read off the Newton polygon.  When a
-    crystal is supplied and q^r is a repeated inverse root, semisimplicity is
-    verified and MultipleRootError raised if it fails.
+    evaluating at q^{-r}; the second is read off the Newton polygon.  A
+    repeated q^r needs semisimplicity, which the verifier checks first.
     """
     q_r = Fraction(p) ** (a * r)
     m, cur = root_multiplicity(P, q_r)
-    if m >= 2 and crystal is not None and not semisimple_at(crystal, r):
-        raise MultipleRootError(
-            f"q^{r} is a repeated root of the minimal polynomial")
     value = poly_eval(cur, 1 / q_r)
     if value == 0:
         raise ValidationError("deflation failed to remove all q^r roots")

@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PrecisionExhausted, ValidationError
+from .polys import power
 
 DEFAULT_PRECISION = 64
 GUARD_DIGITS = 8
@@ -92,13 +93,8 @@ def _mulmod(u, v, m, cap):
 
 def _powmod(u, e, m, cap):
     """u^e in (Z/cap)[x]/(m(x)), e >= 0."""
-    result = [1] + [0] * (len(m) - 2)
-    while e:
-        if e & 1:
-            result = _mulmod(result, u, m, cap)
-        u = _mulmod(u, u, m, cap)
-        e >>= 1
-    return result
+    return power(u, e, lambda v, w: _mulmod(v, w, m, cap),
+                 [1] + [0] * (len(m) - 2))
 
 
 def _fp_gcd(f, g, p):
@@ -231,13 +227,7 @@ class FiniteField:
     def pow(self, u, e):
         if e < 0:
             return self.pow(self.inv(u), -e)
-        result, base = self.one, u
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return power(u, e, self.mul, self.one)
 
     def inv(self, u):
         if u == self.zero:

@@ -1,9 +1,9 @@
 """Linear algebra over Z_q at fixed precision: Smith form, kernels, lattices.
 
-Matrices are lists of rows of QqElement.  The Smith normal form uses
-minimum-valuation pivoting (ties broken row-major) and tracks all four
-transform matrices incrementally, so A = U * D * V holds with U, V and their
-inverses integral.  Diagonal entries of D are normalized to exact powers p^e.
+Matrices are lists of rows of QqElement.  The Smith normal form A = U D V
+uses minimum-valuation pivoting (ties broken row-major) and keeps only the
+integral transforms U^{-1} and V^{-1}, updated with each row and column
+operation, so U^{-1} A V^{-1} = D with diagonal entries exact powers p^e.
 
 Rank decisions are only made when the precision policy allows: a pivot must
 retain `guard` relative digits, and an entry is accepted as zero only when it
@@ -21,10 +21,11 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import PrecisionExhausted, ValidationError
+from .polys import mat_mul
 
-SNFResult = namedtuple("SNFResult", "U D V U_inv V_inv divisors")
-# divisors: list of length min(n, m); entry = exponent e (int) for a nonzero
-# diagonal p^e, or None for a certified zero diagonal.
+SNFResult = namedtuple("SNFResult", "U_inv V_inv divisors")
+# U_inv A V_inv = D.  divisors: list of length min(n, m); entry = exponent e
+# (int) for a nonzero diagonal p^e, or None for a certified zero diagonal.
 
 
 # ---------------------------------------------------------------------------
@@ -41,34 +42,12 @@ def mat_identity(ctx, n):
             for i in range(n)]
 
 
-def mat_zero(ctx, n, m):
-    return [[ctx.zero() for _ in range(m)] for _ in range(n)]
-
-
 def mat_copy(A):
     return [list(row) for row in A]
 
 
 def mat_neg(A):
     return [[-x for x in row] for row in A]
-
-
-def mat_mul(A, B):
-    n, k = len(A), len(B)
-    if n and len(A[0]) != k:
-        raise ValidationError("matrix dimensions do not match")
-    m = len(B[0]) if k else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = None
-            for t in range(k):
-                term = A[i][t] * B[t][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 def mat_vec(A, v):
@@ -121,12 +100,10 @@ def mat_min_valuation(A):
 
 
 class _Transforms:
-    """Incrementally maintained U, V and inverses for A = U * D * V."""
+    """Incrementally maintained U^{-1} and V^{-1} with U^{-1} A V^{-1} = D."""
 
     def __init__(self, ctx, n, m):
-        self.U = mat_identity(ctx, n)
         self.U_inv = mat_identity(ctx, n)
-        self.V = mat_identity(ctx, m)
         self.V_inv = mat_identity(ctx, m)
 
     # row op on the work matrix: row_i <- row_i + c * row_k
@@ -134,21 +111,13 @@ class _Transforms:
         A[i] = [x + c * y for x, y in zip(A[i], A[k])]
         self.U_inv[i] = [x + c * y for x, y in
                          zip(self.U_inv[i], self.U_inv[k])]
-        # U <- U * (row op)^{-1}: column k gets - well, inverse op adds
-        for r in range(len(self.U)):
-            self.U[r][k] = self.U[r][k] - c * self.U[r][i]
 
     def row_swap(self, A, i, k):
         A[i], A[k] = A[k], A[i]
         self.U_inv[i], self.U_inv[k] = self.U_inv[k], self.U_inv[i]
-        for r in range(len(self.U)):
-            self.U[r][i], self.U[r][k] = self.U[r][k], self.U[r][i]
 
-    def row_scale(self, A, i, u, u_inv):
-        A[i] = [u * x for x in A[i]]
+    def row_scale(self, i, u):
         self.U_inv[i] = [u * x for x in self.U_inv[i]]
-        for r in range(len(self.U)):
-            self.U[r][i] = u_inv * self.U[r][i]
 
     # column op on the work matrix: col_j <- col_j + c * col_k
     def col_axpy(self, A, j, k, c):
@@ -156,7 +125,6 @@ class _Transforms:
             A[r][j] = A[r][j] + c * A[r][k]
         for r in range(len(self.V_inv)):
             self.V_inv[r][j] = self.V_inv[r][j] + c * self.V_inv[r][k]
-        self.V[k] = [x - c * y for x, y in zip(self.V[k], self.V[j])]
 
     def col_swap(self, A, j, k):
         for r in range(len(A)):
@@ -164,7 +132,6 @@ class _Transforms:
         for r in range(len(self.V_inv)):
             self.V_inv[r][j], self.V_inv[r][k] = \
                 self.V_inv[r][k], self.V_inv[r][j]
-        self.V[j], self.V[k] = self.V[k], self.V[j]
 
 
 def _is_certified_zero(x, floor, guard):
@@ -184,9 +151,10 @@ def smith_normal_form(A, ctx=None):
     """A = U * D * V over Z_q, D diagonal with entries exact powers p^e.
 
     Minimum-valuation pivoting, ties row-major.  Returns an SNFResult with
-    integral U, V, U_inv, V_inv and the divisor exponents (None marks a zero
-    diagonal).  Exponents are non-decreasing.  Raises PrecisionExhausted when
-    a pivot or a zero cannot be certified under the guard-digit policy.
+    the integral inverses U_inv, V_inv and the divisor exponents (None marks
+    a zero diagonal).  Exponents are non-decreasing.  Raises
+    PrecisionExhausted when a pivot or a zero cannot be certified under the
+    guard-digit policy.
     """
     if not A or not A[0]:
         raise ValidationError("Smith form of an empty matrix")
@@ -231,16 +199,10 @@ def smith_normal_form(A, ctx=None):
             if not W[k][j].is_zeroish():
                 T.col_axpy(W, j, k, -(W[k][j] * pinv))
         divisors.append(piv_val)
-        # normalize the pivot to an exact p^e, absorbing the unit into U
-        u = W[k][k].shift(-piv_val)     # the unit part
-        T.row_scale(W, k, u.inverse(), u)
-        W[k][k] = ctx.from_int(1).shift(piv_val)
-    # scrub off-diagonal clutter in D (zeroish by construction)
-    D = mat_zero(ctx, n, m)
-    for k, e in enumerate(divisors):
-        if e is not None:
-            D[k][k] = ctx.from_int(1).shift(e)
-    return SNFResult(T.U, D, T.V, T.U_inv, T.V_inv, divisors)
+        # normalize the pivot to an exact p^e, absorbing the unit into U; row
+        # k of W is never read again
+        T.row_scale(k, W[k][k].shift(-piv_val).inverse())
+    return SNFResult(T.U_inv, T.V_inv, divisors)
 
 
 def right_kernel(A, ctx=None):
@@ -296,7 +258,8 @@ def mat_det_valuation(A, ctx=None):
 
 
 def lattice_canonical(B, ctx=None):
-    """A column basis of span(B) of the form U * D from the Smith form.
+    """A column basis of span(B) of the form U * D = B * V^{-1} from the
+    Smith form.
 
     Deterministic for a given input basis; used to present lattices, never to
     compare them.
@@ -306,7 +269,7 @@ def lattice_canonical(B, ctx=None):
     snf = smith_normal_form(B, ctx)
     if any(e is None for e in snf.divisors):
         raise ValidationError("lattice basis is singular")
-    return mat_mul(snf.U, snf.D)
+    return mat_mul(B, snf.V_inv)
 
 
 def lattice_contains(B_outer, B_inner, ctx=None):
@@ -342,7 +305,7 @@ def lattice_sum(B1, B2, ctx=None):
     n = len(B1)
     concat = mat_augment(B1, B2)
     snf = smith_normal_form(concat, ctx)
-    UD = mat_mul(snf.U, snf.D)
+    UD = mat_mul(concat, snf.V_inv)
     cols = [k for k, e in enumerate(snf.divisors) if e is not None]
     if len(cols) != n:
         raise ValidationError("lattice sum is not full rank")

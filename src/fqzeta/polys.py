@@ -3,7 +3,9 @@
 Polynomials are dense coefficient lists, constant term first.  Most callers
 work over Fraction; the characteristic-polynomial routine is division-free
 (Berkowitz) and generic, so the same code runs over fixed-precision p-adic
-elements and over exact rationals.
+elements and over exact rationals.  `power`, `mat_mul` and `kron` are the
+one square-and-multiply, matrix product and Kronecker product of the library;
+each works over any ring, from F_p[x]/(m) to Fractions and Z_q.
 """
 
 from __future__ import annotations
@@ -11,6 +13,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ValidationError
+
+
+def power(x, e, mul, one):
+    """x^e for e >= 0 by square-and-multiply under the product `mul`.
+
+    x is squared after every bit, the last one included, so the number of
+    `mul` calls depends on e alone.
+    """
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        x = mul(x, x)
+        e >>= 1
+    return result
 
 
 def poly_trim(f, zero=Fraction(0)):
@@ -39,14 +56,7 @@ def poly_eval(f, x):
 
 
 def poly_pow(f, e):
-    result = [Fraction(1)]
-    base = list(f)
-    while e:
-        if e & 1:
-            result = poly_mul(result, base)
-        base = poly_mul(base, base)
-        e >>= 1
-    return result
+    return power(f, e, poly_mul, [Fraction(1)])
 
 
 def poly_truncate(f, order):
@@ -67,14 +77,8 @@ def poly_mul_trunc(f, g, order):
 
 
 def poly_pow_trunc(f, e, order):
-    result = [Fraction(1)]
-    base = poly_truncate(f, order)
-    while e:
-        if e & 1:
-            result = poly_mul_trunc(result, base, order)
-        base = poly_mul_trunc(base, base, order)
-        e >>= 1
-    return result
+    return power(poly_truncate(f, order), e,
+                 lambda g, h: poly_mul_trunc(g, h, order), [Fraction(1)])
 
 
 def poly_inverse_series(f, order):
@@ -202,6 +206,25 @@ def companion_of_reversed(P):
     return C
 
 
+def mat_mul(A, B):
+    """A * B for dense matrices over any ring (Fractions, Z_q)."""
+    n, k = len(A), len(B)
+    if n and len(A[0]) != k:
+        raise ValidationError("matrix dimensions do not match")
+    m = len(B[0]) if k else 0
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = None
+            for t in range(k):
+                term = A[i][t] * B[t][j]
+                acc = term if acc is None else acc + term
+            row.append(acc)
+        out.append(row)
+    return out
+
+
 def kron(A, B):
     """Kronecker product of dense matrices over any ring (Fractions, Z_q)."""
     return [[a * b for a in ra for b in rb] for ra in A for rb in B]
@@ -220,28 +243,9 @@ def tensor_poly(P, Q):
     return rev_charpoly_fractions(kron(CP, CQ))
 
 
-def mat_mul_fractions(A, B):
-    n, m, k = len(A), len(B[0]), len(B)
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            a = A[i][t]
-            if a == 0:
-                continue
-            for j in range(m):
-                out[i][j] += a * B[t][j]
-    return out
-
-
 def mat_pow_fractions(mat, e):
     """mat^e for a square rational matrix, e >= 0."""
     n = len(mat)
-    out = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
+    one = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
            for i in range(n)]
-    base = [[Fraction(x) for x in row] for row in mat]
-    while e:
-        if e & 1:
-            out = mat_mul_fractions(out, base)
-        base = mat_mul_fractions(base, base)
-        e >>= 1
-    return out
+    return power([[Fraction(x) for x in row] for row in mat], e, mat_mul, one)

@@ -288,6 +288,7 @@ def decode_package(data, prec=None):
 
 
 _DECODERS = {
+    "variety": lambda data, prec: decode_variety(data),
     "isocrystal": decode_isocrystal,
     "virtual_crystal": decode_virtual_crystal,
     "gamma_module": decode_gamma_module,
@@ -316,8 +317,10 @@ def parse_json(text, expected=None, prec=None):
     if expected and kind not in expected:
         raise ValidationError(
             f"expected one of {sorted(expected)}, got {kind!r}")
-    if kind == "variety":
-        return decode_variety(data)
     if kind not in _DECODERS:
         raise ValidationError(f"unknown record type {kind!r}")
-    return _DECODERS[kind](data, prec)
+    try:
+        return _DECODERS[kind](data, prec)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ValidationError(
+            f"malformed {kind} record: {type(exc).__name__}: {exc}") from exc

@@ -187,3 +187,31 @@ def test_corpus_run_with_ell(capsys):
     assert routes == {"p-adic", "3-adic"}
     ell_rows = [row for row in doc["results"] if row["route"] == "3-adic"]
     assert ell_rows and all(row["prime"] == 3 for row in ell_rows)
+
+
+MALFORMED = [
+    ("package", "--variety", '{"kind":"projective","p":"x","n":1}'),
+    ("package", "--variety", '{"kind":"elliptic","coeffs":5,"p":5}'),
+    ("zf", "--gamma",
+     '{"type":"gamma_module","ring":"Zp","prime":0,"gamma":[[2]]}'),
+    ("zf", "--gamma", '{"type":"gamma_module","ring":"Zp","prime":5,'
+                      '"gamma":[[2]],"torsion":[{"unit":2}]}'),
+    ("verify", "--package",
+     '{"type":"package","p":5,"degrees":[{"j":"x","poly":[1]}]}'),
+    ("gauge", "--input", '{"type":"isocrystal","p":5,"matrix":[1]}'),
+    ("slopes", "--input", '{"type":"virtual_crystal","p":5,"matrix":[[1]],'
+                          '"lattice":[[1,2],[3,4]]}'),
+]
+
+
+@pytest.mark.parametrize("command,flag,doc", MALFORMED)
+def test_malformed_document_exits_2_without_traceback(capsys, tmp_path,
+                                                      command, flag, doc):
+    f = tmp_path / "doc.json"
+    f.write_text(doc)
+    argv = [command, flag, str(f)] + (["--r", "1"] if command == "verify"
+                                      else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err and captured.out == ""

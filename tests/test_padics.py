@@ -117,6 +117,38 @@ def test_finite_field_ops_counter():
     assert F.ops == mid + 10
 
 
+def _square_and_multiply_calls(e):
+    """Products made by the loop FiniteField.pow has always run."""
+    calls = 0
+    while e:
+        if e & 1:
+            calls += 1
+        calls += 1
+        e >>= 1
+    return calls
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_finite_field_pow_bills_the_same_operations(p):
+    rng = random.Random(p)
+    for k in (1, 2, 3):
+        F = FiniteField(p, k)
+        u = F.zero
+        while u == F.zero:
+            u = tuple(rng.randrange(p) for _ in range(k))
+        for e in range(41):
+            before = F.ops
+            F.pow(u, e)
+            assert F.ops - before == _square_and_multiply_calls(e)
+        before = F.ops
+        F.inv(u)
+        assert F.ops - before == 1 + _square_and_multiply_calls(F.order - 2)
+        before = F.ops
+        F.pow(u, -3)
+        assert F.ops - before == (1 + _square_and_multiply_calls(F.order - 2)
+                                  + _square_and_multiply_calls(3))
+
+
 def test_from_int_digits():
     ctx = Zp(5, prec=12)
     x = ctx.from_int(7)

@@ -51,24 +51,28 @@ def test_snf_divisors_of_unit_determinant_matrix():
 
 
 def test_snf_factorization_and_transform_integrality():
-    ctx = Zp(3, prec=30)
+    """U^{-1} A V^{-1} = diag(p^{e_k}) with both transforms in GL(Z_q)."""
     rng = random.Random(7)
-    for _ in range(25):
-        n = rng.randrange(1, 5)
-        m = rng.randrange(1, 5)
-        A = mat_from_ints(ctx, [[rng.randrange(-40, 41) * 3 ** rng.randrange(3)
-                                 for _ in range(m)] for _ in range(n)])
-        snf = smith_normal_form(A)
-        assert mat_equal(mat_mul(mat_mul(snf.U, snf.D), snf.V), A)
-        assert mat_equal(mat_mul(snf.U, snf.U_inv), mat_identity(ctx, n))
-        assert mat_equal(mat_mul(snf.V, snf.V_inv), mat_identity(ctx, m))
-        # transforms are integral: all valuations >= 0
-        for M in (snf.U, snf.V, snf.U_inv, snf.V_inv):
-            for row in M:
-                for x in row:
-                    assert x.is_zeroish() or x.valuation() >= 0
-        present = [e for e in snf.divisors if e is not None]
-        assert present == sorted(present)
+    for p, a, draws in ((3, 1, 25), (5, 2, 12)):
+        ctx = QqContext(p, a, prec=30)
+        for _ in range(draws):
+            n = rng.randrange(1, 5)
+            m = rng.randrange(1, 5)
+            A = [[ctx.from_vector([rng.randrange(-40, 41) for _ in range(a)],
+                                  val=rng.randrange(3))
+                  for _ in range(m)] for _ in range(n)]
+            snf = smith_normal_form(A)
+            D = [[ctx.from_int(1).shift(snf.divisors[i])
+                  if i == j and snf.divisors[i] is not None else ctx.zero()
+                  for j in range(m)] for i in range(n)]
+            assert mat_equal(mat_mul(mat_mul(snf.U_inv, A), snf.V_inv), D)
+            for M in (snf.U_inv, snf.V_inv):
+                for row in M:
+                    for x in row:
+                        assert x.is_zeroish() or x.valuation() >= 0
+                assert mat_det_valuation(M) == 0
+            present = [e for e in snf.divisors if e is not None]
+            assert present == sorted(present)
 
 
 def test_snf_divisors_are_gl_invariants():

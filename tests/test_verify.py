@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from fqzeta.cli import main
 from fqzeta.errors import HypothesisFailed, ValidationError
+from fqzeta.gauges import VirtualCrystal
 from fqzeta.geometry import (
     CohomologyPackage,
     PackageDegree,
@@ -12,6 +14,8 @@ from fqzeta.geometry import (
     corpus,
     package,
 )
+from fqzeta.padics import Zp
+from fqzeta.serialize import dump_json, encode_package
 from fqzeta.specialvalues import (
     compatibility_check,
     verify_elladic,
@@ -183,6 +187,28 @@ def test_hypothesis_failure_names_the_degree():
     with pytest.raises(HypothesisFailed) as err:
         verify_padic(pkg, 1)
     assert err.value.degree == 2
+
+
+def test_non_semisimple_crystal_fails_the_hypothesis(tmp_path, capsys):
+    """(1-5t)^2 with the Jordan crystal [[5,1],[0,5]]: q^1 is a repeated root
+    of the minimal polynomial, so the formula does not apply at r = 1."""
+    ctx = Zp(5, prec=32)
+    degrees = {
+        0: PackageDegree(poly=[Fraction(1), Fraction(-1)], weight=0, u=0,
+                         semisimple=False, crystal=None),
+        2: PackageDegree(poly=[Fraction(1), Fraction(-10), Fraction(25)],
+                         weight=2, u=0, semisimple=False,
+                         crystal=VirtualCrystal.from_ints(
+                             ctx, [[5, 1], [0, 5]])),
+    }
+    pkg = CohomologyPackage(5, 1, 1, degrees)
+    with pytest.raises(HypothesisFailed) as err:
+        verify_padic(pkg, 1)
+    assert err.value.degree == 2
+    f = tmp_path / "jordan.json"
+    f.write_text(dump_json(encode_package(pkg)))
+    assert main(["verify", "--package", str(f), "--r", "1"]) == 3
+    assert "not semisimple" in capsys.readouterr().err
 
 
 def test_declared_semisimplicity_is_accepted():
