@@ -6,15 +6,17 @@ complements of rational points.  Point counts come from exhaustive
 enumeration over F_{q^e} with a hard operation budget; degrees whose
 enumeration would blow the budget are extended by the closed form or
 recurrence proper to the kind, and the extension is cross-checked against
-every degree that was enumerated.  Packages carry exact integer zeta factors
-together with the corresponding p-adic crystals.
+every degree that was enumerated.  Elliptic curves are counted in one pass
+over x with Zech log tables of F_{q^e}; the budget is billed what the
+exhaustive (x, y) loops cost, an upper bound on that work.  Packages carry
+exact integer zeta factors together with the corresponding p-adic crystals.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (
@@ -25,7 +27,7 @@ from .errors import (
 from .gauges import VirtualCrystal
 from .isocrystals import Isocrystal, purity_check
 from .lfun import assemble
-from .padics import DEFAULT_PRECISION, FiniteField, QqContext
+from .padics import DEFAULT_PRECISION, FiniteField, QqContext, _is_prime
 from .polys import (
     companion_of_reversed,
     kron,
@@ -216,7 +218,13 @@ def _mobius(n):
 
 
 def _enumeration_estimate(spec, e):
-    """Upper estimate of the operation cost of exhaustive counting of N_e."""
+    """Upper estimate of the operation cost of exhaustive counting of N_e.
+
+    For elliptic curves it bounds what `_enumerate_elliptic` bills (3q,
+    plus 2q^2 when a1 or a3 != 0): the cost of the exhaustive loops, not of
+    the one-pass count, so which degrees are enumerated does not depend on
+    how they are counted.
+    """
     q_e = spec.q ** e
     kind = spec.kind
     if kind == "points":
@@ -272,30 +280,46 @@ def _enumerate_degree(spec, e, budget):
 def _enumerate_elliptic(field, coeffs):
     """#E(F) for y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
 
-    With a1 = a3 = 0 the y-side is tabulated once (one pass over the field);
-    otherwise every (x, y) pair is visited.  Either way the count is by
-    exhaustive evaluation, and every product bills the field's op counter.
+    One pass over x in Zech-log form (`FiniteField.log_tables`).  With
+    c = a1 x + a3 and r the right-hand side, the y over x number
+    #{y : y^2 = r} when c = 0, and #{t : t^2 + t = r/c^2} when c != 0
+    (set y = c t).  Both counts are tabulated, by the log of the value, in
+    one pass over the field.  The field's op counter is billed what the
+    exhaustive loops billed: 3q, plus 2q^2 when a1 or a3 != 0, an upper
+    bound on the work done here.
     """
-    a1, a2, a3, a4, a6 = (field.from_int(c).coeffs for c in coeffs)
-    add, mul = field.add, field.mul
-    total = 0
-    if field.is_zero(a1) and field.is_zero(a3):
-        squares = Counter()
-        for y in field.elements():
-            squares[mul(y, y)] += 1
-        for x in field.elements():
-            rhs = add(mul(add(mul(add(x, a2), x), a4), x), a6)
-            total += squares.get(rhs, 0)
-    else:
-        elements = list(field.elements())
-        for x in elements:
-            rhs = add(mul(add(mul(add(x, a2), x), a4), x), a6)
-            cross = add(mul(a1, x), a3)
-            for y in elements:
-                lhs = add(mul(y, y), mul(cross, y))
-                if lhs == rhs:
-                    total += 1
-    return total + 1            # the point at infinity
+    _, log, zech = field.log_tables()
+    p, q = field.p, field.order
+    n = q - 1                   # log of zero
+
+    def add(u, v):              # log(g^u + g^v)
+        if u == n:
+            return v
+        if v == n:
+            return u
+        z = zech[(v - u) % n]
+        return n if z == n else (u + z) % n
+
+    def mul(u, v):              # log(g^u g^v)
+        return n if u == n or v == n else (u + v) % n
+
+    squares = bytearray(q)      # squares[l] = #{y : log y^2 = l}
+    traces = bytearray(q)       # traces[l] = #{t : log(t^2 + t) = l}
+    squares[n] = traces[n] = 1  # y = 0 and t = 0
+    for i in range(n):
+        squares[2 * i % n] += 1
+        traces[mul(i, zech[i])] += 1
+    a1, a2, a3, a4, a6 = (log[c % p] for c in coeffs)
+    total = 1                   # the point at infinity
+    for x in range(q):
+        rhs = add(mul(add(mul(add(x, a2), x), a4), x), a6)
+        c = add(mul(a1, x), a3)
+        if c == n:
+            total += squares[rhs]
+        else:
+            total += traces[mul(rhs, -2 * c % n)]
+    field.charge(3 * q + (2 * q * q if (a1, a3) != (n, n) else 0))
+    return total
 
 
 def _closed_form(spec, e, anchors):
@@ -377,11 +401,14 @@ _COUNT_CACHE = {}
 def point_counts(spec, degrees, budget=DEFAULT_BUDGET, extend=True):
     """(N_1, ..., N_B): points of spec over F_{q^e} for e = 1..degrees.
 
-    Counting is exhaustive (every candidate point visited, arithmetic billed
-    to a budget of field operations).  Degrees whose enumeration does not fit
-    in the budget are extended by the kind's closed form or recurrence when
-    `extend` is true — anchored on and cross-checked against the enumerated
-    degrees — and raise BudgetExceeded otherwise.
+    Counting is exhaustive: every x-coordinate (every point, for spaces and
+    tori) is visited, and the work is billed to a budget of field
+    operations.  An elliptic curve is counted in one pass over x with Zech
+    log tables, and bills 3q, plus 2q^2 when a1 or a3 != 0: what the
+    exhaustive (x, y) loops cost, an upper bound on the work.  Degrees whose
+    enumeration does not fit in the budget are extended by the kind's closed
+    form or recurrence when `extend` is true — anchored on and cross-checked
+    against the enumerated degrees — and raise BudgetExceeded otherwise.
     """
     key = (spec.key(), degrees, budget, extend)
     if key not in _COUNT_CACHE:
@@ -430,6 +457,10 @@ class CohomologyPackage:
     def __init__(self, p, a, dim, degrees):
         self.p = int(p)
         self.a = int(a)
+        if not _is_prime(self.p):
+            raise ValidationError(f"p must be prime, got {self.p}")
+        if self.a < 1:
+            raise ValidationError("field degree a must be >= 1")
         self.q = self.p ** self.a
         self.dim = dim
         self.degrees = dict(degrees)

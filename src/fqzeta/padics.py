@@ -18,6 +18,7 @@ Everything here is immutable after construction; contexts are shared freely.
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 
 from .errors import PrecisionExhausted, ValidationError
@@ -140,6 +141,18 @@ def _is_prime(n):
     return True
 
 
+def _prime_divisors(n):
+    """The distinct primes dividing n >= 1, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
 def minimal_polynomial(p: int, a: int):
     """Lexicographically smallest monic irreducible of degree a over F_p.
 
@@ -185,6 +198,7 @@ class FiniteField:
         self.zero = (0,) * k
         self.one = (1,) + (0,) * (k - 1)
         self.ops = 0
+        self._log_tables = None
 
     def element(self, coeffs):
         coeffs = tuple(int(c) % self.p for c in coeffs)
@@ -237,6 +251,40 @@ class FiniteField:
 
     def is_zero(self, u):
         return all(c == 0 for c in u)
+
+    def log_tables(self):
+        """Zech log/antilog tables (exp, log, zech), built once per field.
+
+        An element (c_0, ..., c_{k-1}) has index sum c_i p^i, its place in
+        `elements()`.  g is the first element in that order of order
+        n = q - 1 (g^(n/l) != 1 for every prime l | n).  exp[i] is the index
+        of g^i for 0 <= i < n; log[j] is the exponent of the element of
+        index j, and n stands for zero (log[0] = n); zech[i] = log(1 + g^i),
+        so g^u + g^v = g^(u + zech[v - u]) (K. Huber, "Some comments on
+        Zech's logarithms", IEEE Trans. Inf. Theory 36, 1990).  The tables
+        are `array` machine ints built with `_mulmod` directly, so `ops` is
+        not billed.
+        """
+        if self._log_tables is None:
+            p, m, n = self.p, self.modulus, self.order - 1
+            one = list(self.one)
+            ells = _prime_divisors(n)
+            g = next(u for u in self.elements() if any(u)
+                     and all(_powmod(u, n // ell, m, p) != one
+                             for ell in ells))
+            weights = [p ** i for i in range(self.k)]
+            exp = array("i", [0]) * n
+            log = array("i", [n]) * self.order
+            u = one
+            for i in range(n):
+                j = sum(c * w for c, w in zip(u, weights))
+                exp[i], log[j] = j, i
+                u = _mulmod(g, u, m, p)
+            # 1 + g^i: add 1 to the constant digit of g^i, mod p
+            zech = array("i", (log[j + 1 if j % p != p - 1 else j + 1 - p]
+                               for j in exp))
+            self._log_tables = (exp, log, zech)
+        return self._log_tables
 
     def charge(self, n=1):
         """Bill n operations to the budget counter without doing arithmetic.

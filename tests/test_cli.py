@@ -201,6 +201,10 @@ MALFORMED = [
     ("gauge", "--input", '{"type":"isocrystal","p":5,"matrix":[1]}'),
     ("slopes", "--input", '{"type":"virtual_crystal","p":5,"matrix":[[1]],'
                           '"lattice":[[1,2],[3,4]]}'),
+    ("verify", "--package",
+     '{"type":"package","p":6,"a":1,"degrees":[{"j":0,"poly":[1,-1]}]}'),
+    ("verify", "--package",
+     '{"type":"package","p":5,"a":0,"degrees":[{"j":0,"poly":[1,-1]}]}'),
 ]
 
 

@@ -6,6 +6,14 @@ class, in ``src/fqzeta`` must be named somewhere in ``src/``, ``tests/`` or
 identifier string (``__all__``, the benchmark tracer's look-up tables).  A
 definition on its own is not a use, so a helper that nothing names fails
 here.  A name used only inside its own body is not caught.
+
+A method whose name is also a data attribute of the library
+(``self.<name> = ...`` or a namedtuple field) is held to more: reading
+``x.<name>`` reads the data, so only a call ``.<name>(...)`` or an
+identifier string counts as a use, and a string that names data (a dict
+key such as the JSON key ``"rank"``, a subscript, a namedtuple field
+spec) or is the text of an f-string does not.  Properties are read as
+attributes and keep the plain rule.
 """
 
 import ast
@@ -21,36 +29,126 @@ def _trees():
             yield path, ast.parse(path.read_text(encoding="utf-8"))
 
 
+def _is_property(func):
+    return any(isinstance(d, ast.Name) and d.id == "property"
+               for d in func.decorator_list)
+
+
 def _definitions(path, tree):
+    """(where, name, is_method) for each definition the rule covers."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield f"{path.stem}.{node.name}", node.name
+            yield f"{path.stem}.{node.name}", node.name, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, ast.FunctionDef)
                         and not (item.name.startswith("__")
                                  and item.name.endswith("__"))):
-                    yield f"{path.stem}.{node.name}.{item.name}", item.name
+                    yield (f"{path.stem}.{node.name}.{item.name}", item.name,
+                           not _is_property(item))
 
 
-def _names_used(tree):
+def _namedtuple_fields(node):
+    """The field-name constants of a namedtuple(...) call, else []."""
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+    if name != "namedtuple" or len(node.args) < 2:
+        return []
+    spec = node.args[1]
+    return [spec] if isinstance(spec, ast.Constant) else list(
+        getattr(spec, "elts", []))
+
+
+def _data_attributes(tree):
+    """Names the library stores as data: self.<name> targets, namedtuple
+    fields."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call):
+            for field in _namedtuple_fields(node):
+                if isinstance(field.value, str):
+                    yield from field.value.replace(",", " ").split()
+            continue
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if (isinstance(sub, ast.Attribute)
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "self"):
+                    yield sub.attr
+
+
+def _data_strings(tree):
+    """ids of string constants that name data or are text, not code:
+    namedtuple field specs, dict keys, subscripts (``doc["rank"]``),
+    ``"rank" in doc`` and the literal parts of f-strings."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            yield from map(id, node.values)
+        elif isinstance(node, ast.Call):
+            yield from map(id, _namedtuple_fields(node))
+        elif isinstance(node, ast.Dict):
+            yield from map(id, node.keys)
+        elif isinstance(node, ast.Subscript):
+            yield id(node.slice)
+        elif isinstance(node, ast.Compare):
+            yield from map(id, [node.left] + node.comparators)
+
+
+def _uses(tree):
+    """(names, calls): every name used, and the names that count for a
+    method shadowed by data (attribute calls and identifier strings that
+    do not name data)."""
+    names, calls = set(), set()
+    data_strings = set(_data_strings(tree))
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            names.add(node.attr)
         elif isinstance(node, ast.alias):
-            yield node.name.rsplit(".", 1)[-1]
+            names.add(node.name.rsplit(".", 1)[-1])
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and node.value.isidentifier()):
-            yield node.value
+            names.add(node.value)
+            if id(node) not in data_strings:
+                calls.add(node.value)
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)):
+            calls.add(node.func.attr)
+    return names, calls
+
+
+def _orphans(trees):
+    defined, data, names, calls = [], set(), set(), set()
+    for path, tree in trees:
+        if path.parent == LIBRARY:
+            defined.extend(_definitions(path, tree))
+            data.update(_data_attributes(tree))
+        tree_names, tree_calls = _uses(tree)
+        names |= tree_names
+        calls |= tree_calls
+    return sorted(where for where, name, is_method in defined
+                  if name not in (calls if is_method and name in data
+                                  else names))
 
 
 def test_every_library_definition_is_named_somewhere():
-    defined, used = [], set()
-    for path, tree in _trees():
-        if path.parent == LIBRARY:
-            defined.extend(_definitions(path, tree))
-        used.update(_names_used(tree))
-    orphans = sorted(where for where, name in defined if name not in used)
+    orphans = _orphans(_trees())
     assert not orphans, f"defined but never named: {orphans}"
+
+
+def test_method_named_like_data_needs_a_call():
+    # `rank` is data (`self.rank = n`) and read as `vc.rank` all over the
+    # library, so a read does not make an uncalled rank() method used.
+    planted = ast.parse("class Planted:\n"
+                        "    def rank(self):\n"
+                        "        return 0\n")
+    trees = list(_trees()) + [(LIBRARY / "planted.py", planted)]
+    assert _orphans(trees) == ["planted.Planted", "planted.Planted.rank"]
+    called = ast.parse("def use(x):\n    return Planted().rank()\n")
+    assert _orphans(trees + [(ROOT / "tests" / "use.py", called)]) == []
