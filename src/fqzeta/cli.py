@@ -222,7 +222,8 @@ def build_parser():
                        help="working p-adic precision (digits)")
         if budget:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                           help="point-counting operation budget")
+                           help="field operations for point counting: "
+                                "3q per distinct elliptic curve")
         if truncation:
             p.add_argument("--truncation", type=int, default=10,
                            help="series comparison order")

@@ -2,19 +2,18 @@
 
 Varieties here are the ones whose Frobenius data can be written down in full:
 projective and affine spaces, the torus, Weierstrass curves, products, and
-complements of rational points.  Point counts come from exhaustive
-enumeration over F_{q^e} with a hard operation budget; degrees whose
-enumeration would blow the budget are extended by the closed form or
-recurrence proper to the kind, and the extension is cross-checked against
-every degree that was enumerated.  Elliptic curves are counted in one pass
-over x with Zech log tables of F_{q^e}; the budget is billed what the
-exhaustive (x, y) loops cost, an upper bound on that work.  Packages carry
-exact integer zeta factors together with the corresponding p-adic crystals.
+complements of rational points.  Point counts enumerate only what the
+closed forms need: N_1 of each distinct elliptic curve, in one pass over x
+with Zech log tables of F_q.  Every other N_e comes from the Weil
+recurrence or from the exact counts of P^n, A^n and G_m.  The operation
+budget bounds that enumeration, 3 q^e for degree e of a curve, and what N_1
+leaves of it pays for one cross-check per curve: N_2, enumerated and
+compared with the recurrence.  Packages carry exact integer zeta factors
+together with the corresponding p-adic crystals.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -154,7 +153,7 @@ class VarietySpec:
         return 0
 
     def key(self):
-        """Hashable canonical form, used for count memoization."""
+        """Hashable canonical form, used for equality and hashing."""
         kind = self.kind
         if kind == "product":
             inner = tuple(f.key() for f in self.factors)
@@ -176,21 +175,6 @@ class VarietySpec:
 
 # ---------------------------------------------------------------------------
 # point counting
-
-
-class _Budget:
-    def __init__(self, limit):
-        self.limit = int(limit)
-        self.spent = 0
-
-    def affordable(self, estimate):
-        return self.spent + estimate <= self.limit
-
-    def spend(self, n, what=""):
-        self.spent += n
-        if self.spent > self.limit:
-            raise BudgetExceeded(
-                f"operation budget {self.limit} exhausted{' ' + what if what else ''}")
 
 
 _FIELD_CACHE = {}
@@ -217,64 +201,10 @@ def _mobius(n):
     return result
 
 
-def _enumeration_estimate(spec, e):
-    """Upper estimate of the operation cost of exhaustive counting of N_e.
-
-    For elliptic curves it bounds what `_enumerate_elliptic` bills (3q,
-    plus 2q^2 when a1 or a3 != 0): the cost of the exhaustive loops, not of
-    the one-pass count, so which degrees are enumerated does not depend on
-    how they are counted.
-    """
-    q_e = spec.q ** e
-    kind = spec.kind
-    if kind == "points":
-        return 0
-    if kind == "affine":
-        return q_e ** spec.n if spec.n else 1
-    if kind == "torus":
-        return q_e
-    if kind == "projective":
-        return sum(q_e ** i for i in range(spec.n + 1))
-    if kind == "elliptic":
-        a1, _, a3, _, _ = spec.coeffs
-        if a1 == 0 and a3 == 0:
-            return 4 * q_e
-        return 3 * q_e + 5 * q_e * q_e
-    raise ValidationError(f"no enumerator for kind {spec.kind!r}")
-
-
-def _enumerate_degree(spec, e, budget):
-    """Exhaustive N_e for a leaf kind, billing the budget for the work."""
-    kind = spec.kind
-    if kind == "points":
-        return spec.count
-    field = _field(spec.p, spec.a * e)
-    start = field.ops
-    q_e = field.order
-    if kind == "affine":
-        total = 1
-        if spec.n:
-            total = sum(1 for _ in itertools.product(field.elements(),
-                                                     repeat=spec.n))
-        field.charge(q_e ** spec.n if spec.n else 1)
-    elif kind == "torus":
-        total = sum(1 for v in field.elements() if any(v))
-        field.charge(q_e)
-    elif kind == "projective":
-        total = 0
-        for i in range(spec.n + 1):
-            if i == 0:
-                total += 1
-            else:
-                total += sum(1 for _ in itertools.product(field.elements(),
-                                                          repeat=i))
-        field.charge(sum(q_e ** i for i in range(spec.n + 1)))
-    elif kind == "elliptic":
-        total = _enumerate_elliptic(field, spec.coeffs)
-    else:
-        raise ValidationError(f"no enumerator for kind {spec.kind!r}")
-    budget.spend(field.ops - start, f"(counting {kind}, degree {e})")
-    return total
+def _cost(spec, e):
+    """Field operations to count N_e of an elliptic curve: three passes
+    over F_{q^e} (its log tables, the squares and traces, the x loop)."""
+    return 3 * spec.q ** e
 
 
 def _enumerate_elliptic(field, coeffs):
@@ -284,9 +214,7 @@ def _enumerate_elliptic(field, coeffs):
     c = a1 x + a3 and r the right-hand side, the y over x number
     #{y : y^2 = r} when c = 0, and #{t : t^2 + t = r/c^2} when c != 0
     (set y = c t).  Both counts are tabulated, by the log of the value, in
-    one pass over the field.  The field's op counter is billed what the
-    exhaustive loops billed: 3q, plus 2q^2 when a1 or a3 != 0, an upper
-    bound on the work done here.
+    one pass over the field.
     """
     _, log, zech = field.log_tables()
     p, q = field.p, field.order
@@ -318,72 +246,51 @@ def _enumerate_elliptic(field, coeffs):
             total += squares[rhs]
         else:
             total += traces[mul(rhs, -2 * c % n)]
-    field.charge(3 * q + (2 * q * q if (a1, a3) != (n, n) else 0))
     return total
 
 
-def _closed_form(spec, e, anchors):
-    """Certified N_e for degrees beyond the enumeration budget.
+def _weil_counts(q, n1, degrees):
+    """N_1, ..., N_degrees of an elliptic curve over F_q from N_1.
 
-    `anchors` holds the exhaustively counted degrees; the elliptic recurrence
-    is seeded from N_1 and every closed form is validated against all anchors
-    by the caller.
+    N_e = q^e + 1 - s_e, where s_e = alpha^e + beta^e for the Frobenius
+    roots: s_0 = 2, s_1 = a_q = q + 1 - N_1, s_e = a_q s_{e-1} - q s_{e-2}.
     """
-    q_e = spec.q ** e
-    kind = spec.kind
-    if kind == "points":
-        return spec.count
-    if kind == "affine":
-        return q_e ** spec.n if spec.n else 1
-    if kind == "torus":
-        return q_e - 1
-    if kind == "projective":
-        return sum(q_e ** i for i in range(spec.n + 1))
-    if kind == "elliptic":
-        if 1 not in anchors:
-            raise BudgetExceeded(
-                "elliptic recurrence needs N_1, which exceeded the budget")
-        a_q = spec.q + 1 - anchors[1]
-        s_prev, s_cur = 2, a_q
-        for _ in range(e - 1):
-            s_prev, s_cur = s_cur, a_q * s_cur - spec.q * s_prev
-        return spec.q ** e + 1 - s_cur
-    raise ValidationError(f"no closed form for kind {spec.kind!r}")
-
-
-def _leaf_counts(spec, degrees, budget, extend):
-    counts, anchors = [], {}
+    a_q = q + 1 - n1
+    s_prev, s_cur = 2, a_q
+    out = []
     for e in range(1, degrees + 1):
-        estimate = _enumeration_estimate(spec, e)
-        if budget.affordable(estimate):
-            n_e = _enumerate_degree(spec, e, budget)
-            anchors[e] = n_e
-        elif extend:
-            n_e = _closed_form(spec, e, anchors)
-        else:
-            raise BudgetExceeded(
-                f"degree {e} of {spec.kind} needs about {estimate} operations; "
-                f"{budget.limit - budget.spent} remain")
-        counts.append(n_e)
-    # the closed form must reproduce every exhaustively counted degree
-    for e, n_e in anchors.items():
-        if _closed_form(spec, e, anchors) != n_e:
-            raise ValidationError(
-                f"enumeration and closed form disagree at degree {e}: "
-                f"{n_e} vs {_closed_form(spec, e, anchors)}")
-    return counts
+        out.append(q ** e + 1 - s_cur)
+        s_prev, s_cur = s_cur, a_q * s_cur - q * s_prev
+    return out
 
 
-def _counts(spec, degrees, budget, extend):
+def _leaf_counts(spec, degrees, n1):
+    """N_1, ..., N_degrees of a leaf: closed forms, and for an elliptic
+    curve the Weil recurrence from its enumerated N_1 (`n1[spec]`)."""
+    kind = spec.kind
+    if kind == "elliptic":
+        return _weil_counts(spec.q, n1[spec], degrees)
+    out = []
+    for e in range(1, degrees + 1):
+        q_e = spec.q ** e
+        if kind == "points":
+            out.append(spec.count)
+        elif kind == "affine":
+            out.append(q_e ** spec.n)
+        elif kind == "torus":
+            out.append(q_e - 1)
+        else:                   # projective
+            out.append(sum(q_e ** i for i in range(spec.n + 1)))
+    return out
+
+
+def _counts(spec, degrees, n1):
     if spec.kind == "product":
-        # a repeated factor is counted once, under the shared budget
-        per = {f: _counts(f, degrees, budget, extend)
-               for f in dict.fromkeys(spec.factors)}
-        return [math.prod(per[f][e] for f in spec.factors)
-                for e in range(degrees)]
+        parts = [_counts(f, degrees, n1) for f in spec.factors]
+        return [math.prod(column) for column in zip(*parts)]
     if spec.kind == "complement":
-        amb = _counts(spec.ambient, degrees, budget, extend)
-        sub = _counts(spec.closed, degrees, budget, extend)
+        amb = _counts(spec.ambient, degrees, n1)
+        sub = _counts(spec.closed, degrees, n1)
         out = []
         for e in range(degrees):
             n_e = amb[e] - sub[e]
@@ -392,29 +299,51 @@ def _counts(spec, degrees, budget, extend):
                     f"complement has negative count {n_e} in degree {e + 1}")
             out.append(n_e)
         return out
-    return _leaf_counts(spec, degrees, budget, extend)
+    return _leaf_counts(spec, degrees, n1)
 
 
-_COUNT_CACHE = {}
+def _curves(spec):
+    """The distinct elliptic leaves of spec, in order of appearance."""
+    if spec.kind == "product":
+        parts = spec.factors
+    elif spec.kind == "complement":
+        parts = (spec.ambient, spec.closed)
+    else:
+        return [spec] if spec.kind == "elliptic" else []
+    return list(dict.fromkeys(c for f in parts for c in _curves(f)))
 
 
-def point_counts(spec, degrees, budget=DEFAULT_BUDGET, extend=True):
+def point_counts(spec, degrees, budget=DEFAULT_BUDGET):
     """(N_1, ..., N_B): points of spec over F_{q^e} for e = 1..degrees.
 
-    Counting is exhaustive: every x-coordinate (every point, for spaces and
-    tori) is visited, and the work is billed to a budget of field
-    operations.  An elliptic curve is counted in one pass over x with Zech
-    log tables, and bills 3q, plus 2q^2 when a1 or a3 != 0: what the
-    exhaustive (x, y) loops cost, an upper bound on the work.  Degrees whose
-    enumeration does not fit in the budget are extended by the kind's closed
-    form or recurrence when `extend` is true — anchored on and cross-checked
-    against the enumerated degrees — and raise BudgetExceeded otherwise.
+    Only N_1 of each distinct elliptic curve is enumerated, in one pass over
+    x with Zech log tables; every other N_e comes from a closed form (P^n,
+    A^n, G_m, point sets) or from the curve's Weil recurrence.  `budget`
+    bounds the field operations spent enumerating, 3 q^e per degree e of a
+    curve: BudgetExceeded is raised, before any field is built, exactly when
+    the N_1 counts cost more than `budget`.  What they leave pays for one
+    cross-check per curve: N_2 is enumerated when it fits, and must equal
+    the recurrence or ValidationError is raised.
     """
-    key = (spec.key(), degrees, budget, extend)
-    if key not in _COUNT_CACHE:
-        _COUNT_CACHE[key] = tuple(
-            _counts(spec, degrees, _Budget(budget), extend))
-    return _COUNT_CACHE[key]
+    if degrees < 1:
+        return ()
+    curves = _curves(spec)
+    spent = sum(_cost(c, 1) for c in curves)
+    if spent > budget:
+        raise BudgetExceeded(
+            f"counting N_1 of {len(curves)} elliptic curve(s) needs {spent} "
+            f"operations; the budget is {budget}")
+    n1 = {c: _enumerate_elliptic(_field(c.p, c.a), c.coeffs) for c in curves}
+    for c in curves:
+        if spent + _cost(c, 2) <= budget:
+            spent += _cost(c, 2)
+            n2 = _enumerate_elliptic(_field(c.p, 2 * c.a), c.coeffs)
+            want = _weil_counts(c.q, n1[c], 2)[1]
+            if n2 != want:
+                raise ValidationError(
+                    f"enumeration and recurrence disagree at degree 2: "
+                    f"{n2} vs {want}")
+    return tuple(_counts(spec, degrees, n1))
 
 
 def closed_points(counts):

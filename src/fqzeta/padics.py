@@ -181,9 +181,7 @@ def minimal_polynomial(p: int, a: int):
 class FiniteField:
     """F_{p^k} as F_p[x]/(m(x)), m the canonical minimal polynomial.
 
-    Raw elements are int tuples of length k (low degree first).  The `ops`
-    counter tallies field multiplications/inversions so point-counting loops
-    can respect an operation budget.
+    Raw elements are int tuples of length k (low degree first).
     """
 
     def __init__(self, p: int, k: int):
@@ -197,7 +195,6 @@ class FiniteField:
         self.modulus = tuple(minimal_polynomial(p, k))
         self.zero = (0,) * k
         self.one = (1,) + (0,) * (k - 1)
-        self.ops = 0
         self._log_tables = None
 
     def element(self, coeffs):
@@ -235,7 +232,6 @@ class FiniteField:
         return tuple((-a) % self.p for a in u)
 
     def mul(self, u, v):
-        self.ops += 1
         return tuple(_mulmod(u, v, self.modulus, self.p))
 
     def pow(self, u, e):
@@ -246,7 +242,6 @@ class FiniteField:
     def inv(self, u):
         if u == self.zero:
             raise ZeroDivisionError("inverse of 0 in finite field")
-        self.ops += 1
         return self.pow(u, self.order - 2)
 
     def is_zero(self, u):
@@ -262,8 +257,7 @@ class FiniteField:
         index j, and n stands for zero (log[0] = n); zech[i] = log(1 + g^i),
         so g^u + g^v = g^(u + zech[v - u]) (K. Huber, "Some comments on
         Zech's logarithms", IEEE Trans. Inf. Theory 36, 1990).  The tables
-        are `array` machine ints built with `_mulmod` directly, so `ops` is
-        not billed.
+        are `array` machine ints.
         """
         if self._log_tables is None:
             p, m, n = self.p, self.modulus, self.order - 1
@@ -285,14 +279,6 @@ class FiniteField:
                                for j in exp))
             self._log_tables = (exp, log, zech)
         return self._log_tables
-
-    def charge(self, n=1):
-        """Bill n operations to the budget counter without doing arithmetic.
-
-        Enumeration loops that only visit elements (no products) use this so
-        an operation budget still bounds their work.
-        """
-        self.ops += n
 
 
 class FFElement:

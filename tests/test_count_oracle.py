@@ -1,25 +1,33 @@
-"""The Zech-log point counter against the exhaustive loops it replaced.
+"""Point counts against exhaustive enumeration on the tuple kernel.
 
 `_enumerate_elliptic` counts #E(F_q) in one pass over x with Zech log
-tables.  The oracles below are the loops it replaced, on the tuple kernel:
-a Counter of squares when a1 = a3 = 0, and every (x, y) pair otherwise.
-Both the count and the `FiniteField.ops` billed must agree, since the
-billing decides which degrees `point_counts` enumerates.
+tables.  The oracles below are the loops it replaced: a Counter of squares
+when a1 = a3 = 0, and every (x, y) pair otherwise.  `point_counts`
+enumerates only N_1 of a curve (and N_2 as a runtime cross-check) and
+takes the rest from the Weil recurrence, and it counts P^n, A^n and G_m by
+closed forms; the brute-force enumerators it used to run for those live
+here too, so every degree it returns is checked against a full count.
 """
 
+import itertools
 import random
 from collections import Counter
 
 import pytest
 
-from fqzeta.geometry import _enumerate_elliptic, _weierstrass_discriminant
+from fqzeta.geometry import (
+    VarietySpec,
+    _enumerate_elliptic,
+    _weierstrass_discriminant,
+    point_counts,
+)
 from fqzeta.padics import FiniteField
 
 FIELDS = [(p, k) for p in (2, 3, 5, 7) for k in (1, 2, 3)]
 
 
 def _oracle_count(field, coeffs):
-    """#E(F) by exhaustive evaluation, every product billed to field.ops."""
+    """#E(F) by exhaustive evaluation of the Weierstrass equation."""
     a1, a2, a3, a4, a6 = (field.from_int(c).coeffs for c in coeffs)
     add, mul = field.add, field.mul
     total = 0
@@ -54,10 +62,10 @@ def _random_curve(rng, p, cross):
             return coeffs
 
 
-def _counts_and_ops(p, k, coeffs):
-    new, old = FiniteField(p, k), FiniteField(p, k)
-    n = _enumerate_elliptic(new, coeffs)
-    return (n, new.ops), (_oracle_count(old, coeffs), old.ops)
+def _counts(p, k, coeffs):
+    """(one-pass count, exhaustive count) of #E(F_{p^k})."""
+    F = FiniteField(p, k)
+    return _enumerate_elliptic(F, coeffs), _oracle_count(F, coeffs)
 
 
 def _cases():
@@ -80,16 +88,17 @@ SUPERSINGULAR = [(2, (0, 0, 1, 0, 0)), (3, (0, 0, 0, 2, 0)),
 
 @pytest.mark.parametrize("p,k,coeffs", list(_cases()))
 def test_one_pass_count_and_billing_match_the_exhaustive_loops(p, k, coeffs):
-    new, old = _counts_and_ops(p, k, coeffs)
+    """Counts only: the bill is `geometry._cost`, 3q whatever the loop."""
+    new, old = _counts(p, k, coeffs)
     assert new == old
 
 
 @pytest.mark.parametrize("p,coeffs", SUPERSINGULAR)
 def test_supersingular_counts_match_the_exhaustive_loops(p, coeffs):
     for k in (1, 2, 3):
-        new, old = _counts_and_ops(p, k, coeffs)
+        new, old = _counts(p, k, coeffs)
         assert new == old
-        assert (p ** k + 1 - new[0]) % p == 0       # trace = 0 mod p
+        assert (p ** k + 1 - new) % p == 0          # trace = 0 mod p
 
 
 def _index(u, p):
@@ -127,6 +136,56 @@ def test_zech_logs_match_tuple_addition(p, k):
 def test_building_the_tables_bills_no_operations():
     for p, k in FIELDS:
         F = FiniteField(p, k)
-        F.log_tables()
-        assert F.ops == 0
         assert F.log_tables() is F.log_tables()
+
+
+# Size caps for the exhaustive loops below: at most _POINTS_LIMIT elements
+# or points for the O(q) loops (the squares Counter, F^n for spaces), and
+# fields of at most _PAIRS_LIMIT elements for the O(q^2) (x, y) pair loop.
+_POINTS_LIMIT, _PAIRS_LIMIT = 5 ** 6, 5 ** 3
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p in (2, 3, 5, 7)
+                                 for k in (1, 2)])
+def test_point_counts_match_the_exhaustive_loops_at_degrees_1_to_3(p, k):
+    """N_1..N_3 of curves over F_{p^k}: N_1 is enumerated, N_2 is the
+    runtime anchor, N_3 comes from the recurrence alone."""
+    rng = random.Random(100 * p + k)
+    for cross in ((True,) if p == 2 else (False, True)):
+        coeffs = _random_curve(rng, p, cross)
+        counts = point_counts(VarietySpec.elliptic(coeffs, p, k), 3)
+        limit = _PAIRS_LIMIT if cross else _POINTS_LIMIT
+        for e in (1, 2, 3):
+            if p ** (k * e) <= limit:
+                want = _oracle_count(FiniteField(p, k * e), coeffs)
+                assert counts[e - 1] == want, (coeffs, e)
+
+
+def _affine_oracle(field, n):
+    return sum(1 for _ in itertools.product(field.elements(), repeat=n))
+
+
+def _torus_oracle(field):
+    return sum(1 for v in field.elements() if any(v))
+
+
+def _projective_oracle(field, n):
+    """P^n as the disjoint union of A^0, A^1, ..., A^n."""
+    return sum(_affine_oracle(field, i) for i in range(n + 1))
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p in (2, 3, 5, 7)
+                                 for k in (1, 2)])
+def test_closed_forms_match_brute_force_enumeration(p, k):
+    for n in range(4):
+        proj = point_counts(VarietySpec.projective(n, p, k), 3)
+        aff = point_counts(VarietySpec.affine(n, p, k), 3)
+        for e in (1, 2, 3):
+            if p ** (k * e * n) <= _POINTS_LIMIT:
+                F = FiniteField(p, k * e)
+                assert proj[e - 1] == _projective_oracle(F, n), (n, e)
+                assert aff[e - 1] == _affine_oracle(F, n), (n, e)
+    torus = point_counts(VarietySpec.torus(p, k), 3)
+    for e in (1, 2, 3):
+        if p ** (k * e) <= _POINTS_LIMIT:
+            assert torus[e - 1] == _torus_oracle(FiniteField(p, k * e)), e

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fqzeta import geometry
 from fqzeta.errors import (
     BudgetExceeded,
     GeneralConeError,
@@ -63,25 +64,52 @@ def test_closed_points_moebius():
     assert closed_points(counts) == {1: 6, 2: 10, 3: 40, 4: 150}
 
 
-def test_certified_extension_matches_enumeration():
-    """With a starving budget the closed-form extension must reproduce the
-    exhaustively enumerated values."""
-    small = point_counts(ELLIPTIC, 4, budget=200, extend=True)
-    full = point_counts(ELLIPTIC, 4, budget=10 ** 7, extend=True)
-    assert small == full
+def test_certified_extension_matches_enumeration(monkeypatch):
+    """The recurrence is checked against an enumerated N_2 when the budget
+    leaves room for it; a count that disagrees raises ValidationError."""
+    q = ELLIPTIC.q
+    unchecked = point_counts(ELLIPTIC, 4, budget=3 * q)
+    checked = point_counts(ELLIPTIC, 4, budget=3 * q + 3 * q * q)
+    assert unchecked == checked == (9, 27, 108, 675)
+
+    enumerate_elliptic = geometry._enumerate_elliptic
+
+    def wrong_n2(field, coeffs):
+        n = enumerate_elliptic(field, coeffs)
+        return n + 1 if field.order == q * q else n
+
+    monkeypatch.setattr(geometry, "_enumerate_elliptic", wrong_n2)
+    assert point_counts(ELLIPTIC, 4, budget=3 * q) == unchecked
+    with pytest.raises(ValidationError, match="degree 2"):
+        point_counts(ELLIPTIC, 4, budget=3 * q + 3 * q * q)
 
 
 def test_repeated_product_factor_is_counted_once():
-    """E x E enumerates E once: counting it twice would leave too little of
-    the budget for degree 3 of the second copy."""
+    """E x E enumerates N_1 of E once, so 3q pays for it; E x E' needs
+    N_1 of two curves, 6q."""
+    q = ELLIPTIC.q
     square = VarietySpec.product([ELLIPTIC, ELLIPTIC])
-    assert point_counts(square, 3, budget=700, extend=False) == \
-        (81, 729, 11664)
-
-
-def test_budget_exhaustion_without_extension():
+    assert point_counts(square, 3, budget=3 * q) == (81, 729, 11664)
+    pair = VarietySpec.product([ELLIPTIC, SUPERSINGULAR])
     with pytest.raises(BudgetExceeded):
-        point_counts(ELLIPTIC, 6, budget=200, extend=False)
+        point_counts(pair, 3, budget=3 * q)
+    assert point_counts(pair, 3, budget=6 * q) == (54, 972, 13608)
+
+
+def test_budget_boundary_is_the_n1_cost():
+    """BudgetExceeded is raised below 3q, before any field is built; at 3q
+    the counts come back.  Closed forms cost nothing."""
+    curve = VarietySpec.elliptic([0, 0, 0, 1, 1], 7, a=2)
+    q = curve.q
+    geometry._FIELD_CACHE.pop((7, 2), None)
+    before = dict(geometry._FIELD_CACHE)
+    with pytest.raises(BudgetExceeded):
+        point_counts(curve, 3, budget=3 * q - 1)
+    assert geometry._FIELD_CACHE == before
+    assert len(point_counts(curve, 3, budget=3 * q)) == 3
+    assert point_counts(curve, 0, budget=0) == ()
+    assert point_counts(VarietySpec.projective(2, 7, 2), 3, budget=0) == \
+        tuple(sum(q ** (e * i) for i in range(3)) for e in (1, 2, 3))
 
 
 def test_package_shapes_for_projective_line():

@@ -3,7 +3,9 @@
 Each `.out` file under `tests/golden/` is the stdout of one command on the
 input documents beside it, recorded from the library before its power,
 matrix-product and polygon helpers were merged and its Smith form dropped
-U, V and D.  A change that alters an answer or its formatting fails here.
+U, V and D; `zeta_eee_f5.out` was recorded before point counting stopped
+enumerating degrees past N_2.  A change that alters an answer or its
+formatting fails here.
 """
 
 from pathlib import Path
@@ -22,6 +24,7 @@ CASES = {
     "package_f25": ["package", "--variety", "elliptic_f25.json"],
     "zeta_f25": ["zeta", "--variety", "elliptic_f25.json",
                  "--budget", "20000"],
+    "zeta_eee_f5": ["zeta", "--variety", "eee_f5.json"],
     "gauge_f25": ["gauge", "--input", "crystal_f25.json"],
     "slopes_f25": ["slopes", "--input", "crystal_f25.json"],
     "zf_gamma": ["zf", "--gamma", "gamma.json"],

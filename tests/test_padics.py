@@ -106,15 +106,9 @@ def test_is_irreducible_matches_trial_division():
 
 def test_finite_field_ops_counter():
     F = FiniteField(5, 1)
-    before = F.ops
-    F.mul((2,), (3,))
-    F.inv((2,))
-    assert F.ops > before          # mul and inv both bill the counter
-    mid = F.ops
-    F.charge(10)
-    assert F.ops == mid + 10
-    F.add((1,), (2,))              # additions are free
-    assert F.ops == mid + 10
+    assert F.mul((2,), (3,)) == (1,)
+    assert F.inv((2,)) == (3,)
+    assert F.add((1,), (2,)) == (3,)
 
 
 def _square_and_multiply_calls(e):
@@ -136,17 +130,20 @@ def test_finite_field_pow_bills_the_same_operations(p):
         u = F.zero
         while u == F.zero:
             u = tuple(rng.randrange(p) for _ in range(k))
+        calls = []
+        mul = F.mul
+        F.mul = lambda v, w: calls.append(1) or mul(v, w)
         for e in range(41):
-            before = F.ops
+            calls.clear()
             F.pow(u, e)
-            assert F.ops - before == _square_and_multiply_calls(e)
-        before = F.ops
+            assert len(calls) == _square_and_multiply_calls(e)
+        calls.clear()
         F.inv(u)
-        assert F.ops - before == 1 + _square_and_multiply_calls(F.order - 2)
-        before = F.ops
+        assert len(calls) == _square_and_multiply_calls(F.order - 2)
+        calls.clear()
         F.pow(u, -3)
-        assert F.ops - before == (1 + _square_and_multiply_calls(F.order - 2)
-                                  + _square_and_multiply_calls(3))
+        assert len(calls) == (_square_and_multiply_calls(F.order - 2)
+                              + _square_and_multiply_calls(3))
 
 
 def test_from_int_digits():
