@@ -22,7 +22,6 @@ from .errors import (
     NotTypeI,
     PrecisionExhausted,
     ValidationError,
-    ZeroAfterCancellation,
 )
 from .padics import DEFAULT_PRECISION, FiniteField, QqContext, QqElement
 from .plinalg import smith_normal_form
@@ -42,8 +41,6 @@ from .lfun import (
     abs_valuation_inverse,
     assemble,
     euler_product_series,
-    leading_coefficient,
-    pole_order_at,
     rational_series,
 )
 from .geometry import (
@@ -82,7 +79,6 @@ __all__ = [
     "VarietySpec",
     "VerificationReport",
     "VirtualCrystal",
-    "ZeroAfterCancellation",
     "abs_valuation_inverse",
     "assemble",
     "chi_from_zf",
@@ -93,12 +89,10 @@ __all__ = [
     "ext_ranks",
     "hodge",
     "invariants_coinvariants",
-    "leading_coefficient",
     "newton_slopes_exact",
     "package",
     "parse_json",
     "point_counts",
-    "pole_order_at",
     "purity_check",
     "rational_series",
     "rho_from_ranks",

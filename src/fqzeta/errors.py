@@ -50,7 +50,3 @@ class BudgetExceeded(FqzetaError):
 
 class GeneralConeError(FqzetaError):
     """Open-complement cone rule hit a case outside the supported corpus shapes."""
-
-
-class ZeroAfterCancellation(FqzetaError):
-    """leading_coefficient evaluated to zero: the supplied pole order was wrong."""

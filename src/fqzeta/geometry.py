@@ -313,20 +313,15 @@ def _curves(spec):
     return list(dict.fromkeys(c for f in parts for c in _curves(f)))
 
 
-def point_counts(spec, degrees, budget=DEFAULT_BUDGET):
-    """(N_1, ..., N_B): points of spec over F_{q^e} for e = 1..degrees.
+def _curve_n1(spec, budget):
+    """N_1 of each distinct elliptic curve of spec, by enumeration.
 
-    Only N_1 of each distinct elliptic curve is enumerated, in one pass over
-    x with Zech log tables; every other N_e comes from a closed form (P^n,
-    A^n, G_m, point sets) or from the curve's Weil recurrence.  `budget`
-    bounds the field operations spent enumerating, 3 q^e per degree e of a
-    curve: BudgetExceeded is raised, before any field is built, exactly when
-    the N_1 counts cost more than `budget`.  What they leave pays for one
-    cross-check per curve: N_2 is enumerated when it fits, and must equal
-    the recurrence or ValidationError is raised.
+    `budget` bounds the field operations spent enumerating, 3 q^e per
+    degree e of a curve: BudgetExceeded is raised, before any field is
+    built, exactly when the N_1 counts cost more than `budget`.  What they
+    leave pays for one cross-check per curve: N_2 is enumerated when it
+    fits, and must equal the recurrence or ValidationError is raised.
     """
-    if degrees < 1:
-        return ()
     curves = _curves(spec)
     spent = sum(_cost(c, 1) for c in curves)
     if spent > budget:
@@ -343,7 +338,20 @@ def point_counts(spec, degrees, budget=DEFAULT_BUDGET):
                 raise ValidationError(
                     f"enumeration and recurrence disagree at degree 2: "
                     f"{n2} vs {want}")
-    return tuple(_counts(spec, degrees, n1))
+    return n1
+
+
+def point_counts(spec, degrees, budget=DEFAULT_BUDGET):
+    """(N_1, ..., N_B): points of spec over F_{q^e} for e = 1..degrees.
+
+    Only N_1 of each distinct elliptic curve is enumerated, in one pass over
+    x with Zech log tables, under `budget` (`_curve_n1`); every other N_e
+    comes from a closed form (P^n, A^n, G_m, point sets) or from the
+    curve's Weil recurrence.
+    """
+    if degrees < 1:
+        return ()
+    return tuple(_counts(spec, degrees, _curve_n1(spec, budget)))
 
 
 def closed_points(counts):
@@ -468,7 +476,7 @@ def _pure_degree(poly, weight, crystal):
                          u=0, semisimple=True, crystal=crystal)
 
 
-def _leaf_package(spec, ctx, budget):
+def _leaf_package(spec, ctx, n1):
     kind = spec.kind
     p, q = spec.p, spec.q
     if kind == "projective":
@@ -488,8 +496,7 @@ def _leaf_package(spec, ctx, budget):
         return {0: _pure_degree(poly_pow([1, -1], spec.count), 0,
                                 _unit_crystal(ctx, spec.count))}
     if kind == "elliptic":
-        n1 = point_counts(spec, 1, budget=budget)[0]
-        a_q = q + 1 - n1
+        a_q = q + 1 - n1[spec]
         frob = None
         if spec.a == 1:
             rows = [[int(x) for x in row]
@@ -589,29 +596,30 @@ def package(spec, twist=None, prec=DEFAULT_PRECISION,
     (sigma-semilinear) Frobenius of an isocrystal on the point.  Twisting
     tensors every factor with det(1 - t F^a) of the twist and every crystal
     with the twist crystal; weight tags are dropped since the twist's weights
-    are not known.
+    are not known.  Each distinct elliptic curve is counted once, under
+    `budget` exactly as in `point_counts`.
     """
     ctx = QqContext(spec.p, spec.a, prec=prec)
-    degrees = _package_degrees(spec, ctx, budget)
+    degrees = _package_degrees(spec, ctx, _curve_n1(spec, budget))
     if twist is not None:
         degrees = _apply_twist(ctx, degrees, twist)
     return CohomologyPackage(spec.p, spec.a, spec.dim, degrees)
 
 
-def _package_degrees(spec, ctx, budget):
+def _package_degrees(spec, ctx, n1):
     if spec.kind == "product":
         degrees = None
         for f in spec.factors:
-            part = _package_degrees(f, ctx, budget)
+            part = _package_degrees(f, ctx, n1)
             degrees = part if degrees is None else _kunneth(ctx, degrees, part)
         return degrees
     if spec.kind == "complement":
         if spec.closed.kind != "points":
             raise GeneralConeError(
                 "only complements of rational point sets are in the corpus")
-        ambient = _package_degrees(spec.ambient, ctx, budget)
+        ambient = _package_degrees(spec.ambient, ctx, n1)
         return _cone_degrees(ctx, ambient, spec.closed.count)
-    return _leaf_package(spec, ctx, budget)
+    return _leaf_package(spec, ctx, n1)
 
 
 # ---------------------------------------------------------------------------

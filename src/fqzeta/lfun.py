@@ -1,22 +1,21 @@
 """Zeta functions of varieties over finite fields as exact rational functions.
 
-A zeta function is stored two ways at once: as a reduced fraction num/den with
-rational coefficients (constant terms 1), and — when it was assembled from
-cohomology — as the dict of per-degree factors det(1 - t F | H^j) it came
-from.  Pole orders and leading coefficients at t = q^{-r} are computed by
-exact synthetic division, so there is no floating point anywhere in this
-module.
+A zeta function is stored as a reduced fraction num/den with rational
+coefficients (constant terms 1), assembled from the per-degree factors
+det(1 - t F | H^j).  `fqzeta zeta` prints it and compares its Taylor series
+with the Euler product over closed points; the verifier reads the pole
+order and leading coefficient at t = q^{-r} off the factors instead
+(`specialvalues`).  There is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ValidationError, ZeroAfterCancellation
+from .errors import ValidationError
 from .padics import rational_valuation
 from .polys import (
     mat_pow_fractions,
-    poly_eval,
     poly_inverse_series,
     poly_mul,
     poly_mul_trunc,
@@ -24,7 +23,6 @@ from .polys import (
     poly_trim,
     poly_truncate,
     rev_charpoly_fractions,
-    root_multiplicity,
 )
 
 
@@ -61,14 +59,9 @@ def _poly_gcd(f, g):
 
 
 class RationalFunction:
-    """Reduced fraction of polynomials in t with rational coefficients.
+    """Reduced fraction of polynomials in t with rational coefficients."""
 
-    `factors`, when present, maps a cohomological degree j to the exact
-    integer/rational polynomial det(1 - t F | H^j); odd degrees multiply into
-    the numerator, even into the denominator.
-    """
-
-    def __init__(self, num, den, factors=None):
+    def __init__(self, num, den):
         num = poly_trim([Fraction(c) for c in num])
         den = poly_trim([Fraction(c) for c in den])
         if not num:
@@ -84,8 +77,6 @@ class RationalFunction:
             den, _ = _poly_divmod(den, g)
         self.num = num
         self.den = den
-        self.factors = {int(j): [Fraction(c) for c in poly]
-                        for j, poly in factors.items()} if factors else None
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
@@ -98,10 +89,6 @@ class RationalFunction:
     def __repr__(self):
         return f"RationalFunction(num={self.num}, den={self.den})"
 
-    def degree_of_factor(self, j):
-        poly = (self.factors or {}).get(j, [Fraction(1)])
-        return len(poly_trim(list(poly))) - 1
-
 
 def assemble(factors_by_degree):
     """Alternating product over cohomological degrees of det(1 - t F | H^j).
@@ -110,44 +97,16 @@ def assemble(factors_by_degree):
     j to the denominator.  An empty dict gives the constant function 1.
     """
     num, den = [Fraction(1)], [Fraction(1)]
-    clean = {}
     for j in sorted(factors_by_degree):
         coeffs = poly_trim([Fraction(c) for c in factors_by_degree[j]])
         if not coeffs or coeffs[0] != 1:
             raise ValidationError(
                 f"factor in degree {j} must have constant term 1")
-        clean[int(j)] = coeffs
         if j % 2:
             num = poly_mul(num, coeffs)
         else:
             den = poly_mul(den, coeffs)
-    return RationalFunction(num, den, factors=clean)
-
-
-def pole_order_at(zeta, q, r):
-    """Order of the pole of zeta at t = q^{-r}; negative means a zero."""
-    c = Fraction(q) ** r
-    m_den, _ = root_multiplicity(zeta.den, c)
-    m_num, _ = root_multiplicity(zeta.num, c)
-    return m_den - m_num
-
-
-def leading_coefficient(zeta, q, r, expected_order=None):
-    """Exact value of lim (1 - q^r t)^rho * zeta(t) as t -> q^{-r}.
-
-    When expected_order is given and disagrees with the actual pole order,
-    the limit the caller wants is 0 or infinity; that is reported as
-    ZeroAfterCancellation rather than silently returning the wrong scalar.
-    """
-    c = Fraction(q) ** r
-    m_den, den_red = root_multiplicity(zeta.den, c)
-    m_num, num_red = root_multiplicity(zeta.num, c)
-    rho = m_den - m_num
-    if expected_order is not None and rho != expected_order:
-        raise ZeroAfterCancellation(
-            f"order at t = {q}^-{r} is {rho}, caller expected {expected_order}")
-    x = 1 / c
-    return poly_eval(num_red, x) / poly_eval(den_red, x)
+    return RationalFunction(num, den)
 
 
 def abs_valuation_inverse(x, prime):

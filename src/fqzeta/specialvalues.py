@@ -1,12 +1,16 @@
 """Two-sided verification of the special-value identity at t = q^{-r}.
 
-Side A is analytic: the pole order and leading coefficient of the zeta
-function as an exact rational number, then its inverse absolute value at the
-chosen prime.  Side B is cohomological: per-degree eigenvalue products,
-slope sums, unipotent exponents, and (p-adically, when lattice data is
-present) gauge Hodge numbers.  The two sides are compared as exact prime
-powers; a report never rounds and never asserts an identity it cannot
-witness.
+Each factor P_j = det(1 - t F | H^j) is deflated once
+(`eigenproduct_excluding`): m_j is the multiplicity of q^r, and what is
+left is evaluated at q^{-r}.  Side A is analytic: Z(t) = prod_j
+P_j^{(-1)^{j+1}} has pole order rho = sum_j (-1)^j m_j at q^{-r}, and its
+leading coefficient is the same alternating product of the deflated
+values, an exact rational number; then its inverse absolute value at the
+chosen prime.  Side B is cohomological: Ext ranks from the m_j, the
+deflated values as eigenvalue products, slope sums, unipotent exponents,
+and (p-adically, when lattice data is present) gauge Hodge numbers.  The
+two sides are compared as exact prime powers; a report never rounds and
+never asserts an identity it cannot witness.
 """
 
 from __future__ import annotations
@@ -21,9 +25,8 @@ from .isocrystals import (
     newton_slopes_exact,
     semisimple_at,
 )
-from .lfun import abs_valuation_inverse, leading_coefficient, pole_order_at
+from .lfun import abs_valuation_inverse
 from .padics import _is_prime, rational_valuation
-from .polys import root_multiplicity
 
 
 class Identity:
@@ -128,18 +131,16 @@ def compatibility_check(pkg):
     return True
 
 
-def _check_hypothesis(pkg, r):
+def _check_hypothesis(pkg, r, eigen):
     """Per-degree semisimplicity-at-q^r verdicts; raise when inconclusive.
 
     A simple or absent eigenvalue needs no certificate; a repeated one is
     checked on the crystal when present, and otherwise accepted only from an
-    explicit semisimplicity tag.
+    explicit semisimplicity tag.  The multiplicities m_j come from `eigen`.
     """
     verdicts, mults = {}, {}
-    q_r = Fraction(pkg.q) ** r
     for j, data in sorted(pkg.degrees.items()):
-        m, _ = root_multiplicity(data.poly, q_r)
-        mults[j] = m
+        m = mults[j] = eigen[j].m
         if m <= 1:
             verdicts[j] = "simple-or-absent"
         elif data.crystal is not None:
@@ -157,10 +158,16 @@ def _check_hypothesis(pkg, r):
     return verdicts, mults
 
 
-def _analytic_side(pkg, r, prime):
-    zeta = pkg.zeta()
-    rho = pole_order_at(zeta, pkg.q, r)
-    lead = leading_coefficient(zeta, pkg.q, r, expected_order=rho)
+def _analytic_side(eigen, prime):
+    """Pole order, leading coefficient and |c|^{-1} of Z(t) at q^{-r}.
+
+    Odd degrees are the numerator: rho = sum_j (-1)^j m_j and
+    c = prod_j value_j^{(-1)^{j+1}}, from the per-degree deflations.
+    """
+    rho = sum((-1) ** j * e.m for j, e in eigen.items())
+    lead = Fraction(1)
+    for j, e in eigen.items():
+        lead = lead * e.value if j % 2 else lead / e.value
     return rho, lead, abs_valuation_inverse(lead, prime)
 
 
@@ -209,11 +216,11 @@ def verify_padic(pkg, r):
     |c|_p^{-1} = chi * q^chi(P,r) with the Hodge exponent, plus the
     Hodge-equals-slopes comparison.
     """
-    verdicts, mults = _check_hypothesis(pkg, r)
-    rho_a, lead, abs_inv = _analytic_side(pkg, r, pkg.p)
+    eigen = _eigen_data(pkg, r)
+    verdicts, mults = _check_hypothesis(pkg, r, eigen)
+    rho_a, lead, abs_inv = _analytic_side(eigen, pkg.p)
     ranks = ext_ranks(mults)
     rho_b = rho_from_ranks(ranks)
-    eigen = _eigen_data(pkg, r)
     a = pkg.a
 
     z = {}
@@ -290,11 +297,11 @@ def verify_elladic(pkg, r, ell):
         raise ValidationError(
             "l-adic verification needs integer coefficients "
             "(compatibility_check failed)")
-    verdicts, mults = _check_hypothesis(pkg, r)
-    rho_a, lead, abs_inv = _analytic_side(pkg, r, ell)
+    eigen = _eigen_data(pkg, r, with_slopes=False)
+    verdicts, mults = _check_hypothesis(pkg, r, eigen)
+    rho_a, lead, abs_inv = _analytic_side(eigen, ell)
     ranks = ext_ranks(mults)
     rho_b = rho_from_ranks(ranks)
-    eigen = _eigen_data(pkg, r, with_slopes=False)
 
     z = {j: Fraction(ell) ** (-rational_valuation(eigen[j].value, ell))
          for j in sorted(pkg.degrees)}

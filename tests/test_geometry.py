@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fqzeta import geometry
+from fqzeta.cli import main
 from fqzeta.errors import (
     BudgetExceeded,
     GeneralConeError,
@@ -18,6 +19,8 @@ from fqzeta.geometry import (
     point_counts,
 )
 from fqzeta.lfun import euler_product_series, rational_series
+from fqzeta.polys import poly_pow
+from fqzeta.serialize import dump_json, encode_variety
 
 BUDGET = 10 ** 5
 
@@ -110,6 +113,40 @@ def test_budget_boundary_is_the_n1_cost():
     assert point_counts(curve, 0, budget=0) == ()
     assert point_counts(VarietySpec.projective(2, 7, 2), 3, budget=0) == \
         tuple(sum(q ** (e * i) for i in range(3)) for e in (1, 2, 3))
+
+
+def test_package_spends_the_point_counts_budget(tmp_path):
+    """package counts every distinct curve under one budget, exactly as
+    point_counts does: E x E' over F_5 needs 3q for each curve, so 6q - 1
+    is refused by both, and `fqzeta package` and `verify` exit 2."""
+    q = ELLIPTIC.q
+    pair = VarietySpec.product([ELLIPTIC, SUPERSINGULAR])
+    for count in (lambda b: point_counts(pair, 1, budget=b),
+                  lambda b: package(pair, budget=b)):
+        with pytest.raises(BudgetExceeded):
+            count(6 * q - 1)
+        count(6 * q)
+    doc = tmp_path / "pair.json"
+    doc.write_text(dump_json(encode_variety(pair)))
+    for command in (["package"], ["verify", "--r", "1"]):
+        assert main(command + ["--variety", str(doc),
+                               "--budget", str(6 * q - 1)]) == 2
+
+
+def test_package_enumerates_each_curve_once_per_degree(monkeypatch):
+    """E x E x E over F_5 enumerates E over F_5 (N_1) and F_25 (the N_2
+    cross-check) once each, not once per copy."""
+    fields = []
+    enumerate_elliptic = geometry._enumerate_elliptic
+
+    def recorded(field, coeffs):
+        fields.append(field.order)
+        return enumerate_elliptic(field, coeffs)
+
+    monkeypatch.setattr(geometry, "_enumerate_elliptic", recorded)
+    pkg = package(VarietySpec.product([ELLIPTIC] * 3), budget=BUDGET)
+    assert fields == [5, 25]
+    assert pkg.degrees[1].poly == poly_pow([1, 3, 5], 3)    # N_1 = 9
 
 
 def test_package_shapes_for_projective_line():

@@ -1,11 +1,20 @@
-"""Rational zeta functions: assembly, special values, Euler products."""
+"""Rational zeta functions: assembly, special values, Euler products.
+
+The verifier reads the pole order and leading coefficient at t = q^{-r}
+off the per-degree factors, deflating each once.  The oracle here takes
+the long way round: assemble the whole zeta function, reduce num/den by a
+gcd over Q, and deflate (1 - q^r t) out of each.  The two must agree on
+every package.
+"""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from fqzeta.errors import ValidationError, ZeroAfterCancellation
+import fqzeta
+from fqzeta.errors import ValidationError
+from fqzeta.geometry import VarietySpec, _weierstrass_discriminant, package
 from fqzeta.lfun import (
     RationalFunction,
     _poly_divmod,
@@ -13,14 +22,27 @@ from fqzeta.lfun import (
     abs_valuation_inverse,
     assemble,
     euler_product_series,
-    leading_coefficient,
-    pole_order_at,
     rational_series,
 )
-from fqzeta.polys import poly_mul, poly_trim
+from fqzeta.polys import poly_eval, poly_mul, poly_trim, root_multiplicity
+from fqzeta.specialvalues import (
+    compatibility_check,
+    verify_elladic,
+    verify_padic,
+)
 
 P1_FACTORS = {0: [1, -1], 2: [1, -5]}
 ELLIPTIC_FACTORS = {0: [1, -1], 1: [1, 3, 5], 2: [1, -5]}
+
+
+def _whole_zeta_value(zeta, q, r):
+    """(pole order, leading coefficient) of zeta at t = q^{-r}, from its
+    reduced num/den: rho = m_den - m_num (negative is a zero), and the
+    deflated num/den evaluated at q^{-r}."""
+    c = Fraction(q) ** r
+    m_num, num = root_multiplicity(zeta.num, c)
+    m_den, den = root_multiplicity(zeta.den, c)
+    return m_den - m_num, poly_eval(num, 1 / c) / poly_eval(den, 1 / c)
 
 
 def _euclid_gcd(f, g):
@@ -53,7 +75,6 @@ def test_assemble_alternates_numerator_denominator():
     zeta = assemble(ELLIPTIC_FACTORS)
     assert zeta.num == [Fraction(1), Fraction(3), Fraction(5)]
     assert zeta.den == [Fraction(1), Fraction(-6), Fraction(5)]
-    assert zeta.factors[1] == [Fraction(1), Fraction(3), Fraction(5)]
     assert assemble({}).num == [Fraction(1)]
 
 
@@ -64,33 +85,26 @@ def test_assemble_requires_unit_constant_term():
 
 def test_pole_orders_of_projective_line():
     zeta = assemble(P1_FACTORS)
-    assert pole_order_at(zeta, 5, 0) == 1
-    assert pole_order_at(zeta, 5, 1) == 1
-    assert pole_order_at(zeta, 5, 2) == 0
-    # a zero: the elliptic numerator at its own inverse root would be
-    # negative; here test a manufactured zero
+    assert _whole_zeta_value(zeta, 5, 0)[0] == 1
+    assert _whole_zeta_value(zeta, 5, 1)[0] == 1
+    assert _whole_zeta_value(zeta, 5, 2)[0] == 0
+    # a zero: a manufactured numerator factor at q^r
     f = RationalFunction([1, -5], [1])
-    assert pole_order_at(f, 5, 1) == -1
+    assert _whole_zeta_value(f, 5, 1)[0] == -1
 
 
 def test_leading_coefficients_of_projective_line():
     zeta = assemble(P1_FACTORS)
-    assert leading_coefficient(zeta, 5, 1, expected_order=1) == Fraction(5, 4)
-    assert leading_coefficient(zeta, 5, 0, expected_order=1) == Fraction(-1, 4)
+    assert _whole_zeta_value(zeta, 5, 1)[1] == Fraction(5, 4)
+    assert _whole_zeta_value(zeta, 5, 0)[1] == Fraction(-1, 4)
+    # no pole at r = 2: the leading term is the value zeta(1/25)
+    assert _whole_zeta_value(zeta, 5, 2)[1] == Fraction(125, 96)
 
 
 def test_leading_coefficients_of_elliptic_fixture():
     zeta = assemble(ELLIPTIC_FACTORS)
-    assert leading_coefficient(zeta, 5, 1, expected_order=1) == Fraction(9, 4)
-    assert leading_coefficient(zeta, 5, 0, expected_order=1) == Fraction(-9, 4)
-
-
-def test_leading_coefficient_checks_expected_order():
-    zeta = assemble(P1_FACTORS)
-    with pytest.raises(ZeroAfterCancellation):
-        leading_coefficient(zeta, 5, 1, expected_order=2)
-    # without an expectation the actual limit is returned: zeta(1/25)
-    assert leading_coefficient(zeta, 5, 2) == Fraction(125, 96)
+    assert _whole_zeta_value(zeta, 5, 1)[1] == Fraction(9, 4)
+    assert _whole_zeta_value(zeta, 5, 0)[1] == Fraction(-9, 4)
 
 
 def test_abs_valuation_inverse():
@@ -145,13 +159,6 @@ def test_rational_series_matches_euler_product_for_projective_line():
     assert rational_series(zeta, 10) == euler_product_series(closed, 10)
 
 
-def test_degree_of_factor():
-    zeta = assemble(ELLIPTIC_FACTORS)
-    assert zeta.degree_of_factor(1) == 2
-    assert zeta.degree_of_factor(0) == 1
-    assert zeta.degree_of_factor(7) == 0
-
-
 def test_gcd_matches_plain_euclid_oracle():
     rng = random.Random(21)
 
@@ -168,3 +175,101 @@ def test_gcd_matches_plain_euclid_oracle():
         assert got == _euclid_gcd(f, g)
         # the planted factor divides the gcd
         assert _poly_divmod(got, common)[1] == []
+
+
+# ---------------------------------------------------------------------------
+# the verifier's analytic side against the whole-zeta oracle
+
+
+def _random_curve(rng, p):
+    while True:
+        coeffs = [rng.randrange(p) for _ in range(5)]
+        if _weierstrass_discriminant(*coeffs) % p:
+            return coeffs
+
+
+def _random_spec(rng, p, a):
+    """A piece, a product of two pieces (a square half the time), the
+    complement of up to three rational points in a product or a piece, or
+    a point set.  Pieces have dimension <= 1."""
+    def piece():
+        kind = rng.choice(("projective", "affine", "torus", "elliptic"))
+        if kind == "elliptic":
+            return VarietySpec.elliptic(_random_curve(rng, p), p, a)
+        if kind == "torus":
+            return VarietySpec.torus(p, a)
+        return VarietySpec(kind, p, a, n=rng.randrange(2))
+
+    shape = rng.choice(("piece", "product", "complement", "points"))
+    if shape == "points":
+        return VarietySpec.points(rng.randrange(1, 4), p, a)
+    if shape == "piece":
+        return piece()
+    first = piece()
+    factors = [first, rng.choice((first, piece()))]    # squares too
+    if shape == "complement":
+        # the cone rule needs a connected ambient with room for the
+        # points: P^n (n >= 1) and curves only
+        factors = [f for f in factors
+                   if f.kind in ("projective", "elliptic") and f.dim]
+        if not factors:
+            factors = [VarietySpec.projective(1, p, a)]
+    spec = (VarietySpec.product(factors) if len(factors) > 1
+            else factors[0])
+    if shape == "complement":
+        spec = VarietySpec.complement(
+            spec, VarietySpec.points(rng.randrange(1, 4), p, a))
+    return spec
+
+
+def _random_package(rng):
+    p, a = rng.choice((2, 3, 5, 7)), rng.choice((1, 2, 3))
+    spec = _random_spec(rng, p, a)
+    twist = rng.choice((None, None, [[rng.choice((-1, 1)) * rng.randrange(
+        1, 8)]], [[1, p], [p, 1]], [[p, 1], [1, 1]]))
+    pkg = package(spec, twist=twist, prec=24)
+    return pkg.tate_twist(rng.choice((-1, 0, 1, 2)))
+
+
+def test_verifier_special_value_matches_the_whole_zeta_oracle():
+    """rho and the leading coefficient of every report equal those of the
+    assembled zeta function, on random products, complements, twists and
+    Tate twists over F_{p^a}, p in {2,3,5,7}, a in {1,2,3}, at every r in
+    [-1, 2 dim + 1]."""
+    rng = random.Random(8)
+    compared = 0
+    for _ in range(60):
+        pkg = _random_package(rng)
+        zeta = assemble({j: d.poly for j, d in pkg.degrees.items()})
+        for r in range(-1, 2 * pkg.dim + 2):
+            reports = [verify_padic(pkg, r)]
+            if compatibility_check(pkg):
+                reports.append(verify_elladic(pkg, r, 11))
+            want = _whole_zeta_value(zeta, pkg.q, r)
+            for rep in reports:
+                assert (rep.rho_analytic, rep.leading) == want, (pkg, r)
+            compared += 1
+    assert compared > 250
+
+
+def test_verify_deflates_each_degree_once(monkeypatch):
+    """One root_multiplicity call per degree per verify call, p-adic and
+    l-adic alike, on E x E x E over F_5."""
+    calls = []
+
+    def counted(coeffs, c):
+        calls.append(c)
+        return root_multiplicity(coeffs, c)
+
+    for module in (fqzeta.polys, fqzeta.isocrystals, fqzeta.lfun,
+                   fqzeta.gammamodules, fqzeta.specialvalues):
+        if hasattr(module, "root_multiplicity"):
+            monkeypatch.setattr(module, "root_multiplicity", counted)
+    curve = VarietySpec.elliptic([0, 0, 0, 1, 1], 5)
+    pkg = package(VarietySpec.product([curve] * 3))
+    assert sorted(pkg.degrees) == list(range(7))
+    for verify in (lambda: verify_padic(pkg, 1),
+                   lambda: verify_elladic(pkg, 1, 3)):
+        calls.clear()
+        assert verify().passed
+        assert calls == [Fraction(5)] * 7
