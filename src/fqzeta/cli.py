@@ -121,10 +121,7 @@ def _cmd_zeta(args):
 
 
 def _cmd_zf(args):
-    path = args.gamma or args.input
-    if path is None:
-        raise FqzetaError("zf needs --gamma (or --input) with a module file")
-    module = parse_json(_read(path, "gamma module"),
+    module = parse_json(_read(args.gamma, "gamma module"),
                         expected={"gamma_module"}, prec=args.prec)
     z_snf = z_of_f(module, route="snf")
     z_poly = z_of_f(module, route="poly")
@@ -244,8 +241,7 @@ def build_parser():
     p.set_defaults(func=_cmd_zeta)
 
     p = sub.add_parser("zf", help="z(f) of a Gamma-module, both routes")
-    p.add_argument("--gamma", help="Gamma-module JSON file")
-    p.add_argument("--input", help="alias for --gamma")
+    p.add_argument("--gamma", required=True, help="Gamma-module JSON file")
     common(p)
     p.set_defaults(func=_cmd_zf)
 

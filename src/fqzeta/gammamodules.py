@@ -89,7 +89,7 @@ def invariants_coinvariants(m: GammaModule):
     Free ranks agree (the group is procyclic); both facts come out of one
     Smith form of 1 - gamma plus the per-component torsion arithmetic.
     """
-    snf = smith_normal_form(m.one_minus_gamma(), m._ctx)
+    snf = smith_normal_form(m.one_minus_gamma())
     z0 = sum(1 for e in snf.divisors if e is None)
     inv_torsion = []
     coinv_torsion = [e for e in snf.divisors if e is not None and e > 0]
@@ -116,10 +116,10 @@ def _z_snf_route(m: GammaModule):
     """
     ctx = m._ctx
     A = m.one_minus_gamma()
-    snf = smith_normal_form(A, ctx)
+    snf = smith_normal_form(A)
     z0 = sum(1 for e in snf.divisors if e is None)
     # definedness: kernel of (1-gamma)^2 must have the same rank
-    K2 = right_kernel(mat_mul(A, A), ctx)
+    K2 = right_kernel(mat_mul(A, A))
     z0_sq = len(K2[0]) if K2 else 0
     if z0_sq != z0:
         raise MultipleRootError(
@@ -141,7 +141,7 @@ def _z_snf_route(m: GammaModule):
             rel = [ctx.from_int(m.prime ** snf.divisors[torsion_rows[j]]
                                 if ridx == j else 0) for j in range(t)]
             C.append([G[i][j] for j in range(z0)] + rel)
-        snf2 = smith_normal_form(C, ctx)
+        snf2 = smith_normal_form(C)
         if any(e is None for e in snf2.divisors):
             raise ValidationError("cokernel of f is infinite although z is "
                                   "defined; inconsistent module data")
@@ -164,7 +164,7 @@ def _z_poly_route(m: GammaModule):
     only when the eigenvalue-1 kernel rank matches the multiplicity.
     """
     mult, deflated = m.eigen_multiplicity_at_one()
-    K = right_kernel(m.one_minus_gamma(), m._ctx)
+    K = right_kernel(m.one_minus_gamma())
     z0 = len(K[0]) if K else 0
     if z0 != mult:
         raise MultipleRootError(
@@ -198,7 +198,7 @@ def z_of_f(m: GammaModule, route="both"):
 # Ext-complex bookkeeping
 
 
-def ext_ranks(multiplicities, r=None):
+def ext_ranks(multiplicities):
     """ranks of Ext^j from per-degree multiplicities of q^r.
 
     With cohomological dimension one, rank Ext^j = m_j + m_{j-1}; the

@@ -52,7 +52,7 @@ class VirtualCrystal:
         """Atilde = B^{-1} A sigma(B): the Frobenius matrix seen from N."""
         B = self.lattice
         try:
-            Binv = mat_inverse(B, self.ctx)
+            Binv = mat_inverse(B)
         except ValidationError as exc:
             raise DegenerateCrystal(f"lattice basis singular: {exc}") from exc
         return mat_mul(Binv, mat_mul(self.crystal.matrix, mat_sigma(B)))
@@ -126,7 +126,7 @@ def hodge(vc: VirtualCrystal) -> FGaugeWindow:
     """
     At = vc.in_lattice_coordinates()
     try:
-        snf = smith_normal_form(At, vc.ctx)
+        snf = smith_normal_form(At)
     except ValidationError as exc:
         raise DegenerateCrystal(str(exc)) from exc
     if any(e is None for e in snf.divisors):
@@ -184,14 +184,15 @@ def slope_gauge_check(vc: VirtualCrystal, g: FGaugeWindow):
 # Raynaud relations for elementary Type I desk models
 
 
-def check_raynaud_relations(vc: VirtualCrystal, trials=4, seed=0,
-                            nil_cap=None):
+def check_raynaud_relations(vc: VirtualCrystal):
     """Verify FV = p = VF, the semilinearity relations, and that V = pF^{-1}
     is topologically nilpotent; d = 0 so the d-relations hold vacuously.
 
-    The nilpotence certificate is the Newton polygon (every slope < 1, so
-    V has positive slopes), witnessed numerically by the growth of the
-    minimal valuation of powers of V.  A slope >= 1 raises NotTypeI.
+    FV = p = VF is checked as a matrix identity, and semilinearity on four
+    vectors drawn from a fixed seed.  The nilpotence certificate is the
+    Newton polygon (every slope < 1, so V has positive slopes), witnessed
+    numerically by the growth of the minimal valuation of the first
+    2 n a + 4 powers of V.  A slope >= 1 raises NotTypeI.
     """
     ctx = vc.ctx
     At = vc.in_lattice_coordinates()
@@ -203,7 +204,7 @@ def check_raynaud_relations(vc: VirtualCrystal, trials=4, seed=0,
                        "V = pF^{-1} is not topologically nilpotent")
     n = len(At)
     back = ctx.a - 1
-    Vmat = mat_shift(mat_sigma(mat_inverse(At, ctx), back), 1)
+    Vmat = mat_shift(mat_sigma(mat_inverse(At), back), 1)
     # operator identities: A sigma(V) = p = V sigma^{-1}(A)
     lhs = mat_mul(At, mat_sigma(Vmat))
     rhs = mat_mul(Vmat, mat_sigma(At, back))
@@ -213,8 +214,8 @@ def check_raynaud_relations(vc: VirtualCrystal, trials=4, seed=0,
             for j in range(n):
                 if not got[i][j].same_value(pI[i][j], digits=ctx.guard):
                     raise ValidationError("FV = p = VF failed")
-    rng = random.Random(seed)
-    for _ in range(trials):
+    rng = random.Random(0)
+    for _ in range(4):
         v = [ctx.from_int(rng.randrange(1, ctx.p ** 3)) for _ in range(n)]
         c = ctx.from_vector([rng.randrange(ctx.p ** 2) for _ in range(ctx.a)]) \
             if ctx.a > 1 else ctx.from_int(rng.randrange(1, ctx.p ** 3))
@@ -231,11 +232,9 @@ def check_raynaud_relations(vc: VirtualCrystal, trials=4, seed=0,
         for x, y in zip(Vsv, [c * t for t in Vv]):
             if not x.same_value(y, digits=ctx.guard):
                 raise ValidationError("V semilinearity failed")
-    if nil_cap is None:
-        nil_cap = 2 * n * ctx.a + 4
     growth = []
     W = Vmat
-    for _ in range(nil_cap):
+    for _ in range(2 * n * ctx.a + 4):
         growth.append(mat_min_valuation(W))
         W = mat_mul(Vmat, mat_sigma(W, back))
     if growth[-1] is None or growth[-1] <= (growth[0] or 0):

@@ -411,6 +411,17 @@ class CohomologyPackage:
                     f"degree {j} outside [0, {2 * dim}]")
             if data.u < 0:
                 raise ValidationError("unipotent exponent must be >= 0")
+            crystal = data.crystal
+            if crystal is None:
+                continue
+            if (crystal.ctx.p, crystal.ctx.a) != (self.p, self.a):
+                raise ValidationError(
+                    f"degree-{j} crystal has (p, a) = ({crystal.ctx.p}, "
+                    f"{crystal.ctx.a}), the package ({self.p}, {self.a})")
+            if crystal.rank != len(poly) - 1:
+                raise ValidationError(
+                    f"degree-{j} crystal has rank {crystal.rank}, its factor "
+                    f"degree {len(poly) - 1}")
 
     def zeta(self):
         return assemble({j: d.poly for j, d in self.degrees.items()
@@ -458,9 +469,9 @@ def _scalar_crystal(ctx, scalar):
     return VirtualCrystal.from_ints(ctx, [[scalar]])
 
 
-def _crystal_from_rational(ctx, rows, lattice=None):
-    mat = [[ctx.from_fraction(Fraction(x)) for x in row] for row in rows]
-    return VirtualCrystal(Isocrystal(ctx, mat), lattice)
+def _crystal_from_rational(ctx, rows):
+    mat = [[ctx.from_fraction(x) for x in row] for row in rows]
+    return VirtualCrystal(Isocrystal(ctx, mat))
 
 
 def _crystal_tensor(vc1, vc2):
@@ -618,6 +629,7 @@ def _package_degrees(spec, ctx, n1):
             raise GeneralConeError(
                 "only complements of rational point sets are in the corpus")
         ambient = _package_degrees(spec.ambient, ctx, n1)
+        _counts(spec, 1, n1)    # refuses removing more points than N_1
         return _cone_degrees(ctx, ambient, spec.closed.count)
     return _leaf_package(spec, ctx, n1)
 
@@ -626,14 +638,15 @@ def _package_degrees(spec, ctx, n1):
 # the named corpus
 
 
-def corpus(p=5):
-    """The named fixtures every identity in the suite is run against."""
-    P1 = VarietySpec.projective(1, p)
+def corpus():
+    """The named fixtures, all over F_5, that every identity in the suite
+    is run against."""
+    P1 = VarietySpec.projective(1, 5)
     return {
         "P1": P1,
-        "P2": VarietySpec.projective(2, p),
-        "A1": VarietySpec.complement(P1, VarietySpec.points(1, p)),
-        "Gm": VarietySpec.torus(p),
+        "P2": VarietySpec.projective(2, 5),
+        "A1": VarietySpec.complement(P1, VarietySpec.points(1, 5)),
+        "Gm": VarietySpec.torus(5),
         "P1xP1": VarietySpec.product([P1, P1]),
         "elliptic-F5-a5=-3": VarietySpec.elliptic([0, 0, 0, 1, 1], 5),
         "elliptic-F5-supersingular": VarietySpec.elliptic([0, 0, 0, 0, 1], 5),

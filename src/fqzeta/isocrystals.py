@@ -49,7 +49,7 @@ class Isocrystal:
 
     def validate(self):
         try:
-            mat_inverse(self.matrix, self.ctx)
+            mat_inverse(self.matrix)
         except ValidationError as exc:
             raise DegenerateCrystal(str(exc)) from exc
         return True
@@ -139,8 +139,8 @@ def newton_slopes_exact(coeffs, p, a):
 # semisimplicity at q^r and eigenvalue products
 
 
-def _kernel_rank(A, ctx):
-    K = right_kernel(A, ctx)
+def _kernel_rank(A):
+    K = right_kernel(A)
     return len(K[0]) if K else 0
 
 
@@ -158,10 +158,10 @@ def semisimple_at(E, r):
     n = E.rank
     L = [[M[i][j] - (c if i == j else ctx.zero()) for j in range(n)]
          for i in range(n)]
-    d1 = _kernel_rank(L, ctx)
+    d1 = _kernel_rank(L)
     if d1 == 0:
         return True
-    d2 = _kernel_rank(mat_mul(L, L), ctx)
+    d2 = _kernel_rank(mat_mul(L, L))
     return d1 == d2
 
 
@@ -209,44 +209,29 @@ def eigenproduct_excluding(P, p, a, r, profile):
 class PurityResult:
     """Outcome of the weight-w pairing test on an integer zeta factor."""
 
-    __slots__ = ("pairing_ok", "mixed")
+    __slots__ = ("pairing_ok",)
 
-    def __init__(self, pairing_ok, mixed):
+    def __init__(self, pairing_ok):
         self.pairing_ok = pairing_ok
-        self.mixed = mixed
 
     def __bool__(self):
         return self.pairing_ok
 
     def __repr__(self):
-        return f"PurityResult(pairing_ok={self.pairing_ok}, mixed={self.mixed})"
+        return f"PurityResult(pairing_ok={self.pairing_ok})"
 
 
 def purity_check(P, w, q):
     """Necessary pairing condition for weight w: inverse roots stable under
     alpha -> q^w/alpha, as the coefficient identity c_j c_n = c_{n-j} q^{wj}.
-
-    Also sets an advisory "mixed" flag when the archimedean absolute values
-    of the inverse roots visibly deviate from q^{w/2} (floating point, never
-    used in any identity).
     """
     coeffs = [Fraction(c) for c in P]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     n = len(coeffs) - 1
     if n == 0:
-        return PurityResult(coeffs[0] == 1, False)
+        return PurityResult(coeffs[0] == 1)
     c_n = coeffs[n]
-    ok = all(coeffs[j] * c_n == coeffs[n - j] * Fraction(q) ** (w * j)
-             for j in range(n + 1))
-    mixed = False
-    try:
-        import numpy as np
-
-        roots = np.roots([float(c) for c in reversed(coeffs)])
-        target = float(q) ** (w / 2.0)
-        mixed = any(abs(abs(1.0 / z) - target) > 1e-6 * max(1.0, target)
-                    for z in roots if z != 0)
-    except Exception:
-        mixed = False
-    return PurityResult(ok, mixed)
+    return PurityResult(all(
+        coeffs[j] * c_n == coeffs[n - j] * Fraction(q) ** (w * j)
+        for j in range(n + 1)))

@@ -331,13 +331,12 @@ class FFElement:
 class QqContext:
     """Shared data for Z_q arithmetic: modulus, sigma matrix, precision policy.
 
-    `prec` is the working relative precision in p-adic digits; `guard` the
-    number of digits that must remain when a downstream computation certifies
-    a valuation or a zero.
+    `prec` is the working relative precision in p-adic digits; `guard`
+    (always GUARD_DIGITS) the number of digits that must remain when a
+    downstream computation certifies a valuation or a zero.
     """
 
-    def __init__(self, p: int, a: int = 1, prec: int = DEFAULT_PRECISION,
-                 guard: int = GUARD_DIGITS):
+    def __init__(self, p: int, a: int = 1, prec: int = DEFAULT_PRECISION):
         if not _is_prime(p):
             raise ValidationError(f"p must be prime, got {p}")
         if a < 1:
@@ -348,7 +347,7 @@ class QqContext:
         self.a = a
         self.q = p ** a
         self.prec = prec
-        self.guard = guard
+        self.guard = GUARD_DIGITS
         self.pN = p ** prec
         self.modulus = minimal_polynomial(p, a)  # int coeffs, monic
         self.residue_field = FiniteField(p, a)
@@ -427,27 +426,25 @@ class QqContext:
     def one(self):
         return self.from_int(1)
 
-    def from_int(self, n: int, rel: int | None = None):
-        rel = self.prec if rel is None else rel
+    def from_int(self, n: int):
         if n == 0:
             return self.zero()
         v = int_valuation(n, self.p)
-        unit = (n // self.p ** v) % self.p ** rel
-        return QqElement(self, "n", v, (unit,) + (0,) * (self.a - 1), rel, 0)
+        unit = (n // self.p ** v) % self.pN
+        return QqElement(self, "n", v, (unit,) + (0,) * (self.a - 1),
+                         self.prec, 0)
 
-    def from_fraction(self, x, rel: int | None = None):
+    def from_fraction(self, x):
         x = Fraction(x)
         if x == 0:
             return self.zero()
-        rel = self.prec if rel is None else rel
         vn = int_valuation(x.numerator, self.p) if x.numerator else 0
         vd = int_valuation(x.denominator, self.p)
         num = x.numerator // self.p ** vn
         den = x.denominator // self.p ** vd
-        cap = self.p ** rel
-        unit = (num * pow(den, -1, cap)) % cap
+        unit = (num * pow(den, -1, self.pN)) % self.pN
         return QqElement(self, "n", vn - vd,
-                         (unit,) + (0,) * (self.a - 1), rel, 0)
+                         (unit,) + (0,) * (self.a - 1), self.prec, 0)
 
     def from_vector(self, coeffs, val: int = 0, rel: int | None = None):
         """Element p^val * (c_0 + c_1 x + ...) from integer coefficients."""
@@ -758,9 +755,9 @@ class QqElement:
                 f"+ O(p^{self.val + self.rel}); a={self.ctx.a})")
 
 
-def Zp(p: int, prec: int = DEFAULT_PRECISION, guard: int = GUARD_DIGITS):
+def Zp(p: int, prec: int = DEFAULT_PRECISION):
     """Context for Z_p/Q_p (the a = 1 unramified extension)."""
-    return QqContext(p, 1, prec, guard)
+    return QqContext(p, 1, prec)
 
 
 def val(x: QqElement):

@@ -1,15 +1,17 @@
 """Linear algebra over Z_q at fixed precision: Smith form, kernels, lattices.
 
-Matrices are lists of rows of QqElement.  The Smith normal form A = U D V
-uses minimum-valuation pivoting (ties broken row-major) and keeps only the
-integral transforms U^{-1} and V^{-1}, updated with each row and column
-operation, so U^{-1} A V^{-1} = D with diagonal entries exact powers p^e.
+Matrices are lists of rows of QqElement, and each routine reads its Z_q
+context (p, a, guard digits) from the entries.  The Smith normal form
+A = U D V uses minimum-valuation pivoting (ties broken row-major) and keeps
+only the integral transforms U^{-1} and V^{-1}, updated with each row and
+column operation, so U^{-1} A V^{-1} = D with diagonal entries exact powers
+p^e.
 
 Rank decisions are only made when the precision policy allows: a pivot must
-retain `guard` relative digits, and an entry is accepted as zero only when it
-is exact or is indistinguishable from zero with enough absolute precision
-beyond the current pivot scale.  Otherwise PrecisionExhausted is raised
-rather than guessing.
+retain `ctx.guard` relative digits of the entries' context, and an entry is
+accepted as zero only when it is exact or is indistinguishable from zero with
+enough absolute precision beyond the current pivot scale.  Otherwise
+PrecisionExhausted is raised rather than guessing.
 
 Lattices in Q_q^n are represented by square invertible basis matrices whose
 *columns* span them.  All lattice predicates are computed from change-of-basis
@@ -32,8 +34,8 @@ SNFResult = namedtuple("SNFResult", "U_inv V_inv divisors")
 # dense matrix helpers
 
 
-def mat_from_ints(ctx, rows, rel=None):
-    return [[ctx.from_int(x, rel) if isinstance(x, int) else x for x in row]
+def mat_from_ints(ctx, rows):
+    return [[ctx.from_int(x) if isinstance(x, int) else x for x in row]
             for row in rows]
 
 
@@ -75,10 +77,10 @@ def mat_augment(A, B):
     return [ra + rb for ra, rb in zip(A, B)]
 
 
-def mat_equal(A, B, digits=None):
+def mat_equal(A, B):
     if len(A) != len(B) or (A and len(A[0]) != len(B[0])):
         return False
-    return all(x.same_value(y, digits) for ra, rb in zip(A, B)
+    return all(x.same_value(y) for ra, rb in zip(A, B)
                for x, y in zip(ra, rb))
 
 
@@ -147,7 +149,7 @@ def _is_certified_zero(x, floor, guard):
     return False
 
 
-def smith_normal_form(A, ctx=None):
+def smith_normal_form(A):
     """A = U * D * V over Z_q, D diagonal with entries exact powers p^e.
 
     Minimum-valuation pivoting, ties row-major.  Returns an SNFResult with
@@ -158,8 +160,7 @@ def smith_normal_form(A, ctx=None):
     """
     if not A or not A[0]:
         raise ValidationError("Smith form of an empty matrix")
-    if ctx is None:
-        ctx = A[0][0].ctx
+    ctx = A[0][0].ctx
     n, m = len(A), len(A[0])
     W = mat_copy(A)
     T = _Transforms(ctx, n, m)
@@ -205,30 +206,26 @@ def smith_normal_form(A, ctx=None):
     return SNFResult(T.U_inv, T.V_inv, divisors)
 
 
-def right_kernel(A, ctx=None):
+def right_kernel(A):
     """Integral basis (as columns) of {x : A x = 0}, a saturated sublattice.
 
     Columns of V^{-1} at zero divisors, plus the columns beyond the diagonal
     when the matrix is wider than tall.  Returns an m-by-r matrix (possibly
     r = 0).
     """
-    if ctx is None:
-        ctx = A[0][0].ctx
     n, m = len(A), len(A[0])
-    snf = smith_normal_form(A, ctx)
+    snf = smith_normal_form(A)
     cols = [k for k, e in enumerate(snf.divisors) if e is None]
     cols += list(range(min(n, m), m))
     return [[snf.V_inv[i][j] for j in cols] for i in range(m)]
 
 
-def mat_inverse(A, ctx=None):
+def mat_inverse(A):
     """Inverse over Q_q via V^{-1} D^{-1} U^{-1}; ValidationError if singular."""
-    if ctx is None:
-        ctx = A[0][0].ctx
     n = len(A)
     if any(len(r) != n for r in A):
         raise ValidationError("inverse of a non-square matrix")
-    snf = smith_normal_form(A, ctx)
+    snf = smith_normal_form(A)
     if any(e is None for e in snf.divisors):
         raise ValidationError("matrix is singular at this precision")
     X = mat_copy(snf.V_inv)
@@ -240,14 +237,14 @@ def mat_inverse(A, ctx=None):
     return mat_mul(X, snf.U_inv)
 
 
-def solve_right(A, B, ctx=None):
+def solve_right(A, B):
     """X with A X = B (A square invertible)."""
-    return mat_mul(mat_inverse(A, ctx), B)
+    return mat_mul(mat_inverse(A), B)
 
 
-def mat_det_valuation(A, ctx=None):
+def mat_det_valuation(A):
     """v_p(det A) as the sum of divisor exponents; None if singular."""
-    snf = smith_normal_form(A, ctx)
+    snf = smith_normal_form(A)
     if any(e is None for e in snf.divisors):
         return None
     return sum(snf.divisors)
@@ -257,27 +254,23 @@ def mat_det_valuation(A, ctx=None):
 # lattices: columns of an invertible matrix span L inside Q_q^n
 
 
-def lattice_canonical(B, ctx=None):
+def lattice_canonical(B):
     """A column basis of span(B) of the form U * D = B * V^{-1} from the
     Smith form.
 
     Deterministic for a given input basis; used to present lattices, never to
     compare them.
     """
-    if ctx is None:
-        ctx = B[0][0].ctx
-    snf = smith_normal_form(B, ctx)
+    snf = smith_normal_form(B)
     if any(e is None for e in snf.divisors):
         raise ValidationError("lattice basis is singular")
     return mat_mul(B, snf.V_inv)
 
 
-def lattice_contains(B_outer, B_inner, ctx=None):
+def lattice_contains(B_outer, B_inner):
     """span(B_inner) contained in span(B_outer)?  Integrality of the
     change-of-basis matrix, entry by entry."""
-    if ctx is None:
-        ctx = B_outer[0][0].ctx
-    X = solve_right(B_outer, B_inner, ctx)
+    X = solve_right(B_outer, B_inner)
     for row in X:
         for x in row:
             if x.is_exact_zero():
@@ -293,18 +286,15 @@ def lattice_contains(B_outer, B_inner, ctx=None):
     return True
 
 
-def lattice_equal(B1, B2, ctx=None):
-    return (lattice_contains(B1, B2, ctx)
-            and lattice_contains(B2, B1, ctx))
+def lattice_equal(B1, B2):
+    return lattice_contains(B1, B2) and lattice_contains(B2, B1)
 
 
-def lattice_sum(B1, B2, ctx=None):
+def lattice_sum(B1, B2):
     """Basis of span(B1) + span(B2)."""
-    if ctx is None:
-        ctx = B1[0][0].ctx
     n = len(B1)
     concat = mat_augment(B1, B2)
-    snf = smith_normal_form(concat, ctx)
+    snf = smith_normal_form(concat)
     UD = mat_mul(concat, snf.V_inv)
     cols = [k for k, e in enumerate(snf.divisors) if e is not None]
     if len(cols) != n:
@@ -312,32 +302,28 @@ def lattice_sum(B1, B2, ctx=None):
     return [[UD[i][j] for j in cols] for i in range(n)]
 
 
-def lattice_intersect(B1, B2, ctx=None):
+def lattice_intersect(B1, B2):
     """Basis of span(B1) ∩ span(B2) for full-rank lattices.
 
     A point B1 u = B2 w lies in both lattices exactly when (u, w) is an
     integral kernel vector of [B1 | -B2]; the kernel basis is saturated, so
     pushing its u-halves through B1 gives a basis of the intersection.
     """
-    if ctx is None:
-        ctx = B1[0][0].ctx
     n = len(B1)
-    K = right_kernel(mat_augment(B1, mat_neg(B2)), ctx)
+    K = right_kernel(mat_augment(B1, mat_neg(B2)))
     if not K or len(K[0]) != n:
         raise ValidationError("intersection of defective lattices")
     top = [K[i] for i in range(n)]
     return mat_mul(B1, top)
 
 
-def lattice_quotient_divisors(B_outer, B_inner, ctx=None):
+def lattice_quotient_divisors(B_outer, B_inner):
     """Exponents e with span(B_outer)/span(B_inner) = sum of Z_q/p^e.
 
     Requires containment; zero exponents are dropped.
     """
-    if ctx is None:
-        ctx = B_outer[0][0].ctx
-    X = solve_right(B_outer, B_inner, ctx)
-    snf = smith_normal_form(X, ctx)
+    X = solve_right(B_outer, B_inner)
+    snf = smith_normal_form(X)
     if any(e is None for e in snf.divisors):
         raise ValidationError("inner lattice is not full rank")
     if any(e < 0 for e in snf.divisors):
@@ -345,13 +331,10 @@ def lattice_quotient_divisors(B_outer, B_inner, ctx=None):
     return [e for e in snf.divisors if e > 0]
 
 
-def semilinear_preimage(A, B_L, ctx=None):
+def semilinear_preimage(A, B_L):
     """Basis of {v : A sigma(v) in span(B_L)} for invertible A.
 
     sigma^{-1} = sigma^{a-1} is applied entrywise to A^{-1} B_L; automorphisms
     of Z_q carry lattices to lattices.
     """
-    if ctx is None:
-        ctx = A[0][0].ctx
-    X = mat_mul(mat_inverse(A, ctx), B_L)
-    return mat_sigma(X, ctx.a - 1 if ctx.a > 1 else 0)
+    return mat_sigma(mat_mul(mat_inverse(A), B_L), A[0][0].ctx.a - 1)

@@ -30,9 +30,9 @@ def power(x, e, mul, one):
     return result
 
 
-def poly_trim(f, zero=Fraction(0)):
+def poly_trim(f):
     f = list(f)
-    while f and f[-1] == zero:
+    while f and f[-1] == 0:
         f.pop()
     return f
 

@@ -8,7 +8,8 @@ import pytest
 from fqzeta.cli import main
 from fqzeta.gammamodules import GammaModule
 from fqzeta.gauges import VirtualCrystal
-from fqzeta.geometry import CohomologyPackage, PackageDegree
+from fqzeta.geometry import (CohomologyPackage, PackageDegree, VarietySpec,
+                             package)
 from fqzeta.padics import Zp
 from fqzeta.serialize import (
     dump_json,
@@ -113,6 +114,33 @@ def test_package_verify_round_trip(capsys, elliptic_file, tmp_path):
     assert via_pkg == direct
 
 
+# (donor variety, degree) whose crystal replaces the degree-1 crystal of the
+# p = 5 package of y^2 = x^3 + x + 1
+FOREIGN_CRYSTALS = {
+    "other-field": (VarietySpec.elliptic([1, 2], 3), 1),   # over F_3
+    "wrong-rank": (VarietySpec.elliptic([1, 1], 5), 2),    # rank 1, not 2
+}
+
+
+@pytest.mark.parametrize("r", ["0", "1"])
+@pytest.mark.parametrize("donor,j", FOREIGN_CRYSTALS.values(),
+                         ids=list(FOREIGN_CRYSTALS))
+def test_package_with_a_foreign_crystal_exits_2(capsys, tmp_path, donor, j,
+                                                r):
+    """A package refuses a crystal over another field or of a rank other
+    than the degree of its factor."""
+    doc = encode_package(package(VarietySpec.elliptic([1, 1], 5)))
+    donated = encode_package(package(donor))["degrees"]
+    doc["degrees"][1]["crystal"] = next(d["crystal"] for d in donated
+                                        if d["j"] == j)
+    f = tmp_path / "swapped.json"
+    f.write_text(dump_json(doc))
+    assert main(["verify", "--package", str(f), "--r", r]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: degree-1 crystal has ")
+    assert captured.out == ""
+
+
 def test_verify_starved_precision_exits_4(capsys, elliptic_file):
     code, _ = run(capsys, ["verify", "--variety", elliptic_file,
                            "--r", "1", "--prec", "4", "--budget", "100000"])
@@ -150,6 +178,11 @@ def test_parse_and_usage_errors_exit_2(capsys, tmp_path, elliptic_file):
     # argparse errors surface as 2 as well
     assert main(["verify", "--variety", elliptic_file]) == 2
     capsys.readouterr()
+    # zf reads its module from --gamma only
+    for argv in (["zf", "--input", elliptic_file], ["zf"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--gamma" in captured.err and captured.out == ""
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
 

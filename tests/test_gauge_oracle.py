@@ -40,11 +40,11 @@ def scan_gauge(ctx, At):
     i, stable = i_min, 0
     while stable < 2:
         assert i - i_min <= SCAN_CAP, "window scan did not stabilize"
-        pre = semilinear_preimage(At, mat_shift(ident, i + 1), ctx)
-        nxt = lattice_intersect(pre, ident, ctx)
+        pre = semilinear_preimage(At, mat_shift(ident, i + 1))
+        nxt = lattice_intersect(pre, ident)
         lattices[i + 1] = nxt
         stable = stable + 1 if lattice_equal(
-            nxt, mat_shift(lattices[i], 1), ctx) else 0
+            nxt, mat_shift(lattices[i], 1)) else 0
         i += 1
     i_max, top = i - 2, i
 
@@ -55,17 +55,15 @@ def scan_gauge(ctx, At):
             return lattices[j]
         return mat_shift(lattices[top], j - top)
 
-    return i_min, i_max, lattice_at, _graded_dims(ctx, lattice_at, i_min,
-                                                  i_max)
+    return i_min, i_max, lattice_at, _graded_dims(lattice_at, i_min, i_max)
 
 
-def _graded_dims(ctx, lattice_at, i_min, i_max):
+def _graded_dims(lattice_at, i_min, i_max):
     """h^i = dim_k M^i / (M^{i+1} + p M^{i-1}); each piece is p-torsion."""
     out = {}
     for i in range(i_min, i_max + 1):
-        S = lattice_sum(lattice_at(i + 1), mat_shift(lattice_at(i - 1), 1),
-                        ctx)
-        divs = lattice_quotient_divisors(lattice_at(i), S, ctx)
+        S = lattice_sum(lattice_at(i + 1), mat_shift(lattice_at(i - 1), 1))
+        divs = lattice_quotient_divisors(lattice_at(i), S)
         assert all(e == 1 for e in divs), "graded piece is not p-torsion"
         if divs:
             out[i] = len(divs)
@@ -76,17 +74,17 @@ def assert_gauge_axioms(ctx, At, lattice_at, i_min, i_max):
     """(i) p M^i ⊆ M^{i+1}; (ii) M^{i_min} = N ⊆ F^{-1}(p^{i_min} N);
     (iii) p^{-i} F(M^i) ⊆ N, and these images span N."""
     ident = mat_identity(ctx, len(At))
-    assert lattice_equal(lattice_at(i_min), ident, ctx)
-    pre = semilinear_preimage(At, mat_shift(ident, i_min), ctx)
-    assert lattice_contains(pre, ident, ctx)
+    assert lattice_equal(lattice_at(i_min), ident)
+    pre = semilinear_preimage(At, mat_shift(ident, i_min))
+    assert lattice_contains(pre, ident)
     span = None
     for i in range(i_min, i_max + 2):
         Bi = lattice_at(i)
-        assert lattice_contains(lattice_at(i + 1), mat_shift(Bi, 1), ctx)
+        assert lattice_contains(lattice_at(i + 1), mat_shift(Bi, 1))
         img = mat_shift(mat_mul(At, mat_sigma(Bi)), -i)
-        assert lattice_contains(ident, img, ctx)
-        span = img if span is None else lattice_sum(span, img, ctx)
-    assert lattice_equal(span, ident, ctx)
+        assert lattice_contains(ident, img)
+        span = img if span is None else lattice_sum(span, img)
+    assert lattice_equal(span, ident)
 
 
 def _random_element(rng, ctx, vals):
@@ -129,7 +127,7 @@ def test_closed_form_matches_window_scan(p):
         assert g.hodge_numbers == scan_hodge
         assert g.det_val == sum(i * h for i, h in scan_hodge.items())
         for i in range(i_min - 1, i_max + 3):
-            assert lattice_equal(g.lattice_at(i), scan_at(i), ctx)
+            assert lattice_equal(g.lattice_at(i), scan_at(i))
         assert_gauge_axioms(ctx, At, g.lattice_at, g.i_min, g.i_max)
         assert_gauge_axioms(ctx, At, scan_at, i_min, i_max)
         checked += 1

@@ -217,11 +217,37 @@ def test_cone_rule_rejects_general_closed_subvariety():
                 budget=BUDGET)
 
 
+@pytest.mark.parametrize("ambient,removed", [
+    (VarietySpec.projective(1, 5), 7),      # N_1 = 6
+    (VarietySpec.projective(0, 5), 2),      # N_1 = 1
+])
+def test_complement_cannot_remove_more_points_than_exist(capsys, tmp_path,
+                                                         ambient, removed):
+    """package, and so verify, refuse the complement that point_counts
+    refuses, with its message; `fqzeta verify` exits 2 at r = 0 and 1."""
+    spec = VarietySpec.complement(ambient, VarietySpec.points(removed, 5))
+    message = "complement has negative count -1 in degree 1"
+    with pytest.raises(ValidationError, match=message):
+        point_counts(spec, 1)
+    with pytest.raises(ValidationError, match=message):
+        package(spec, budget=BUDGET)
+    doc = tmp_path / "complement.json"
+    doc.write_text(dump_json(encode_variety(spec)))
+    for r in ("0", "1"):
+        assert main(["verify", "--variety", str(doc), "--r", r]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+
 def test_twisted_package():
     pkg = package(VarietySpec.projective(1, 5), twist=[[5]], budget=BUDGET)
     assert pkg.degrees[0].poly == [1, -5]
     assert pkg.degrees[2].poly == [1, -25]
     assert pkg.degrees[0].weight is None        # twists forget purity
+    # a singular twist is no isocrystal: its crystals outrank the factors
+    with pytest.raises(ValidationError, match="rank 1, its factor degree 0"):
+        package(VarietySpec.projective(1, 5), twist=[[0]], budget=BUDGET)
 
 
 def test_purity_for_smooth_proper_corpus():

@@ -134,10 +134,10 @@ def test_purity_weight_one():
     assert purity_check([1, 3, 5], 1, 5)
     assert purity_check([1, 0, 5], 1, 5)
     # (1-t)(1-5t): the pairing alpha -> q/alpha stabilizes {1, 5}, so the
-    # exact necessary condition holds, but the advisory flag sees the
-    # archimedean sizes are off q^(1/2)
+    # exact necessary condition holds although the archimedean sizes are
+    # off q^(1/2)
     mixed_case = purity_check([1, -6, 5], 1, 5)
-    assert mixed_case.pairing_ok and mixed_case.mixed
+    assert mixed_case.pairing_ok
     assert purity_check([1, -5], 2, 5)              # |5| = q^(2/2)
     assert not purity_check([1, -1], 2, 5)          # |1| != q
 

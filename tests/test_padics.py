@@ -183,8 +183,8 @@ def test_val_errors_on_indistinguishable_from_zero():
 
 def test_addition_tracks_minimum_absolute_precision():
     ctx = Zp(5, prec=10)
-    x = ctx.from_int(1, rel=10)      # absolute precision 10
-    y = ctx.from_int(5, rel=10)      # val 1, absolute precision 11
+    x = ctx.from_vector([1], rel=10)      # absolute precision 10
+    y = ctx.from_vector([5], rel=10)      # val 1, absolute precision 11
     s = x + y
     assert s.abs_prec() == 10
     assert s.val == 0
@@ -192,8 +192,8 @@ def test_addition_tracks_minimum_absolute_precision():
 
 def test_multiplication_tracks_minimum_relative_precision():
     ctx = Zp(5, prec=30)
-    x = ctx.from_int(7, rel=12)
-    y = ctx.from_int(11, rel=9)
+    x = ctx.from_vector([7], rel=12)
+    y = ctx.from_vector([11], rel=9)
     assert (x * y).rel == 9
     assert (x * y).unit_int() % 5 ** 9 == 77 % 5 ** 9
 
@@ -279,7 +279,7 @@ def test_certify_guard_policy():
     ctx = Zp(5, prec=32)       # guard defaults to 8
     ctx.certify(ctx.from_int(3))
     with pytest.raises(PrecisionExhausted):
-        ctx.certify(ctx.from_int(3, rel=4))
+        ctx.certify(ctx.from_vector([3], rel=4))
     with pytest.raises(PrecisionExhausted):
         ctx.certify(ctx.ifz(5))
     ctx.certify(ctx.zero())    # exact zero always passes

@@ -203,7 +203,7 @@ def test_semilinear_preimage_frobenius_twist():
 
 def test_snf_precision_exhaustion_on_uncertifiable_pivot():
     ctx = Zp(5, prec=32)
-    x = ctx.from_int(3, rel=4)          # below the 8-digit guard
+    x = ctx.from_vector([3], rel=4)     # below the 8-digit guard
     A = [[x]]
     with pytest.raises(PrecisionExhausted):
         smith_normal_form(A)
