@@ -3,7 +3,9 @@
 A virtual crystal is an isocrystal together with a lattice N in its ambient
 space.  The gauge functor computes M^i = F^{-1}(p^i N) ∩ N.  All computation
 happens in N-coordinates, where N is the standard lattice and F has matrix
-Atilde = B^{-1} A sigma(B).
+Atilde = B^{-1} A sigma(B).  A crystal with lattice None has N = Z_q^n, the
+standard lattice itself, and then Atilde = A with no change of basis: every
+crystal that `geometry.package` builds is of this kind.
 
 The gauge is a closed form in the elementary divisors p^{e_k} of Atilde
 (B. Mazur, "Frobenius and the Hodge filtration", Bull. AMS 1972 and Ann. of
@@ -30,17 +32,21 @@ from .plinalg import (mat_copy, mat_from_ints, mat_identity, mat_inverse,
 
 
 class VirtualCrystal:
-    """(U, F, N): isocrystal plus a lattice, the input to the gauge functor."""
+    """(U, F, N): isocrystal plus a lattice, the input to the gauge functor.
+
+    `lattice` is a basis B of N (columns), or None for the standard lattice
+    N = Z_q^n, in which case Frobenius seen from N is A itself.
+    """
 
     def __init__(self, crystal: Isocrystal, lattice=None):
         self.crystal = crystal
         self.ctx = crystal.ctx
         self.rank = crystal.rank
-        self.lattice = (mat_identity(self.ctx, self.rank)
-                        if lattice is None else mat_copy(lattice))
-        if (len(self.lattice) != self.rank
-                or any(len(row) != self.rank for row in self.lattice)):
+        if lattice is not None and (
+                len(lattice) != self.rank
+                or any(len(row) != self.rank for row in lattice)):
             raise ValidationError("lattice basis must be rank x rank")
+        self.lattice = None if lattice is None else mat_copy(lattice)
 
     @classmethod
     def from_ints(cls, ctx, rows, lattice=None):
@@ -48,9 +54,21 @@ class VirtualCrystal:
             lattice = mat_from_ints(ctx, lattice)
         return cls(Isocrystal.from_ints(ctx, rows), lattice)
 
+    def lattice_basis(self):
+        """The basis B of N: the identity matrix for the standard lattice."""
+        if self.lattice is None:
+            return mat_identity(self.ctx, self.rank)
+        return self.lattice
+
     def in_lattice_coordinates(self):
-        """Atilde = B^{-1} A sigma(B): the Frobenius matrix seen from N."""
+        """Atilde = B^{-1} A sigma(B): the Frobenius matrix seen from N.
+
+        A copy of A for the standard lattice; only an explicit basis pays
+        for the inverse and the two products.
+        """
         B = self.lattice
+        if B is None:
+            return mat_copy(self.crystal.matrix)
         try:
             Binv = mat_inverse(B)
         except ValidationError as exc:
@@ -72,9 +90,12 @@ class VirtualCrystal:
         A = [[self.crystal.matrix[i][j] if i < n and j < n else
               (other.crystal.matrix[i - n][j - n] if i >= n and j >= n else z)
               for j in range(n + m)] for i in range(n + m)]
-        B = [[self.lattice[i][j] if i < n and j < n else
-              (other.lattice[i - n][j - n] if i >= n and j >= n else z)
-              for j in range(n + m)] for i in range(n + m)]
+        B = None
+        if self.lattice is not None or other.lattice is not None:
+            B1, B2 = self.lattice_basis(), other.lattice_basis()
+            B = [[B1[i][j] if i < n and j < n else
+                  (B2[i - n][j - n] if i >= n and j >= n else z)
+                  for j in range(n + m)] for i in range(n + m)]
         return VirtualCrystal(Isocrystal(self.ctx, A), B)
 
 
@@ -85,7 +106,8 @@ class FGaugeWindow:
     N-coordinates and the basis W = sigma^{-1}(V^{-1}) of N adapted to them
     (see `hodge`).  `lattice_at` builds M^i = W diag(p^{max(0, i - e_k)}) on
     demand, in N-coordinates; the lattice basis B carries it back to the
-    ambient coordinates.
+    ambient coordinates.  For the standard lattice (lattice None) B is the
+    identity, Atilde = A, and N-coordinates are the ambient ones.
     """
 
     def __init__(self, vc, basis, exponents):

@@ -478,8 +478,10 @@ def _crystal_tensor(vc1, vc2):
     if vc1 is None or vc2 is None:
         return None
     mat = kron(vc1.crystal.matrix, vc2.crystal.matrix)
-    return VirtualCrystal(Isocrystal(vc1.ctx, mat),
-                          kron(vc1.lattice, vc2.lattice))
+    lattice = None
+    if vc1.lattice is not None or vc2.lattice is not None:
+        lattice = kron(vc1.lattice_basis(), vc2.lattice_basis())
+    return VirtualCrystal(Isocrystal(vc1.ctx, mat), lattice)
 
 
 def _pure_degree(poly, weight, crystal):

@@ -152,7 +152,7 @@ def decode_isocrystal(data, prec=None):
 def encode_virtual_crystal(vc: VirtualCrystal):
     out = encode_isocrystal(vc.crystal)
     out["type"] = "virtual_crystal"
-    out["lattice"] = _encode_matrix(vc.lattice)
+    out["lattice"] = _encode_matrix(vc.lattice_basis())
     return out
 
 

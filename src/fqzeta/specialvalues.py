@@ -190,7 +190,7 @@ def _as_integer(x, what):
 def _hodge_exponent(pkg, r):
     """Sum over degrees n of (-1)^n * sum_{i<=r} (r-i) h^i of the gauge.
 
-    Needs lattice data in every degree; reports None otherwise.  The inner
+    Needs a crystal in every degree; reports None otherwise.  The inner
     sum reads the Hodge numbers of the gauge window of the degree-n crystal.
     """
     if not pkg.degrees:

@@ -118,6 +118,41 @@ def test_every_run_balances_rank_identity():
             assert rep.rho_analytic == rep.rho_cohomological
 
 
+def _kunneth_hodge(first, second):
+    """Hodge numbers {degree: {i: h^i}} of a product, by convolution."""
+    out = {}
+    for j1, h1 in first.items():
+        for j2, h2 in second.items():
+            degree = out.setdefault(j1 + j2, {})
+            for i1, m1 in h1.items():
+                for i2, m2 in h2.items():
+                    degree[i1 + i2] = degree.get(i1 + i2, 0) + m1 * m2
+    return out
+
+
+def _audit_hodge(rep):
+    return {int(j): {int(i): h for i, h in hs.items()}
+            for j, hs in rep.precision_audit["hodge_numbers"].items()}
+
+
+def test_fourth_power_of_an_elliptic_curve():
+    """E^4/F_5: a package of rank 70 in degree 4 passes both routes, and its
+    Hodge numbers are the Kunneth convolution of the curve's."""
+    E = VarietySpec.elliptic([0, 0, 0, 1, 1], 5)
+    curve_hodge = _audit_hodge(verify_padic(package(E, budget=BUDGET), 2))
+    assert curve_hodge[1] == {0: 1, 1: 1}
+    pkg = package(VarietySpec.product([E] * 4), budget=BUDGET)
+    rep = verify_padic(pkg, 2)
+    assert rep.passed and rep.precision_audit["hodge_route"]
+    expected = curve_hodge
+    for _ in range(3):
+        expected = _kunneth_hodge(expected, curve_hodge)
+    got = _audit_hodge(rep)
+    assert got == expected
+    assert got[4] == {0: 1, 1: 16, 2: 36, 3: 16, 4: 1}
+    assert verify_elladic(pkg, 2, 3).passed
+
+
 def test_elladic_elliptic_curve():
     rep = verify_elladic(_pkg("elliptic-F5-a5=-3"), 1, 3)
     assert rep.passed
