@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import MultipleRootError, ValidationError
 from .padics import Zp, rational_valuation
-from .plinalg import mat_mul, right_kernel, smith_normal_form
+from .plinalg import kernel_rank, mat_mul, smith_normal_form
 from .polys import rev_charpoly_fractions, root_multiplicity
 
 ModuleStructure = namedtuple("ModuleStructure", "free_rank torsion")
@@ -90,7 +90,7 @@ def invariants_coinvariants(m: GammaModule):
     Smith form of 1 - gamma plus the per-component torsion arithmetic.
     """
     snf = smith_normal_form(m.one_minus_gamma())
-    z0 = sum(1 for e in snf.divisors if e is None)
+    z0 = snf.divisors.count(None)
     inv_torsion = []
     coinv_torsion = [e for e in snf.divisors if e is not None and e > 0]
     for comp in m.torsion:
@@ -113,15 +113,14 @@ def _z_snf_route(m: GammaModule):
     of G with the torsion relations adjoined; the kernel is trivial once z is
     defined (f is injective modulo torsion).  Torsion components contribute
     Z/p^{min(d, e-d)} to both sides.
+
+    z is defined when the kernel rank z0 of 1 - gamma, read off the same
+    Smith form, equals the exact multiplicity of 1 in det(1 - t*gamma).
     """
     ctx = m._ctx
-    A = m.one_minus_gamma()
-    snf = smith_normal_form(A)
-    z0 = sum(1 for e in snf.divisors if e is None)
-    # definedness: kernel of (1-gamma)^2 must have the same rank
-    K2 = right_kernel(mat_mul(A, A))
-    z0_sq = len(K2[0]) if K2 else 0
-    if z0_sq != z0:
+    snf = smith_normal_form(m.one_minus_gamma())
+    z0 = snf.divisors.count(None)
+    if z0 != m.eigen_multiplicity_at_one()[0]:
         raise MultipleRootError(
             "1 is a repeated root of the minimal polynomial of gamma")
     ker_order = Fraction(1)
@@ -164,9 +163,7 @@ def _z_poly_route(m: GammaModule):
     only when the eigenvalue-1 kernel rank matches the multiplicity.
     """
     mult, deflated = m.eigen_multiplicity_at_one()
-    K = right_kernel(m.one_minus_gamma())
-    z0 = len(K[0]) if K else 0
-    if z0 != mult:
+    if kernel_rank(m.one_minus_gamma()) != mult:
         raise MultipleRootError(
             "1 is a repeated root of the minimal polynomial of gamma")
     g1 = sum(Fraction(c) for c in deflated)

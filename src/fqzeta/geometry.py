@@ -386,9 +386,11 @@ class CohomologyPackage:
     """Per-degree Frobenius data of a corpus variety (compact support).
 
     degrees maps j to a PackageDegree: the exact integer/rational polynomial
-    det(1 - t F^a | H^j_c), a weight tag (None = mixed or unknown), the
-    unipotent exponent u_j, a semisimplicity tag, and optionally the p-adic
-    crystal realizing the degree.
+    P_j = det(1 - t F^a | H^j_c), a weight tag (None = mixed or unknown), the
+    unipotent exponent u_j, a semisimplicity tag, and optionally a p-adic
+    crystal, which must realise the degree, det(1 - t M) = P_j: the
+    semisimplicity test relies on it.  Only (p, a) and the rank are checked
+    here; `package()` builds crystals so, and `decode_package` checks them.
     """
 
     def __init__(self, p, a, dim, degrees):

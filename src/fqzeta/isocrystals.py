@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .errors import DegenerateCrystal, PrecisionExhausted, ValidationError
 from .padics import rational_valuation
-from .plinalg import (mat_copy, mat_from_ints, mat_inverse, mat_mul,
-                      mat_sigma, right_kernel)
+from .plinalg import (certified_zero, kernel_rank, mat_copy, mat_from_ints,
+                      mat_inverse, mat_mul, mat_sigma)
 from .polys import poly_eval, rev_charpoly, root_multiplicity
 
 
@@ -41,8 +41,12 @@ class Isocrystal:
         return mat_copy(M)
 
     def charpoly(self):
-        """det(1 - t M(F^a)) with QqElement coefficients, constant term 1."""
-        return rev_charpoly(self.linearize(), self.ctx.zero(), self.ctx.one())
+        """det(1 - t M(F^a)) with QqElement coefficients, constant term 1;
+        an entry counts as zero where the Smith form would certify it."""
+        ctx = self.ctx
+        return rev_charpoly(self.linearize(), ctx.zero(), ctx.one(), lambda x:
+                            None if certified_zero(x, 0, ctx.guard)
+                            else x.valuation())
 
     def slopes(self):
         return newton_slopes_qq(self.charpoly(), self.ctx)
@@ -139,30 +143,18 @@ def newton_slopes_exact(coeffs, p, a):
 # semisimplicity at q^r and eigenvalue products
 
 
-def _kernel_rank(A):
-    K = right_kernel(A)
-    return len(K[0]) if K else 0
+def semisimple_at(E, r, m):
+    """Is the linearization M semisimple at the eigenvalue q^r?
 
-
-def semisimple_at(E, r):
-    """Is (t - q^r)^2 coprime to the minimal polynomial of the linearization?
-
-    Equivalent formulation used here: the q^r-eigenspace of M equals the
-    generalized one, tested by comparing kernel ranks of (M - q^r) and its
-    square.  Avoids computing the minimal polynomial at finite precision.
+    m is the multiplicity of q^r as an inverse root of the degree's factor
+    P.  When the crystal realises P, which the package decoder checks and
+    `package()` guarantees, m is the algebraic multiplicity of q^r on M, so
+    M is semisimple there exactly when the eigenspace has dimension m: one
+    kernel rank of M - q^r, with no minimal polynomial and no square.
     """
-    ctx = E.ctx
-    M = E.linearize()
-    c = ctx.from_int(ctx.q ** r) if r >= 0 else \
-        ctx.from_int(1).shift(ctx.a * r)
-    n = E.rank
-    L = [[M[i][j] - (c if i == j else ctx.zero()) for j in range(n)]
-         for i in range(n)]
-    d1 = _kernel_rank(L)
-    if d1 == 0:
-        return True
-    d2 = _kernel_rank(mat_mul(L, L))
-    return d1 == d2
+    c = E.ctx.one().shift(E.ctx.a * r)
+    return kernel_rank([[x - c if i == j else x for j, x in enumerate(row)]
+                        for i, row in enumerate(E.linearize())]) == m
 
 
 class EigenProduct:

@@ -136,7 +136,7 @@ class _Transforms:
                 self.V_inv[r][k], self.V_inv[r][j]
 
 
-def _is_certified_zero(x, floor, guard):
+def certified_zero(x, floor, guard):
     """May x be treated as an exact zero for rank purposes?"""
     if x.is_exact_zero():
         return True
@@ -181,7 +181,7 @@ def smith_normal_form(A):
             # certify that the whole trailing block is zero
             for i in range(k, n):
                 for j in range(k, m):
-                    _is_certified_zero(W[i][j], last_val, ctx.guard)
+                    certified_zero(W[i][j], last_val, ctx.guard)
             divisors.extend([None] * (min(n, m) - k))
             break
         ctx.certify(W[piv[0]][piv[1]], "pivot")
@@ -218,6 +218,12 @@ def right_kernel(A):
     cols = [k for k, e in enumerate(snf.divisors) if e is None]
     cols += list(range(min(n, m), m))
     return [[snf.V_inv[i][j] for j in cols] for i in range(m)]
+
+
+def kernel_rank(A):
+    """dim {x : A x = 0}: zero divisors plus columns beyond the diagonal."""
+    snf = smith_normal_form(A)
+    return snf.divisors.count(None) + len(A[0]) - len(snf.divisors)
 
 
 def mat_inverse(A):

@@ -1,9 +1,9 @@
 """Polynomial and small-matrix utilities shared across the library.
 
 Polynomials are dense coefficient lists, constant term first.  Most callers
-work over Fraction; the characteristic-polynomial routine `rev_charpoly` is
-division-free (Berkowitz) and generic, so the same code runs over
-fixed-precision p-adic elements and over exact rationals.  The Kunneth
+work over Fraction; `rev_charpoly`, the one characteristic polynomial, is
+O(n^3) and generic, so it serves crystals over Z_q and Gamma-modules,
+closed points and twists over Fractions alike.  The Kunneth
 product `tensor_poly` needs no matrix: it multiplies power sums
 (Bostan-Flajolet-Salvy-Schost).  `power`, `mat_mul` and `kron` are the one
 square-and-multiply, matrix product and Kronecker product of the library;
@@ -127,58 +127,63 @@ def root_multiplicity(coeffs, c):
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomials, division-free
+# characteristic polynomials
 
 
-def rev_charpoly(rows, zero, one):
-    """Coefficients of det(1 - t*A), constant term first, via Berkowitz.
+def rev_charpoly(rows, zero, one, size):
+    """det(1 - t*A), constant term first, in O(n^3) ring operations.
 
-    `rows` is a list of n lists of ring elements supporting +, *, unary -.
-    Division-free, so it runs unchanged over exact rationals and over
-    fixed-precision p-adic elements.  Returns a list of length n + 1 whose
-    j-th entry is the coefficient of t^j.
+    Hessenberg reduction and recurrence (H. Cohen, GTM 138, Alg. 2.2.9): the
+    entry of least `size` under the diagonal of column j moves to row j+1 and
+    clears those under it by row_i -= u row_{j+1}, col_{j+1} += u col_i, u =
+    a_ij / pivot.  size(x) is None for an entry that counts as zero.  Over
+    Z_q it is the valuation, so u is integral (precision: X. Caruso, D. Roe,
+    T. Vaccon, ISSAC 2017); over Fractions any nonzero pivot will do.  The
+    matrix is square: every caller has checked it.
     """
     n = len(rows)
-    if n == 0:
-        return [one]
-    for r in rows:
-        if len(r) != n:
-            raise ValidationError("characteristic polynomial needs a square matrix")
-    poly = [one, -rows[0][0]]
-    for i in range(1, n):
-        a = rows[i][i]
-        R = [rows[i][j] for j in range(i)]
-        C = [rows[j][i] for j in range(i)]
-        sub = [[rows[r][c] for c in range(i)] for r in range(i)]
-        diags = [one, -a]
-        vec = C
-        for _ in range(i):
-            dot = zero
-            for rr, vv in zip(R, vec):
-                dot = dot + rr * vv
-            diags.append(-dot)
-            nxt = []
-            for r in range(i):
-                acc = zero
-                for c in range(i):
-                    acc = acc + sub[r][c] * vec[c]
-                nxt.append(acc)
-            vec = nxt
-        new = []
-        for r in range(i + 2):
-            acc = zero
-            lo = max(0, r - len(diags) + 1)
-            for c in range(lo, min(r, i) + 1):
-                acc = acc + diags[r - c] * poly[c]
-            new.append(acc)
-        poly = new
-    return poly
+    H = [list(r) for r in rows]
+    for j in range(n - 1):
+        below = [(s, i) for i in range(j + 1, n)
+                 for s in (size(H[i][j]),) if s is not None]
+        if not below:
+            H[j + 1][j] = zero
+            continue
+        k = min(below)[1]
+        H[j + 1], H[k] = H[k], H[j + 1]
+        for row in H:
+            row[j + 1], row[k] = row[k], row[j + 1]
+        top, pinv = H[j + 1], one / H[j + 1][j]
+        for i in range(j + 2, n):
+            if size(H[i][j]) is None:
+                continue
+            u, H[i][j] = H[i][j] * pinv, zero
+            for c in range(j + 1, n):
+                H[i][c] = H[i][c] - u * top[c]
+            for row in H:
+                if row[i] != zero:
+                    row[j + 1] = row[j + 1] + u * row[i]
+    # r_m = det(1 - t H_m) for the leading m x m block is r_{m-1} minus
+    # h_im h_{m,m-1} ... h_{i+1,i} t^(m-i+1) r_{i-1} for each i <= m
+    r = [[one]]
+    for m in range(1, n + 1):
+        new, prod = r[-1] + [zero], one
+        for i in range(m, 0, -1):
+            term = H[i - 1][m - 1] * prod
+            for k, c in enumerate(r[i - 1], m - i + 1):
+                new[k] = new[k] - term * c
+            prod = prod * H[i - 1][i - 2] if i > 1 else zero
+            if prod == zero:
+                break
+        r.append(new)
+    return r[-1]
 
 
 def rev_charpoly_fractions(rows):
     """det(1 - t*A) for a matrix of ints/Fractions."""
-    rr = [[Fraction(x) for x in row] for row in rows]
-    return rev_charpoly(rr, Fraction(0), Fraction(1))
+    return rev_charpoly([[Fraction(x) for x in row] for row in rows],
+                        Fraction(0), Fraction(1),
+                        lambda x: None if x == 0 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +271,8 @@ def tensor_poly(P, Q):
     block for products of varieties; no root extraction happens anywhere.
     The power sums of the product are p_k(P) p_k(Q), for k up to the degree
     mn of the result, and Newton's identities turn them back into
-    coefficients: O((mn)^2) operations against O((mn)^4) for Berkowitz on
-    the Kronecker product of companion matrices (A. Bostan, P. Flajolet,
+    coefficients: O((mn)^2) operations against O((mn)^3) for `rev_charpoly`
+    of the Kronecker product of companion matrices (A. Bostan, P. Flajolet,
     B. Salvy, E. Schost, "Fast computation of special resultants", J.
     Symbolic Comput. 2006).  The result is exact: scaling t by d and e
     makes both factors integral, so every step runs over the integers (the

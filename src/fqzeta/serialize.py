@@ -13,14 +13,19 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import PrecisionExhausted, ValidationError
 from .gammamodules import GammaModule, TorsionComponent
 from .gauges import VirtualCrystal
 from .geometry import CohomologyPackage, PackageDegree, VarietySpec
-from .isocrystals import Isocrystal
-from .padics import DEFAULT_PRECISION, QqContext, QqElement
+from .isocrystals import Isocrystal, lower_hull, polygon_value
+from .padics import (DEFAULT_PRECISION, QqContext, QqElement,
+                     rational_valuation)
 
 SCHEMA = "sv/1"
+
+# Largest factor degree and crystal rank in a package document: the
+# realisation check is O(n^3), and H^5 of E^5 for a curve E has rank 252.
+MAX_RANK = 256
 
 
 def dump_json(obj):
@@ -150,20 +155,16 @@ def decode_isocrystal(data, prec=None):
 
 
 def encode_virtual_crystal(vc: VirtualCrystal):
-    out = encode_isocrystal(vc.crystal)
-    out["type"] = "virtual_crystal"
-    out["lattice"] = _encode_matrix(vc.lattice_basis())
+    out = {**encode_isocrystal(vc.crystal), "type": "virtual_crystal"}
+    if vc.lattice is not None:
+        out["lattice"] = _encode_matrix(vc.lattice)
     return out
 
 
 def decode_virtual_crystal(data, prec=None):
-    ctx = _context_of(data, prec)
-    crystal = Isocrystal(
-        ctx, _decode_matrix(_require(data, "matrix", "crystal"), ctx,
-                            "matrix"))
-    lattice = (None if "lattice" not in data or data["lattice"] is None
-               else _decode_matrix(data["lattice"], ctx, "lattice"))
-    return VirtualCrystal(crystal, lattice)
+    crystal, lattice = decode_isocrystal(data, prec), data.get("lattice")
+    return VirtualCrystal(crystal, None if lattice is None else
+                          _decode_matrix(lattice, crystal.ctx, "lattice"))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +258,37 @@ def encode_package(pkg: CohomologyPackage):
             "q": pkg.q, "dim": pkg.dim, "degrees": degrees}
 
 
+def _check_realises(j, E, poly):
+    """det(1 - t M) of the crystal E against the exact factor of degree j.
+
+    ValidationError when a known digit differs; PrecisionExhausted when a
+    coefficient agrees to fewer than the guard digits beyond the Newton
+    polygon of the factor, the scale of that coefficient.
+    """
+    ctx = E.ctx
+    hull = lower_hull([(k, rational_valuation(c, ctx.p))
+                       for k, c in enumerate(poly) if c])
+    for k, (c, exact) in enumerate(zip(E.charpoly(), poly)):
+        d = c - ctx.from_fraction(exact)
+        if not d.is_zeroish():
+            raise ValidationError(
+                f"degree-{j} crystal does not realise its factor: the "
+                f"coefficients of t^{k} differ")
+        if d.is_ifz() and d.abs < polygon_value(hull, k) + ctx.guard:
+            raise PrecisionExhausted(
+                f"degree-{j} crystal matches its factor at t^{k} only to "
+                f"O(p^{d.abs})")
+
+
 def decode_package(data, prec=None):
+    """A CohomologyPackage, checked where its crystals enter the program.
+
+    ValidationError (exit 2) for a degree given twice, a factor degree or
+    crystal rank above MAX_RANK (before any entry is decoded), or a crystal
+    whose det(1 - t M) differs from its factor (`_check_realises`, which
+    raises PrecisionExhausted, exit 4, when it cannot tell): the verifier
+    reads slopes off the factor and Hodge numbers off the crystal.
+    """
     p = int(_require(data, "p", "package"))
     a = int(data.get("a", 1))
     if "q" in data and int(data["q"]) != p ** a:
@@ -267,11 +298,18 @@ def decode_package(data, prec=None):
     max_j = 0
     for entry in _require(data, "degrees", "package"):
         j = int(_require(entry, "j", "package degree"))
+        if j in degrees:
+            raise ValidationError(f"degree {j} appears twice")
         max_j = max(max_j, j)
+        poly = _require(entry, "poly", "package degree")
         crystal = entry.get("crystal")
+        rows = ([] if crystal is None
+                else _require(crystal, "matrix", "crystal"))
+        if max(len(poly) - 1, len(rows)) > MAX_RANK:
+            raise ValidationError(
+                f"degree {j}: factor degree or crystal rank above {MAX_RANK}")
         degrees[j] = PackageDegree(
-            poly=[decode_rational(c) for c in _require(entry, "poly",
-                                                       "package degree")],
+            poly=[decode_rational(c) for c in poly],
             weight=None if entry.get("weight") is None
             else int(entry["weight"]),
             u=int(entry.get("u", 0)),
@@ -280,7 +318,11 @@ def decode_package(data, prec=None):
             else decode_virtual_crystal(crystal, prec))
     if "dim" not in data:
         dim = (max_j + 1) // 2
-    return CohomologyPackage(p, a, dim, degrees)
+    pkg = CohomologyPackage(p, a, dim, degrees)
+    for j, d in pkg.degrees.items():
+        if d.crystal is not None:
+            _check_realises(j, d.crystal.crystal, d.poly)
+    return pkg
 
 
 # ---------------------------------------------------------------------------

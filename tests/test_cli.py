@@ -1,21 +1,26 @@
 """End-to-end CLI runs: exit codes, JSON payloads, round-trips."""
 
 import json
+import math
+import time
 from fractions import Fraction as Fr
 
 import pytest
 
 from fqzeta.cli import main
+from fqzeta.errors import PrecisionExhausted, ValidationError
 from fqzeta.gammamodules import GammaModule
 from fqzeta.gauges import VirtualCrystal
 from fqzeta.geometry import (CohomologyPackage, PackageDegree, VarietySpec,
                              package)
 from fqzeta.padics import Zp
 from fqzeta.serialize import (
+    MAX_RANK,
     dump_json,
     encode_gamma_module,
     encode_package,
     encode_virtual_crystal,
+    parse_json,
 )
 
 ELLIPTIC = '{"kind": "elliptic", "coeffs": [0, 0, 0, 1, 1], "p": 5, "a": 1}'
@@ -147,6 +152,76 @@ def test_verify_starved_precision_exits_4(capsys, elliptic_file):
     assert code == 4
 
 
+def test_verify_package_starved_precision_exits_4(capsys, tmp_path):
+    """Too few digits to tell whether a crystal realises its factor is a
+    precision failure, never a malformed document or a pass."""
+    text = dump_json(encode_package(package(
+        VarietySpec.elliptic([0, 0, 0, 1, 1], 5), budget=10 ** 5)))
+    with pytest.raises(PrecisionExhausted, match="matches its factor"):
+        parse_json(text, expected={"package"}, prec=6)
+    f = tmp_path / "pkg.json"
+    f.write_text(text)
+    for prec in (2, 4, 6):
+        for r in (0, 1):
+            code, _ = run(capsys, ["verify", "--package", str(f), "--r",
+                                   str(r), "--prec", str(prec)])
+            assert code == 4
+
+
+def _swapped_crystal_document():
+    """The package of y^2 = x^3 + x + 1 / F_5 (P_1 = 1 + 3t + 5t^2) with the
+    degree-1 crystal of y^2 = x^3 + 1 / F_5 (P_1 = 1 + 5t^2)."""
+    def doc(coeffs):
+        return encode_package(package(VarietySpec.elliptic(coeffs, 5),
+                                      budget=10 ** 5))
+
+    def slot(d):
+        return next(entry for entry in d["degrees"] if entry["j"] == 1)
+    ordinary = doc([0, 0, 0, 1, 1])
+    slot(ordinary)["crystal"] = slot(doc([0, 0, 0, 0, 1]))["crystal"]
+    return dump_json(ordinary)
+
+
+def test_crystal_of_another_curve_is_refused(capsys, tmp_path):
+    text = _swapped_crystal_document()
+    with pytest.raises(ValidationError, match="does not realise its factor"):
+        parse_json(text, expected={"package"})
+    f = tmp_path / "swapped.json"
+    f.write_text(text)
+    for r in (0, 1, 2):
+        assert main(["verify", "--package", str(f), "--r", str(r)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: degree-1 crystal does not ")
+        assert "Traceback" not in captured.err and captured.out == ""
+
+
+def _unit_package(rank, crystal=True):
+    """Degree 0 with factor (1 - t)^rank, and the identity crystal."""
+    degree = {"j": 0, "poly": [(-1) ** k * math.comb(rank, k)
+                               for k in range(rank + 1)]}
+    if crystal:
+        degree["crystal"] = {"type": "virtual_crystal", "p": 5, "matrix": [
+            [int(i == j) for j in range(rank)] for i in range(rank)]}
+    return json.dumps({"type": "package", "p": 5, "a": 1, "dim": 0,
+                       "degrees": [degree]})
+
+
+def test_package_caps_factor_degree_and_crystal_rank(capsys, tmp_path):
+    """One cap on both, checked before any entry is decoded; a crystal at
+    the cap still loads."""
+    pkg = parse_json(_unit_package(MAX_RANK), expected={"package"})
+    assert pkg.degrees[0].crystal.rank == MAX_RANK
+    f = tmp_path / "big.json"
+    for crystal in (True, False):
+        f.write_text(_unit_package(MAX_RANK + 1, crystal))
+        t0 = time.monotonic()
+        assert main(["verify", "--package", str(f), "--r", "0"]) == 2
+        assert time.monotonic() - t0 < 5
+        captured = capsys.readouterr()
+        assert f"above {MAX_RANK}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_verify_failed_hypothesis_exits_3(capsys, tmp_path):
     pkg = CohomologyPackage(5, 1, 1, {
         0: PackageDegree([Fr(1), Fr(-1)], 0, 0, True, None),
@@ -238,6 +313,9 @@ MALFORMED = [
      '{"type":"package","p":6,"a":1,"degrees":[{"j":0,"poly":[1,-1]}]}'),
     ("verify", "--package",
      '{"type":"package","p":5,"a":0,"degrees":[{"j":0,"poly":[1,-1]}]}'),
+    ("verify", "--package",
+     '{"type":"package","p":5,"a":1,"dim":1,"degrees":[{"j":0,"poly":[1,-1]},'
+     '{"j":1,"poly":[1,3,5]},{"j":1,"poly":[1,0,5]},{"j":2,"poly":[1,-5]}]}'),
 ]
 
 

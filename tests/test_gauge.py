@@ -224,7 +224,8 @@ def test_standard_lattice_equals_identity_basis(p):
     """hodge gives the same gauge, exponents and lattices M^i for lattice None
     as for an explicit identity basis; direct sums and tensor products that
     mix the two agree with the all-explicit result; and the JSON form of a
-    standard-lattice crystal carries the identity."""
+    standard-lattice crystal has no lattice key, while an explicit identity
+    still travels and decodes."""
     rng = random.Random(4200 + p)
     for a in (1, 2, 3):
         ctx = QqContext(p, a, prec=32)
@@ -267,8 +268,11 @@ def test_standard_lattice_equals_identity_basis(p):
                         _gauge_or_degenerate(full)
 
             doc = encode_virtual_crystal(std)
-            assert doc == encode_virtual_crystal(ident)
-            back = decode_virtual_crystal(doc)
+            assert "lattice" not in doc
+            assert decode_virtual_crystal(doc).lattice is None
+            old = encode_virtual_crystal(ident)
+            assert old == {**doc, "lattice": old["lattice"]}
+            back = decode_virtual_crystal(old)
             assert back.lattice == mat_identity(ctx, std.rank)
             assert back.crystal.matrix == std.crystal.matrix
 

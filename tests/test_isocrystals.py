@@ -3,6 +3,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from fqzeta.errors import PrecisionExhausted
 from fqzeta.isocrystals import (
     Isocrystal,
     eigenproduct_excluding,
@@ -11,7 +14,9 @@ from fqzeta.isocrystals import (
     semisimple_at,
 )
 from fqzeta.padics import QqContext, Zp
-from fqzeta.plinalg import mat_vec
+from fqzeta.plinalg import mat_vec, right_kernel
+from fqzeta.polys import (mat_mul, mat_pow_fractions, rev_charpoly_fractions,
+                          root_multiplicity)
 
 
 def test_newton_slopes_of_elliptic_factors():
@@ -96,11 +101,88 @@ def test_slopes_in_extension_context():
 def test_semisimple_at_diagonal_vs_jordan():
     ctx = Zp(5, prec=32)
     diag = Isocrystal.from_ints(ctx, [[5, 0], [0, 5]])
-    assert semisimple_at(diag, 1)
+    assert semisimple_at(diag, 1, 2)
     jordan = Isocrystal.from_ints(ctx, [[5, 1], [0, 5]])
-    assert not semisimple_at(jordan, 1)
+    assert not semisimple_at(jordan, 1, 2)
     # no q^r eigenvalue at all: vacuously semisimple there
-    assert semisimple_at(jordan, 3)
+    assert semisimple_at(jordan, 3, 0)
+
+
+def _semisimple_by_square(E, r):
+    """Oracle: M is semisimple at q^r when L = M - q^r and L^2 have kernels
+    of the same rank (two Smith forms and a dense product)."""
+    ctx = E.ctx
+    c = ctx.one().shift(ctx.a * r)
+    L = [[x - c if i == j else x for j, x in enumerate(row)]
+         for i, row in enumerate(E.linearize())]
+
+    def rank(A):
+        K = right_kernel(A)
+        return len(K[0]) if K else 0
+    return rank(L) == rank(mat_mul(L, L))
+
+
+def _unimodular(rng, n):
+    """(S, S^-1) over Z: a product of elementary matrices."""
+    S = [[int(i == j) for j in range(n)] for i in range(n)]
+    S_inv = [row[:] for row in S]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2, 3))
+        S = [[S[r][k] + c * S[j][k] * (r == i) for k in range(n)]
+             for r in range(n)]                       # row_i += c row_j
+        S_inv = [[S_inv[r][k] - c * S_inv[r][i] * (k == j) for k in range(n)]
+                 for r in range(n)]                   # col_j -= c col_i
+    return S, S_inv
+
+
+def _jordan_crystal(rng, ctx, r):
+    """An integral A = S J S^-1 whose a-th power M (the linearization, as
+    sigma fixes Z) has q^r in Jordan blocks of random sizes 1-3: blocks at
+    p^r, and for even a also at -p^r, which M sends to q^r too; the other
+    eigenvalues avoid both.  Returns (crystal, A, whether M is semisimple
+    at q^r)."""
+    p, a = ctx.p, ctx.a
+    targets = [p ** r] + ([-p ** r] if a % 2 == 0 else [])
+    blocks = [(lam, rng.choice((1, 1, 2, 3)))
+              for lam in targets for _ in range(rng.randrange(1, 3))]
+    blocks += [(rng.choice([x for x in range(-4, 5) if x not in targets]),
+                rng.choice((1, 2))) for _ in range(rng.randrange(3))]
+    rng.shuffle(blocks)
+    n = sum(size for _, size in blocks)
+    J = [[0] * n for _ in range(n)]
+    at = 0
+    for lam, size in blocks:
+        for k in range(size):
+            J[at + k][at + k] = lam
+            if k:
+                J[at + k - 1][at + k] = 1
+        at += size
+    S, S_inv = _unimodular(rng, n)
+    A = [[int(x) for x in row] for row in mat_mul(mat_mul(S, J), S_inv)]
+    semisimple = all(size == 1 for lam, size in blocks if lam in targets)
+    return Isocrystal.from_ints(ctx, A), A, semisimple
+
+
+@pytest.mark.parametrize("p,a", [(p, a) for p in (2, 3, 5, 7)
+                                 for a in (1, 2, 3)])
+def test_semisimple_at_matches_the_square_oracle(p, a):
+    """Random crystals with Jordan blocks of sizes 2 and 3 at q^r and
+    semisimple repeats: one kernel rank against the multiplicity m of q^r in
+    the exact det(1 - t M) agrees with rank(L) = rank(L^2) and with how the
+    crystal was built."""
+    rng = random.Random(1000 * p + a)
+    ctx = QqContext(p, a, prec=32)
+    seen = set()
+    for _ in range(8):
+        r = rng.randrange(3)
+        E, A, semisimple = _jordan_crystal(rng, ctx, r)
+        P = rev_charpoly_fractions(mat_pow_fractions(A, a))
+        m = root_multiplicity(P, ctx.q ** r)[0]
+        assert semisimple_at(E, r, m) == _semisimple_by_square(E, r) \
+            == semisimple, (A, r, m)
+        seen.add((semisimple, m > 1))
+    assert (False, True) in seen
 
 
 def test_eigenproduct_simple_root():
@@ -140,6 +222,22 @@ def test_purity_weight_one():
     assert mixed_case.pairing_ok
     assert purity_check([1, -5], 2, 5)              # |5| = q^(2/2)
     assert not purity_check([1, -1], 2, 5)          # |1| != q
+
+
+def test_charpoly_reads_a_certified_zero_as_zero():
+    """An entry known only to be O(p^N) cannot be a pivot.  With N at least
+    the guard digits it counts as zero, so a column of them leaves a block
+    triangular matrix and every coefficient keeps all its digits; with
+    fewer digits the polynomial is not certified."""
+    ctx = Zp(7, prec=32)
+    rows = [[ctx.from_int(2), ctx.one(), ctx.zero()],
+            [ctx.ifz(10), ctx.from_int(3), ctx.one()],
+            [ctx.ifz(12), ctx.zero(), ctx.from_int(5)]]
+    coeffs = Isocrystal(ctx, rows).charpoly()
+    assert coeffs == [ctx.from_int(c) for c in (1, -10, 31, -30)]
+    rows[1][0] = ctx.ifz(ctx.guard - 1)
+    with pytest.raises(PrecisionExhausted):
+        Isocrystal(ctx, rows).charpoly()
 
 
 def test_charpoly_of_companion_crystal():

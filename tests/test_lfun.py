@@ -25,6 +25,7 @@ from fqzeta.lfun import (
     rational_series,
 )
 from fqzeta.polys import poly_eval, poly_mul, poly_trim, root_multiplicity
+from fqzeta.serialize import _check_realises
 from fqzeta.specialvalues import (
     compatibility_check,
     verify_elladic,
@@ -229,6 +230,21 @@ def _random_package(rng):
         1, 8)]], [[1, p], [p, 1]], [[p, 1], [1, 1]]))
     pkg = package(spec, twist=twist, prec=24)
     return pkg.tate_twist(rng.choice((-1, 0, 1, 2)))
+
+
+def test_package_crystals_realise_their_factors():
+    """`package()` builds every crystal to realise its factor, the
+    precondition of `CohomologyPackage`: on random products, complements,
+    twists and Tate twists, det(1 - t M) of each crystal agrees with the
+    exact factor to the guard digits (the package decoder's check)."""
+    rng = random.Random(12)
+    checked = 0
+    while checked < 80:
+        pkg = _random_package(rng)
+        for j, data in pkg.degrees.items():
+            if data.crystal is not None:
+                _check_realises(j, data.crystal.crystal, data.poly)
+                checked += 1
 
 
 def test_verifier_special_value_matches_the_whole_zeta_oracle():

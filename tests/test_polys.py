@@ -1,5 +1,6 @@
 """The shared kernels: square-and-multiply, matrix product, Kronecker product,
-and the power-sum Kunneth product `tensor_poly` against Berkowitz."""
+the Hessenberg characteristic polynomial and the power-sum Kunneth product
+`tensor_poly`, both against Berkowitz's division-free algorithm."""
 
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from fqzeta.errors import ValidationError
+from fqzeta.isocrystals import Isocrystal
 from fqzeta.padics import (FiniteField, QqContext, _mulmod, _powmod,
                            minimal_polynomial)
 from fqzeta.plinalg import mat_equal
@@ -93,6 +95,101 @@ def test_kron_mixed_product_rule_over_zq():
                              kron(mat_mul(A, C), mat_mul(B, D)))
 
 
+def berkowitz(rows, zero, one):
+    """Oracle: det(1 - t*A), constant term first, by Berkowitz's algorithm.
+
+    Division-free, so it runs unchanged over exact rationals and over
+    fixed-precision p-adic elements, where every digit it reports is
+    tracked; O(n^4).
+    """
+    n = len(rows)
+    if n == 0:
+        return [one]
+    poly = [one, -rows[0][0]]
+    for i in range(1, n):
+        R = [rows[i][j] for j in range(i)]
+        sub = [[rows[r][c] for c in range(i)] for r in range(i)]
+        diags = [one, -rows[i][i]]
+        vec = [rows[j][i] for j in range(i)]
+        for _ in range(i):
+            dot = zero
+            for rr, vv in zip(R, vec):
+                dot = dot + rr * vv
+            diags.append(-dot)
+            nxt = []
+            for r in range(i):
+                acc = zero
+                for c in range(i):
+                    acc = acc + sub[r][c] * vec[c]
+                nxt.append(acc)
+            vec = nxt
+        new = []
+        for r in range(i + 2):
+            acc = zero
+            for c in range(max(0, r - len(diags) + 1), min(r, i) + 1):
+                acc = acc + diags[r - c] * poly[c]
+            new.append(acc)
+        poly = new
+    return poly
+
+
+def _random_sparse_fractions(rng, n):
+    """Small entries, about half of them zero, a zero column half the time."""
+    A = [[Fraction(rng.randrange(-4, 5), rng.choice((1, 1, 2, 3)))
+          * (rng.random() < 0.5) for _ in range(n)] for _ in range(n)]
+    if n and rng.random() < 0.5:
+        c = rng.randrange(n)
+        for row in A:
+            row[c] = Fraction(0)
+    return A
+
+
+def test_hessenberg_matches_berkowitz_over_fractions():
+    rng = random.Random(31)
+    for _ in range(400):
+        A = _random_sparse_fractions(rng, rng.randrange(0, 8))
+        assert rev_charpoly_fractions(A) == \
+            berkowitz(A, Fraction(0), Fraction(1)), A
+    # a permuted Jordan block needs a row swap at every column
+    J = [[Fraction(int(j == i + 1)) for j in range(5)] for i in range(5)]
+    P = [J[k] for k in (3, 0, 4, 1, 2)]
+    assert rev_charpoly_fractions(P) == berkowitz(P, Fraction(0), Fraction(1))
+
+
+@pytest.mark.parametrize("p,a", PRIMES_AND_DEGREES)
+def test_hessenberg_matches_berkowitz_over_zq(p, a):
+    """Crystal matrices with entries p^v * unit (v up to 2, so pivots are
+    often not units), exact zeros, a zero column or a repeated row: no
+    digit that both routes know differs, and a coefficient Berkowitz knows
+    to be nonzero is nonzero here too, with at least half the working
+    digits."""
+    rng = random.Random(100 * p + a)
+    ctx = QqContext(p, a, prec=24)
+    for _ in range(12):
+        n = rng.randrange(1, 7)
+
+        def entry():
+            if rng.random() < 0.3:
+                return ctx.zero()
+            return ctx.from_vector([rng.randrange(p ** 3) for _ in range(a)],
+                                   rng.randrange(3))
+        A = [[entry() for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.5:
+            c = rng.randrange(n)
+            for row in A:
+                row[c] = ctx.zero()
+        if n > 2 and rng.random() < 0.5:
+            A[1] = list(A[0])
+        E = Isocrystal(ctx, A)
+        oracle = berkowitz(E.linearize(), ctx.zero(), ctx.one())
+        got = E.charpoly()
+        assert len(got) == n + 1
+        for h, b in zip(got, oracle):
+            assert (h - b).is_zeroish(), (h, b)
+            if b.kind == "n":
+                assert h.kind == "n" and h.rel >= ctx.prec // 2
+
+
 def tensor_poly_berkowitz(P, Q):
     """Oracle: det(1 - t*(C_P (x) C_Q)) by Berkowitz on the Kronecker product
     of the companion matrices, O((mn)^4)."""
@@ -100,7 +197,7 @@ def tensor_poly_berkowitz(P, Q):
     CQ = companion_of_reversed(Q)
     if not CP or not CQ:
         return [Fraction(1)]
-    return rev_charpoly_fractions(kron(CP, CQ))
+    return berkowitz(kron(CP, CQ), Fraction(0), Fraction(1))
 
 
 def _random_unit_poly(rng, d):

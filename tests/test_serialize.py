@@ -7,9 +7,10 @@ import pytest
 from fqzeta.errors import ValidationError
 from fqzeta.gammamodules import GammaModule, TorsionComponent
 from fqzeta.gauges import VirtualCrystal
-from fqzeta.geometry import corpus, package
+from fqzeta.geometry import VarietySpec, corpus, package
 from fqzeta.isocrystals import Isocrystal
 from fqzeta.padics import QqContext, Zp
+from fqzeta.plinalg import mat_identity
 from fqzeta.serialize import (
     decode_padic,
     dump_json,
@@ -21,6 +22,7 @@ from fqzeta.serialize import (
     encode_virtual_crystal,
     parse_json,
 )
+from fqzeta.specialvalues import verify_elladic, verify_padic
 
 
 def test_padic_round_trip_prime_field():
@@ -101,6 +103,29 @@ def test_package_round_trip_preserves_zeta_and_crystals():
     # precision override re-homes the crystals
     pkg3 = parse_json(text, expected={"package"}, prec=16)
     assert pkg3.degrees[1].crystal.ctx.prec == 16
+
+
+def test_standard_lattice_is_not_written_and_old_documents_still_verify():
+    """A package crystal on the standard lattice travels without a lattice
+    key.  A document that carries the identity as an explicit lattice, as
+    the encoder used to write it, decodes to an explicit basis and verifies
+    to the same report on both routes."""
+    E = corpus()["elliptic-F5-a5=-3"]
+    doc = encode_package(package(VarietySpec.product([E, E]), budget=10 ** 5))
+    new = parse_json(dump_json(doc), expected={"package"})
+    for entry in doc["degrees"]:
+        crystal = entry["crystal"]
+        assert "lattice" not in crystal
+        vc = VirtualCrystal(new.degrees[entry["j"]].crystal.crystal,
+                            mat_identity(new.degrees[entry["j"]].crystal.ctx,
+                                         crystal["rank"]))
+        crystal["lattice"] = encode_virtual_crystal(vc)["lattice"]
+    old = parse_json(dump_json(doc), expected={"package"})
+    assert all(d.crystal.lattice is not None for d in old.degrees.values())
+    for r in range(4):
+        assert verify_padic(old, r).to_dict() == verify_padic(new, r).to_dict()
+        assert verify_elladic(old, r, 3).to_dict() == \
+            verify_elladic(new, r, 3).to_dict()
 
 
 def test_deterministic_output():

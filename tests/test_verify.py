@@ -1,5 +1,6 @@
 """Special-value verification: the p-adic and l-adic identity checks."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from fqzeta.geometry import (
     package,
 )
 from fqzeta.padics import Zp
-from fqzeta.serialize import dump_json, encode_package
+from fqzeta.serialize import dump_json, encode_package, encode_variety
 from fqzeta.specialvalues import (
     compatibility_check,
     verify_elladic,
@@ -151,6 +152,26 @@ def test_fourth_power_of_an_elliptic_curve():
     assert got == expected
     assert got[4] == {0: 1, 1: 16, 2: 36, 3: 16, 4: 1}
     assert verify_elladic(pkg, 2, 3).passed
+
+
+def test_fourth_power_json_round_trip(tmp_path, capsys):
+    """E^4/F_5 written as a package document and read back by the CLI: the
+    decoder checks every crystal against its factor (rank 70 in degree 4),
+    and the report at r = 2 is the one `verify --variety` prints, on both
+    routes."""
+    E = VarietySpec.elliptic([0, 0, 0, 1, 1], 5)
+    e4 = VarietySpec.product([E] * 4)
+    doc = tmp_path / "e4.json"
+    doc.write_text(dump_json(encode_package(package(e4, budget=BUDGET))))
+    variety = tmp_path / "e4_variety.json"
+    variety.write_text(dump_json(encode_variety(e4)))
+    for route in ([], ["--ell", "3"]):
+        assert main(["verify", "--package", str(doc), "--r", "2"] + route) == 0
+        out = capsys.readouterr().out
+        assert main(["verify", "--variety", str(variety), "--r", "2",
+                     "--budget", str(BUDGET)] + route) == 0
+        assert capsys.readouterr().out == out
+        assert json.loads(out)["passed"]
 
 
 def test_elladic_elliptic_curve():
