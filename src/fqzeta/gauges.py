@@ -1,11 +1,11 @@
 """Hodge gauges of virtual crystals: filtrations M^i, Hodge numbers, twists.
 
 A virtual crystal is an isocrystal together with a lattice N in its ambient
-space.  The gauge functor computes M^i = F^{-1}(p^i N) ∩ N.  All computation
-happens in N-coordinates, where N is the standard lattice and F has matrix
-Atilde = B^{-1} A sigma(B).  A crystal with lattice None has N = Z_q^n, the
-standard lattice itself, and then Atilde = A with no change of basis: every
-crystal that `geometry.package` builds is of this kind.
+space.  The gauge functor computes M^i = F^{-1}(p^i N) ∩ N, and it depends
+only on Frobenius seen from N: for a basis B of N that is the matrix
+Atilde = B^{-1} A sigma(B) on N = Z_q^n.  `serialize.decode_virtual_crystal`
+makes that change of basis once, where a document is read, so every crystal
+here is on the standard lattice and Atilde is `crystal.matrix` itself.
 
 The gauge is a closed form in the elementary divisors p^{e_k} of Atilde
 (B. Mazur, "Frobenius and the Hodge filtration", Bull. AMS 1972 and Ann. of
@@ -26,61 +26,32 @@ from fractions import Fraction
 
 from .errors import DegenerateCrystal, NotTypeI, ValidationError
 from .isocrystals import Isocrystal, polygon_value
-from .plinalg import (mat_copy, mat_from_ints, mat_identity, mat_inverse,
-                      mat_min_valuation, mat_mul, mat_shift, mat_sigma,
-                      mat_vec, smith_normal_form)
+from .plinalg import (mat_identity, mat_inverse, mat_min_valuation, mat_mul,
+                      mat_shift, mat_sigma, mat_vec, smith_normal_form)
 
 
 class VirtualCrystal:
-    """(U, F, N): isocrystal plus a lattice, the input to the gauge functor.
+    """(U, F, N) in N-coordinates, the input to the gauge functor.
 
-    `lattice` is a basis B of N (columns), or None for the standard lattice
-    N = Z_q^n, in which case Frobenius seen from N is A itself.
+    N is the standard lattice Z_q^n and F(v) = A sigma(v) with A the matrix
+    of `crystal`.  A crystal given on another lattice is first brought to
+    these coordinates (`serialize.decode_virtual_crystal`).
     """
 
-    def __init__(self, crystal: Isocrystal, lattice=None):
+    def __init__(self, crystal: Isocrystal):
         self.crystal = crystal
         self.ctx = crystal.ctx
         self.rank = crystal.rank
-        if lattice is not None and (
-                len(lattice) != self.rank
-                or any(len(row) != self.rank for row in lattice)):
-            raise ValidationError("lattice basis must be rank x rank")
-        self.lattice = None if lattice is None else mat_copy(lattice)
 
     @classmethod
-    def from_ints(cls, ctx, rows, lattice=None):
-        if lattice is not None:
-            lattice = mat_from_ints(ctx, lattice)
-        return cls(Isocrystal.from_ints(ctx, rows), lattice)
-
-    def lattice_basis(self):
-        """The basis B of N: the identity matrix for the standard lattice."""
-        if self.lattice is None:
-            return mat_identity(self.ctx, self.rank)
-        return self.lattice
-
-    def in_lattice_coordinates(self):
-        """Atilde = B^{-1} A sigma(B): the Frobenius matrix seen from N.
-
-        A copy of A for the standard lattice; only an explicit basis pays
-        for the inverse and the two products.
-        """
-        B = self.lattice
-        if B is None:
-            return mat_copy(self.crystal.matrix)
-        try:
-            Binv = mat_inverse(B)
-        except ValidationError as exc:
-            raise DegenerateCrystal(f"lattice basis singular: {exc}") from exc
-        return mat_mul(Binv, mat_mul(self.crystal.matrix, mat_sigma(B)))
+    def from_ints(cls, ctx, rows):
+        return cls(Isocrystal.from_ints(ctx, rows))
 
     def tate_twist(self, r: int):
         """Scale F by p^{-r}; the linearization picks up q^{-r}."""
-        twisted = Isocrystal(self.ctx,
-                             [[x.shift(-r) for x in row]
-                              for row in self.crystal.matrix])
-        return VirtualCrystal(twisted, self.lattice)
+        return VirtualCrystal(Isocrystal(self.ctx,
+                                         [[x.shift(-r) for x in row]
+                                          for row in self.crystal.matrix]))
 
     def direct_sum(self, other):
         if self.ctx is not other.ctx:
@@ -90,13 +61,7 @@ class VirtualCrystal:
         A = [[self.crystal.matrix[i][j] if i < n and j < n else
               (other.crystal.matrix[i - n][j - n] if i >= n and j >= n else z)
               for j in range(n + m)] for i in range(n + m)]
-        B = None
-        if self.lattice is not None or other.lattice is not None:
-            B1, B2 = self.lattice_basis(), other.lattice_basis()
-            B = [[B1[i][j] if i < n and j < n else
-                  (B2[i - n][j - n] if i >= n and j >= n else z)
-                  for j in range(n + m)] for i in range(n + m)]
-        return VirtualCrystal(Isocrystal(self.ctx, A), B)
+        return VirtualCrystal(Isocrystal(self.ctx, A))
 
 
 class FGaugeWindow:
@@ -105,9 +70,7 @@ class FGaugeWindow:
     Everything is read off the elementary divisors p^{e_k} of Frobenius in
     N-coordinates and the basis W = sigma^{-1}(V^{-1}) of N adapted to them
     (see `hodge`).  `lattice_at` builds M^i = W diag(p^{max(0, i - e_k)}) on
-    demand, in N-coordinates; the lattice basis B carries it back to the
-    ambient coordinates.  For the standard lattice (lattice None) B is the
-    identity, Atilde = A, and N-coordinates are the ambient ones.
+    demand, in N-coordinates.
     """
 
     def __init__(self, vc, basis, exponents):
@@ -146,9 +109,8 @@ def hodge(vc: VirtualCrystal) -> FGaugeWindow:
     that the Hodge polygon is the polygon of the elementary divisors of
     Frobenius.
     """
-    At = vc.in_lattice_coordinates()
     try:
-        snf = smith_normal_form(At)
+        snf = smith_normal_form(vc.crystal.matrix)
     except ValidationError as exc:
         raise DegenerateCrystal(str(exc)) from exc
     if any(e is None for e in snf.divisors):
@@ -217,10 +179,10 @@ def check_raynaud_relations(vc: VirtualCrystal):
     2 n a + 4 powers of V.  A slope >= 1 raises NotTypeI.
     """
     ctx = vc.ctx
-    At = vc.in_lattice_coordinates()
+    At = vc.crystal.matrix
     if (mat_min_valuation(At) or 0) < 0:
         raise ValidationError("Type I model needs F integral on the lattice")
-    profile = Isocrystal(ctx, At).slopes()
+    profile = vc.crystal.slopes()
     if any(s >= 1 for s, _ in profile):
         raise NotTypeI(f"slope {max(s for s, _ in profile)} >= 1: "
                        "V = pF^{-1} is not topologically nilpotent")

@@ -40,6 +40,11 @@ from .polys import (
 
 DEFAULT_BUDGET = 10 ** 7
 
+# Largest `points` count, and largest factor degree and crystal rank in a
+# package document (`serialize`): verify is cubic in the count, the
+# realisation check O(n^3) in the rank, and H^5 of E^5 has rank 252.
+MAX_RANK = 256
+
 _KINDS = ("projective", "affine", "torus", "elliptic", "product",
           "complement", "points")
 
@@ -136,6 +141,8 @@ class VarietySpec:
         elif kind == "points":
             if self.count < 0:
                 raise ValidationError("negative point count")
+            if self.count > MAX_RANK:
+                raise ValidationError(f"point count above {MAX_RANK}")
 
     # structure -------------------------------------------------------------
 
@@ -479,11 +486,8 @@ def _crystal_from_rational(ctx, rows):
 def _crystal_tensor(vc1, vc2):
     if vc1 is None or vc2 is None:
         return None
-    mat = kron(vc1.crystal.matrix, vc2.crystal.matrix)
-    lattice = None
-    if vc1.lattice is not None or vc2.lattice is not None:
-        lattice = kron(vc1.lattice_basis(), vc2.lattice_basis())
-    return VirtualCrystal(Isocrystal(vc1.ctx, mat), lattice)
+    return VirtualCrystal(Isocrystal(
+        vc1.ctx, kron(vc1.crystal.matrix, vc2.crystal.matrix)))
 
 
 def _pure_degree(poly, weight, crystal):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import DegenerateCrystal, PrecisionExhausted, ValidationError
 from .padics import rational_valuation
 from .plinalg import (certified_zero, kernel_rank, mat_copy, mat_from_ints,
-                      mat_inverse, mat_mul, mat_sigma)
+                      mat_mul, mat_sigma)
 from .polys import poly_eval, rev_charpoly, root_multiplicity
 
 
@@ -50,13 +50,6 @@ class Isocrystal:
 
     def slopes(self):
         return newton_slopes_qq(self.charpoly(), self.ctx)
-
-    def validate(self):
-        try:
-            mat_inverse(self.matrix)
-        except ValidationError as exc:
-            raise DegenerateCrystal(str(exc)) from exc
-        return True
 
 
 # ---------------------------------------------------------------------------

@@ -13,19 +13,16 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import PrecisionExhausted, ValidationError
+from .errors import DegenerateCrystal, PrecisionExhausted, ValidationError
 from .gammamodules import GammaModule, TorsionComponent
 from .gauges import VirtualCrystal
-from .geometry import CohomologyPackage, PackageDegree, VarietySpec
+from .geometry import MAX_RANK, CohomologyPackage, PackageDegree, VarietySpec
 from .isocrystals import Isocrystal, lower_hull, polygon_value
 from .padics import (DEFAULT_PRECISION, QqContext, QqElement,
                      rational_valuation)
+from .plinalg import mat_inverse, mat_mul, mat_sigma
 
 SCHEMA = "sv/1"
-
-# Largest factor degree and crystal rank in a package document: the
-# realisation check is O(n^3), and H^5 of E^5 for a curve E has rank 252.
-MAX_RANK = 256
 
 
 def dump_json(obj):
@@ -155,16 +152,30 @@ def decode_isocrystal(data, prec=None):
 
 
 def encode_virtual_crystal(vc: VirtualCrystal):
-    out = {**encode_isocrystal(vc.crystal), "type": "virtual_crystal"}
-    if vc.lattice is not None:
-        out["lattice"] = _encode_matrix(vc.lattice)
-    return out
+    return {**encode_isocrystal(vc.crystal), "type": "virtual_crystal"}
 
 
 def decode_virtual_crystal(data, prec=None):
+    """A virtual crystal in the coordinates of its lattice N.
+
+    A `lattice` key gives a basis B of N (columns), and Frobenius seen from
+    N is Atilde = B^{-1} A sigma(B): the change of basis is made here, once,
+    and the crystal returned has matrix Atilde on N = Z_q^n.  No lattice is
+    kept, so none is written back.  A basis that is not rank x rank raises
+    ValidationError, a singular one DegenerateCrystal (both exit 2).
+    """
     crystal, lattice = decode_isocrystal(data, prec), data.get("lattice")
-    return VirtualCrystal(crystal, None if lattice is None else
-                          _decode_matrix(lattice, crystal.ctx, "lattice"))
+    if lattice is None:
+        return VirtualCrystal(crystal)
+    B = _decode_matrix(lattice, crystal.ctx, "lattice")
+    if len(B) != crystal.rank or any(len(row) != crystal.rank for row in B):
+        raise ValidationError("lattice basis must be rank x rank")
+    try:
+        Binv = mat_inverse(B)
+    except ValidationError as exc:
+        raise DegenerateCrystal(f"lattice basis singular: {exc}") from exc
+    At = mat_mul(Binv, mat_mul(crystal.matrix, mat_sigma(B)))
+    return VirtualCrystal(Isocrystal(crystal.ctx, At))
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,25 @@ def test_package_caps_factor_degree_and_crystal_rank(capsys, tmp_path):
         assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("command", ("package", "zeta", "verify"))
+def test_points_count_is_capped(capsys, tmp_path, command):
+    """A points count above MAX_RANK exits 2 before anything is counted,
+    on its own and as the closed part of a complement."""
+    points = {"kind": "points", "count": MAX_RANK + 1, "p": 5}
+    complement = {"kind": "complement", "p": 5, "ambient":
+                  {"kind": "projective", "n": 1, "p": 5}, "closed": points}
+    f = tmp_path / "points.json"
+    for doc in (points, complement):
+        f.write_text(json.dumps(doc))
+        t0 = time.monotonic()
+        assert main([command, "--variety", str(f)]
+                    + (["--r", "0"] if command == "verify" else [])) == 2
+        assert time.monotonic() - t0 < 5
+        captured = capsys.readouterr()
+        assert f"point count above {MAX_RANK}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_verify_failed_hypothesis_exits_3(capsys, tmp_path):
     pkg = CohomologyPackage(5, 1, 1, {
         0: PackageDegree([Fr(1), Fr(-1)], 0, 0, True, None),
@@ -309,6 +328,8 @@ MALFORMED = [
     ("gauge", "--input", '{"type":"isocrystal","p":5,"matrix":[1]}'),
     ("slopes", "--input", '{"type":"virtual_crystal","p":5,"matrix":[[1]],'
                           '"lattice":[[1,2],[3,4]]}'),
+    ("slopes", "--input", '{"type":"virtual_crystal","p":5,'
+                          '"matrix":[[0,-5],[1,-3]],"lattice":[[1,2],[2,4]]}'),
     ("verify", "--package",
      '{"type":"package","p":6,"a":1,"degrees":[{"j":0,"poly":[1,-1]}]}'),
     ("verify", "--package",

@@ -7,7 +7,10 @@ the Hodge numbers off the graded pieces M^i / (M^{i+1} + p M^{i-1}).  It costs
 tens of Smith forms per crystal, but every step is a lattice identity, so
 agreement on random crystals checks the closed form in `gauges.hodge`.
 `assert_gauge_axioms` checks axioms (i)-(iii) of a gauge on any family of
-lattices; it runs on both computations.
+lattices; it runs on both computations.  Half of the random crystals come
+from documents with a random lattice basis B, which the decoder turns into
+B^{-1} A sigma(B) once; `test_decoded_lattice_document_is_the_change_of_basis`
+checks that product, entry by entry, against the one formed here.
 """
 
 import random
@@ -20,9 +23,11 @@ from fqzeta.isocrystals import Isocrystal
 from fqzeta.padics import QqContext
 from fqzeta.plinalg import (lattice_contains, lattice_equal,
                             lattice_intersect, lattice_quotient_divisors,
-                            lattice_sum, mat_identity, mat_min_valuation,
-                            mat_mul, mat_shift, mat_sigma,
-                            semilinear_preimage)
+                            lattice_sum, mat_det_valuation, mat_identity,
+                            mat_inverse, mat_min_valuation, mat_mul,
+                            mat_shift, mat_sigma, semilinear_preimage)
+from fqzeta.serialize import (dump_json, encode_isocrystal, encode_padic,
+                              parse_json)
 
 # The scan takes i_max - i_min + 2 steps; this bounds a runaway scan only.
 SCAN_CAP = 64
@@ -92,16 +97,28 @@ def _random_element(rng, ctx, vals):
                            rng.choice(vals))
 
 
-def _random_crystal(rng, ctx):
-    """Rank 1-3, entry valuations -1..2, a random lattice half the time."""
-    n = rng.randrange(1, 4)
-    rows = [[_random_element(rng, ctx, (-1, 0, 1, 2)) for _ in range(n)]
+def _random_matrix(rng, ctx, n, vals):
+    return [[_random_element(rng, ctx, vals) for _ in range(n)]
             for _ in range(n)]
-    lattice = None
+
+
+def lattice_document(A, B):
+    """The virtual_crystal document of F = A sigma on the lattice spanned by
+    the columns of B, as JSON text."""
+    doc = {**encode_isocrystal(A), "type": "virtual_crystal",
+           "lattice": [[encode_padic(x) for x in row] for row in B]}
+    return dump_json(doc)
+
+
+def _random_crystal(rng, ctx):
+    """Rank 1-3, entry valuations -1..2; half the time on a random lattice,
+    read from a document as the CLI reads it."""
+    n = rng.randrange(1, 4)
+    crystal = Isocrystal(ctx, _random_matrix(rng, ctx, n, (-1, 0, 1, 2)))
     if rng.random() < 0.5:
-        lattice = [[_random_element(rng, ctx, (0, 0, 1)) for _ in range(n)]
-                   for _ in range(n)]
-    return VirtualCrystal(Isocrystal(ctx, rows), lattice)
+        return VirtualCrystal(crystal)
+    return parse_json(lattice_document(
+        crystal, _random_matrix(rng, ctx, n, (0, 0, 1))))
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
@@ -111,16 +128,15 @@ def test_closed_form_matches_window_scan(p):
     checked = 0
     while checked < 27:
         ctx = contexts[checked % 3]
-        vc = _random_crystal(rng, ctx)
         try:
-            At = vc.in_lattice_coordinates()
+            vc = _random_crystal(rng, ctx)
         except DegenerateCrystal:
             continue                      # singular lattice basis, redraw
+        At = vc.crystal.matrix
         try:
             g = hodge(vc)
         except DegenerateCrystal:
-            with pytest.raises(DegenerateCrystal):
-                Isocrystal(ctx, At).validate()
+            assert mat_det_valuation(At) is None
             continue
         i_min, i_max, scan_at, scan_hodge = scan_gauge(ctx, At)
         assert (g.i_min, g.i_max) == (i_min, i_max)
@@ -131,3 +147,51 @@ def test_closed_form_matches_window_scan(p):
         assert_gauge_axioms(ctx, At, g.lattice_at, g.i_min, g.i_max)
         assert_gauge_axioms(ctx, At, scan_at, i_min, i_max)
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# a lattice is a change of basis, made once where a document is read
+
+
+def _gauge_data(vc):
+    g = hodge(vc)
+    return g, (g.hodge_numbers, g._exponents, g.i_min, g.i_max, g.det_val)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_decoded_lattice_document_is_the_change_of_basis(p):
+    """A document with crystal A and lattice basis B decodes to the crystal
+    B^{-1} A sigma(B) on the standard lattice: the same entries as that
+    product formed here, the slopes of A, and the gauge, exponents and
+    lattices M^i of that product."""
+    rng = random.Random(4200 + p)
+    for a in (1, 2, 3):
+        ctx = QqContext(p, a, prec=32)
+        checked = 0
+        while checked < 4:
+            n = rng.randrange(1, 4)
+            A = Isocrystal(ctx, _random_matrix(rng, ctx, n, (-1, 0, 1, 2)))
+            B = _random_matrix(rng, ctx, n, (0, 0, 1))
+            if mat_det_valuation(B) is None:
+                with pytest.raises(DegenerateCrystal):
+                    parse_json(lattice_document(A, B))
+                continue
+            At = mat_mul(mat_mul(mat_inverse(B), A.matrix), mat_sigma(B))
+            vc = parse_json(lattice_document(A, B),
+                            expected={"virtual_crystal"})
+            assert vc.rank == n
+            assert all(x.same_value(y) for got, want in zip(
+                vc.crystal.matrix, At) for x, y in zip(got, want))
+            try:
+                want, want_data = _gauge_data(VirtualCrystal(
+                    Isocrystal(ctx, At)))
+            except DegenerateCrystal:
+                with pytest.raises(DegenerateCrystal):
+                    hodge(vc)
+                continue
+            assert vc.crystal.slopes() == A.slopes()
+            got, got_data = _gauge_data(vc)
+            assert got_data == want_data
+            for i in range(want.i_min - 1, want.i_max + 2):
+                assert lattice_equal(got.lattice_at(i), want.lattice_at(i))
+            checked += 1
