@@ -12,17 +12,20 @@ for the map f: M^Gamma -> M_Gamma induced by the identity, defined exactly
 when 1 is not a repeated root of the minimal polynomial of gamma.  Two
 independent routes compute it: an explicit Smith-form chase through the
 cokernel presentation, and a characteristic-polynomial route (deflate the
-eigenvalue 1 and evaluate at t = 1).  They must agree; tests enforce it.
+eigenvalue 1 and evaluate at t = 1).  They must agree: `fqzeta zf` runs
+both and exits 1 when they differ.  Both read one Smith form of 1 - gamma
+and one det(1 - t*gamma), computed once per module.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import MultipleRootError, ValidationError
-from .padics import Zp, rational_valuation
-from .plinalg import kernel_rank, mat_mul, smith_normal_form
+from .padics import MAX_PRECISION, Zp, rational_valuation
+from .plinalg import mat_mul, smith_normal_form
 from .polys import rev_charpoly_fractions, root_multiplicity
 
 ModuleStructure = namedtuple("ModuleStructure", "free_rank torsion")
@@ -54,25 +57,39 @@ class GammaModule:
                         else TorsionComponent(int(t[0]), int(t[1]))
                         for t in torsion]
         for comp in self.torsion:
-            if comp.e < 1:
-                raise ValidationError("torsion exponents must be >= 1")
+            if not 1 <= comp.e <= MAX_PRECISION:
+                raise ValidationError(
+                    f"torsion exponents must be in [1, {MAX_PRECISION}], "
+                    f"got {comp.e}")
             if comp.unit % prime == 0:
                 raise ValidationError("gamma must act by a unit on torsion")
         self.prec = prec
 
-    def one_minus_gamma(self):
-        ctx = self._ctx
-        n = self.rank
-        return [[ctx.from_fraction((1 if i == j else 0) - self.gamma[i][j])
-                 for j in range(n)] for i in range(n)]
+    @cached_property
+    def snf(self):
+        """Smith form of 1 - gamma over Z_p; z0, the kernel rank of
+        1 - gamma, is its number of zero divisors."""
+        ctx, n = self._ctx, self.rank
+        return smith_normal_form(
+            [[ctx.from_fraction((1 if i == j else 0) - self.gamma[i][j])
+              for j in range(n)] for i in range(n)])
 
-    def charpoly(self):
-        """det(1 - t*gamma) with exact Fraction coefficients."""
-        return rev_charpoly_fractions(self.gamma)
+    @cached_property
+    def at_one(self):
+        """(m, g): the multiplicity m of 1 as an eigenvalue of gamma, by
+        exact deflation of det(1 - t*gamma), and g, the deflated
+        polynomial det(1 - t*gamma)/(1 - t)^m."""
+        return root_multiplicity(rev_charpoly_fractions(self.gamma), 1)
 
-    def eigen_multiplicity_at_one(self):
-        """Multiplicity of 1 as an eigenvalue of gamma, by exact deflation."""
-        return root_multiplicity(self.charpoly(), 1)
+    def defined_at_one(self):
+        """The deflated g of `at_one` when z(f) is defined, i.e. z0 equals
+        the multiplicity of 1 (1 is not a repeated root of the minimal
+        polynomial of gamma); MultipleRootError otherwise."""
+        mult, deflated = self.at_one
+        if self.snf.divisors.count(None) != mult:
+            raise MultipleRootError(
+                "1 is a repeated root of the minimal polynomial of gamma")
+        return deflated
 
     def _torsion_d(self, comp):
         """d = min(e, v_p(1 - u)): both Ker and coker on Z/p^e are Z/p^d."""
@@ -89,7 +106,7 @@ def invariants_coinvariants(m: GammaModule):
     Free ranks agree (the group is procyclic); both facts come out of one
     Smith form of 1 - gamma plus the per-component torsion arithmetic.
     """
-    snf = smith_normal_form(m.one_minus_gamma())
+    snf = m.snf
     z0 = snf.divisors.count(None)
     inv_torsion = []
     coinv_torsion = [e for e in snf.divisors if e is not None and e > 0]
@@ -118,11 +135,9 @@ def _z_snf_route(m: GammaModule):
     Smith form, equals the exact multiplicity of 1 in det(1 - t*gamma).
     """
     ctx = m._ctx
-    snf = smith_normal_form(m.one_minus_gamma())
+    m.defined_at_one()          # MultipleRootError unless z is defined
+    snf = m.snf
     z0 = snf.divisors.count(None)
-    if z0 != m.eigen_multiplicity_at_one()[0]:
-        raise MultipleRootError(
-            "1 is a repeated root of the minimal polynomial of gamma")
     ker_order = Fraction(1)
     coker_order = Fraction(1)
     if z0 > 0:
@@ -162,33 +177,20 @@ def _z_poly_route(m: GammaModule):
     z = |g(1)|_p as a p-power, where g = det(1 - t*gamma)/(1-t)^mult; defined
     only when the eigenvalue-1 kernel rank matches the multiplicity.
     """
-    mult, deflated = m.eigen_multiplicity_at_one()
-    if kernel_rank(m.one_minus_gamma()) != mult:
-        raise MultipleRootError(
-            "1 is a repeated root of the minimal polynomial of gamma")
-    g1 = sum(Fraction(c) for c in deflated)
+    g1 = sum(Fraction(c) for c in m.defined_at_one())
     if g1 == 0:
         raise ValidationError("deflation left a vanishing value at t = 1")
     return Fraction(m.prime) ** (-rational_valuation(g1, m.prime))
 
 
-def z_of_f(m: GammaModule, route="both"):
-    """z(f) = [Ker f]/[coker f] as an exact power of the prime.
-
-    route = "snf", "poly", or "both" (default: compute independently and
-    insist on agreement).
-    """
+def z_of_f(m: GammaModule, route):
+    """z(f) = [Ker f]/[coker f] as an exact power of the prime, by the
+    Smith-form route ("snf") or the polynomial route ("poly")."""
     if route == "snf":
         return _z_snf_route(m)
     if route == "poly":
         return _z_poly_route(m)
-    a = _z_snf_route(m)
-    b = _z_poly_route(m)
-    if a != b:
-        raise ValidationError(
-            f"z(f) routes disagree: Smith-form route {a}, polynomial "
-            f"route {b}")
-    return a
+    raise ValueError(f"route must be 'snf' or 'poly', got {route!r}")
 
 
 # ---------------------------------------------------------------------------

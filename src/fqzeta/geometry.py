@@ -26,7 +26,7 @@ from .errors import (
 from .gauges import VirtualCrystal
 from .isocrystals import Isocrystal, purity_check
 from .lfun import assemble
-from .padics import DEFAULT_PRECISION, FiniteField, QqContext, _is_prime
+from .padics import DEFAULT_PRECISION, FiniteField, QqContext, check_field
 from .polys import (
     companion_of_reversed,
     kron,
@@ -44,6 +44,11 @@ DEFAULT_BUDGET = 10 ** 7
 # package document (`serialize`): verify is cubic in the count, the
 # realisation check O(n^3) in the rank, and H^5 of E^5 has rank 252.
 MAX_RANK = 256
+
+# Largest dimension of a variety.  Its factors carry powers of q up to
+# q^dim, and a product's middle degree grows as a binomial coefficient:
+# E^5 is the largest power of a curve whose H^5 (rank 252) fits MAX_RANK.
+MAX_DIM = 5
 
 _KINDS = ("projective", "affine", "torus", "elliptic", "product",
           "complement", "points")
@@ -67,8 +72,7 @@ class VarietySpec:
         self.kind = kind
         self.p = int(p)
         self.a = int(a)
-        if self.a < 1:
-            raise ValidationError("field degree a must be >= 1")
+        check_field(self.p, self.a)
         self.q = self.p ** self.a
         self.n = n
         self.coeffs = coeffs
@@ -143,6 +147,8 @@ class VarietySpec:
                 raise ValidationError("negative point count")
             if self.count > MAX_RANK:
                 raise ValidationError(f"point count above {MAX_RANK}")
+        if self.dim > MAX_DIM:
+            raise ValidationError(f"dimension {self.dim} above {MAX_DIM}")
 
     # structure -------------------------------------------------------------
 
@@ -403,10 +409,7 @@ class CohomologyPackage:
     def __init__(self, p, a, dim, degrees):
         self.p = int(p)
         self.a = int(a)
-        if not _is_prime(self.p):
-            raise ValidationError(f"p must be prime, got {self.p}")
-        if self.a < 1:
-            raise ValidationError("field degree a must be >= 1")
+        check_field(self.p, self.a)
         self.q = self.p ** self.a
         self.dim = dim
         self.degrees = dict(degrees)
@@ -527,7 +530,7 @@ def _leaf_package(spec, ctx, n1):
     raise ValidationError(f"no package rule for kind {spec.kind!r}")
 
 
-def _merge_degree(ctx, first, second):
+def _merge_degree(first, second):
     """Combine two summands landing in the same cohomological degree."""
     poly = poly_mul(first.poly, second.poly)
     weight = first.weight if first.weight == second.weight else None
@@ -542,7 +545,7 @@ def _merge_degree(ctx, first, second):
                          crystal=crystal)
 
 
-def _kunneth(ctx, deg1, deg2):
+def _kunneth(deg1, deg2):
     out = {}
     for j1, d1 in deg1.items():
         for j2, d2 in deg2.items():
@@ -560,7 +563,7 @@ def _kunneth(ctx, deg1, deg2):
                                   semisimple=d1.semisimple and d2.semisimple,
                                   crystal=crystal)
             j = j1 + j2
-            out[j] = piece if j not in out else _merge_degree(ctx, out[j], piece)
+            out[j] = piece if j not in out else _merge_degree(out[j], piece)
     return out
 
 
@@ -585,7 +588,7 @@ def _cone_degrees(ctx, ambient_degrees, k):
                                  u=0, semisimple=True,
                                  crystal=_unit_crystal(ctx, k - 1))
         out[1] = (boundary if 1 not in out
-                  else _merge_degree(ctx, out[1], boundary))
+                  else _merge_degree(out[1], boundary))
     return out
 
 
@@ -630,7 +633,7 @@ def _package_degrees(spec, ctx, n1):
         degrees = None
         for f in spec.factors:
             part = _package_degrees(f, ctx, n1)
-            degrees = part if degrees is None else _kunneth(ctx, degrees, part)
+            degrees = part if degrees is None else _kunneth(degrees, part)
         return degrees
     if spec.kind == "complement":
         if spec.closed.kind != "points":

@@ -27,6 +27,15 @@ from .polys import power
 DEFAULT_PRECISION = 64
 GUARD_DIGITS = 8
 
+# Caps on what a document may ask for, each refused with ValidationError
+# (exit 2) before any work.  p below 2^16 keeps the primality test at most
+# 256 trial divisions; a <= 16 bounds the search for the minimal polynomial
+# and the Hensel lift of sigma; precision bounds the width of every Z_q
+# entry, and a torsion exponent of a Gamma-module (`gammamodules`).
+MAX_PRIME = 2 ** 16
+MAX_DEGREE = 16
+MAX_PRECISION = 1024
+
 
 def int_valuation(n: int, p: int) -> int:
     """v_p of a nonzero integer."""
@@ -141,6 +150,18 @@ def _is_prime(n):
     return True
 
 
+def check_field(p, a, max_degree=MAX_DEGREE):
+    """Refuse F_{p^a} unless p is a prime int at most MAX_PRIME and a an
+    int in [1, max_degree]; the one check wherever a document's (p, a)
+    enters.  `FiniteField` allows degree 2 * MAX_DEGREE, for the N_2 anchor
+    of a curve over F_{p^a}."""
+    if not (isinstance(p, int) and 2 <= p <= MAX_PRIME and _is_prime(p)):
+        raise ValidationError(f"expected a prime at most {MAX_PRIME}, got {p}")
+    if not (isinstance(a, int) and 1 <= a <= max_degree):
+        raise ValidationError(
+            f"extension degree a must be in [1, {max_degree}], got {a}")
+
+
 def _prime_divisors(n):
     """The distinct primes dividing n >= 1, by trial division."""
     out, d = [], 2
@@ -185,10 +206,7 @@ class FiniteField:
     """
 
     def __init__(self, p: int, k: int):
-        if p < 2 or not _is_prime(p):
-            raise ValidationError(f"characteristic must be prime, got {p}")
-        if k < 1:
-            raise ValidationError("extension degree must be >= 1")
+        check_field(p, k, 2 * MAX_DEGREE)
         self.p = p
         self.k = k
         self.order = p ** k
@@ -196,15 +214,6 @@ class FiniteField:
         self.zero = (0,) * k
         self.one = (1,) + (0,) * (k - 1)
         self._log_tables = None
-
-    def element(self, coeffs):
-        coeffs = tuple(int(c) % self.p for c in coeffs)
-        if len(coeffs) != self.k:
-            coeffs = tuple((list(coeffs) + [0] * self.k)[: self.k])
-        return FFElement(self, coeffs)
-
-    def from_int(self, n):
-        return self.element((n % self.p,) + (0,) * (self.k - 1))
 
     def elements(self):
         """Iterate over all p^k raw tuples, lexicographic in the digits."""
@@ -225,18 +234,11 @@ class FiniteField:
     def add(self, u, v):
         return tuple((a + b) % self.p for a, b in zip(u, v))
 
-    def sub(self, u, v):
-        return tuple((a - b) % self.p for a, b in zip(u, v))
-
-    def neg(self, u):
-        return tuple((-a) % self.p for a in u)
-
     def mul(self, u, v):
         return tuple(_mulmod(u, v, self.modulus, self.p))
 
     def pow(self, u, e):
-        if e < 0:
-            return self.pow(self.inv(u), -e)
+        """u^e for e >= 0."""
         return power(u, e, self.mul, self.one)
 
     def inv(self, u):
@@ -281,49 +283,6 @@ class FiniteField:
         return self._log_tables
 
 
-class FFElement:
-    """Wrapper giving finite-field tuples operator syntax."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = coeffs
-
-    def __add__(self, other):
-        return FFElement(self.field, self.field.add(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        return FFElement(self.field, self.field.sub(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return FFElement(self.field, self.field.neg(self.coeffs))
-
-    def __mul__(self, other):
-        return FFElement(self.field, self.field.mul(self.coeffs, other.coeffs))
-
-    def __pow__(self, e):
-        return FFElement(self.field, self.field.pow(self.coeffs, e))
-
-    def inverse(self):
-        return FFElement(self.field, self.field.inv(self.coeffs))
-
-    def is_zero(self):
-        return self.field.is_zero(self.coeffs)
-
-    def __eq__(self, other):
-        return (isinstance(other, FFElement)
-                and self.field.p == other.field.p
-                and self.field.k == other.field.k
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.k, self.coeffs))
-
-    def __repr__(self):
-        return f"FF({self.field.p}^{self.field.k}; {list(self.coeffs)})"
-
-
 # ---------------------------------------------------------------------------
 # Z_q = W(F_{p^a}) at fixed precision
 
@@ -337,20 +296,18 @@ class QqContext:
     """
 
     def __init__(self, p: int, a: int = 1, prec: int = DEFAULT_PRECISION):
-        if not _is_prime(p):
-            raise ValidationError(f"p must be prime, got {p}")
-        if a < 1:
-            raise ValidationError("extension degree a must be >= 1")
-        if prec < 1:
-            raise ValidationError("precision must be >= 1")
+        check_field(p, a)
+        if not 1 <= prec <= MAX_PRECISION:
+            raise ValidationError(
+                f"precision must be in [1, {MAX_PRECISION}], got {prec}")
         self.p = p
         self.a = a
         self.q = p ** a
         self.prec = prec
         self.guard = GUARD_DIGITS
         self.pN = p ** prec
-        self.modulus = minimal_polynomial(p, a)  # int coeffs, monic
         self.residue_field = FiniteField(p, a)
+        self.modulus = self.residue_field.modulus  # int coeffs, monic
         self._sigma_cols = self._build_sigma() if a > 1 else None
 
     # -- construction of sigma ---------------------------------------------
@@ -462,32 +419,6 @@ class QqContext:
 
     def ifz(self, absprec: int):
         return QqElement(self, "i", 0, (), 0, absprec)
-
-    def teichmuller(self, omega):
-        """The unique root of X^q = X lifting omega in F_q (or F_p).
-
-        Multiplicative: teichmuller(uv) = teichmuller(u) teichmuller(v).
-        """
-        if isinstance(omega, FFElement):
-            fld = omega.field
-            if fld.p != self.p:
-                raise ValidationError("characteristic mismatch")
-            if fld.k == self.a:
-                coeffs = list(omega.coeffs)
-            elif fld.k == 1:
-                coeffs = [omega.coeffs[0]] + [0] * (self.a - 1)
-            else:
-                raise ValidationError(
-                    "teichmuller input must lie in the prime field or in F_q")
-        else:
-            coeffs = [int(omega) % self.p] + [0] * (self.a - 1)
-        if all(c == 0 for c in coeffs):
-            return self.zero()
-        cap = self.pN
-        x = coeffs
-        for _ in range(self.prec + 1):
-            x = _powmod(x, self.q, self.modulus, cap)
-        return self.from_vector(x, 0, self.prec)
 
     # -- policy ---------------------------------------------------------------
 
@@ -667,58 +598,6 @@ class QqElement:
             return self.ctx.ifz(self.abs + k)
         return self
 
-    def truncate(self, rel: int):
-        """Forget digits beyond relative precision `rel`."""
-        if self.kind != "n" or rel >= self.rel:
-            return self
-        if rel <= 0:
-            return self.ctx.ifz(self.val)
-        cap = self.ctx.p ** rel
-        coeffs = tuple(c % cap for c in self.coeffs)
-        if all(c == 0 for c in coeffs):
-            return self.ctx.ifz(self.val + rel)
-        return QqElement(self.ctx, "n", self.val, coeffs, rel, 0)
-
-    def residue(self):
-        """Image in the residue field F_q (requires val >= 0)."""
-        ctx = self.ctx
-        if self.is_zeroish():
-            if self.kind == "i" and self.abs < 1:
-                raise PrecisionExhausted("residue unknown at this precision")
-            return ctx.residue_field.element((0,) * ctx.a)
-        if self.val < 0:
-            raise ValidationError("residue of a non-integral element")
-        if self.val > 0:
-            return ctx.residue_field.element((0,) * ctx.a)
-        return ctx.residue_field.element(tuple(c % ctx.p for c in self.coeffs))
-
-    def unit_int(self):
-        """For a = 1: the unit part as an int mod p^rel."""
-        if self.ctx.a != 1:
-            raise ValidationError("unit_int is only defined over Z_p")
-        if self.kind != "n":
-            raise ValidationError("unit part of zero is undefined")
-        return self.coeffs[0]
-
-    def digits(self):
-        """Little-endian base-p digits of the unit part (a = 1 only)."""
-        u = self.unit_int()
-        out = []
-        for _ in range(self.rel):
-            u, d = divmod(u, self.ctx.p)
-            out.append(d)
-        return out
-
-    def to_fraction(self):
-        """Exact rational value of the known digits (unit read as an integer)."""
-        if self.kind == "z":
-            return Fraction(0)
-        if self.kind == "i":
-            raise PrecisionExhausted("no canonical rational for an IFZ element")
-        if self.ctx.a != 1:
-            raise ValidationError("to_fraction is only defined over Z_p/Q_p")
-        return Fraction(self.coeffs[0]) * Fraction(self.ctx.p) ** self.val
-
     # -- comparisons --
 
     def same_value(self, other, digits=None):
@@ -759,15 +638,3 @@ def Zp(p: int, prec: int = DEFAULT_PRECISION):
     """Context for Z_p/Q_p (the a = 1 unramified extension)."""
     return QqContext(p, 1, prec)
 
-
-def val(x: QqElement):
-    """v_p(x); PrecisionExhausted if x is indistinguishable from zero.
-
-    For elements of Z_q this is the minimum valuation of the coordinates in
-    the sigma-stable basis, which is the true valuation since q is unramified.
-    Exact zero raises ValueError (infinite valuation).
-    """
-    v = x.valuation()
-    if v is None:
-        raise ValueError("exact zero has infinite valuation")
-    return v

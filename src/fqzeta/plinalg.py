@@ -77,13 +77,6 @@ def mat_augment(A, B):
     return [ra + rb for ra, rb in zip(A, B)]
 
 
-def mat_equal(A, B):
-    if len(A) != len(B) or (A and len(A[0]) != len(B[0])):
-        return False
-    return all(x.same_value(y) for ra, rb in zip(A, B)
-               for x, y in zip(ra, rb))
-
-
 def mat_min_valuation(A):
     """Minimum entry valuation; None if every entry is zeroish."""
     best = None
@@ -246,14 +239,6 @@ def mat_inverse(A):
 def solve_right(A, B):
     """X with A X = B (A square invertible)."""
     return mat_mul(mat_inverse(A), B)
-
-
-def mat_det_valuation(A):
-    """v_p(det A) as the sum of divisor exponents; None if singular."""
-    snf = smith_normal_form(A)
-    if any(e is None for e in snf.divisors):
-        return None
-    return sum(snf.divisors)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .gammamodules import GammaModule, TorsionComponent
 from .gauges import VirtualCrystal
 from .geometry import MAX_RANK, CohomologyPackage, PackageDegree, VarietySpec
 from .isocrystals import Isocrystal, lower_hull, polygon_value
-from .padics import (DEFAULT_PRECISION, QqContext, QqElement,
+from .padics import (DEFAULT_PRECISION, QqContext, QqElement, check_field,
                      rational_valuation)
 from .plinalg import mat_inverse, mat_mul, mat_sigma
 
@@ -182,16 +182,6 @@ def decode_virtual_crystal(data, prec=None):
 # Gamma-modules
 
 
-def encode_gamma_module(m: GammaModule):
-    return {
-        "schema": SCHEMA, "type": "gamma_module", "ring": m.ring,
-        "prime": m.prime, "rank": len(m.gamma),
-        "gamma": [[encode_rational(x) for x in row] for row in m.gamma],
-        "torsion": [{"e": t.e, "unit": encode_rational(t.unit)}
-                    for t in m.torsion],
-    }
-
-
 def decode_gamma_module(data, prec=None):
     ring = _require(data, "ring", "gamma module")
     prime = int(_require(data, "prime", "gamma module"))
@@ -205,23 +195,6 @@ def decode_gamma_module(data, prec=None):
 
 # ---------------------------------------------------------------------------
 # varieties
-
-
-def encode_variety(spec: VarietySpec):
-    out = {"schema": SCHEMA, "type": "variety", "kind": spec.kind,
-           "p": spec.p, "a": spec.a}
-    if spec.kind in ("projective", "affine"):
-        out["n"] = spec.n
-    elif spec.kind == "elliptic":
-        out["coeffs"] = list(spec.coeffs)
-    elif spec.kind == "product":
-        out["factors"] = [encode_variety(f) for f in spec.factors]
-    elif spec.kind == "complement":
-        out["ambient"] = encode_variety(spec.ambient)
-        out["closed"] = encode_variety(spec.closed)
-    elif spec.kind == "points":
-        out["count"] = spec.count
-    return out
 
 
 def decode_variety(data):
@@ -302,6 +275,7 @@ def decode_package(data, prec=None):
     """
     p = int(_require(data, "p", "package"))
     a = int(data.get("a", 1))
+    check_field(p, a)           # before p ** a
     if "q" in data and int(data["q"]) != p ** a:
         raise ValidationError(f"q = {data['q']} does not equal p^a = {p**a}")
     dim = int(data.get("dim", 0))

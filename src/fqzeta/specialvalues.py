@@ -26,7 +26,7 @@ from .isocrystals import (
     semisimple_at,
 )
 from .lfun import abs_valuation_inverse
-from .padics import _is_prime, rational_valuation
+from .padics import check_field, rational_valuation
 
 
 class Identity:
@@ -288,8 +288,7 @@ def verify_elladic(pkg, r, ell):
     integer-coefficient (compatible-system) package.
     """
     ell = int(ell)
-    if not _is_prime(ell):
-        raise ValidationError(f"auxiliary prime {ell} is not prime")
+    check_field(ell, 1)
     if ell == pkg.p:
         raise ValidationError(
             "auxiliary prime must differ from the base characteristic")

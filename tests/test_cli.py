@@ -9,21 +9,22 @@ import pytest
 
 from fqzeta.cli import main
 from fqzeta.errors import PrecisionExhausted, ValidationError
-from fqzeta.gammamodules import GammaModule
 from fqzeta.gauges import VirtualCrystal
 from fqzeta.geometry import (CohomologyPackage, PackageDegree, VarietySpec,
                              package)
-from fqzeta.padics import Zp
+from fqzeta.padics import MAX_PRECISION, MAX_PRIME, Zp
 from fqzeta.serialize import (
     MAX_RANK,
     dump_json,
-    encode_gamma_module,
     encode_package,
     encode_virtual_crystal,
     parse_json,
 )
 
 ELLIPTIC = '{"kind": "elliptic", "coeffs": [0, 0, 0, 1, 1], "p": 5, "a": 1}'
+
+# a prime of 31 digits, far above padics.MAX_PRIME
+BIG_PRIME = 10 ** 30 + 57
 
 
 @pytest.fixture
@@ -74,9 +75,9 @@ def test_zeta_euler_match(capsys, elliptic_file):
 
 
 def test_zf_routes_agree(capsys, tmp_path):
-    m = GammaModule("Zp", 5, [[Fr(6), Fr(0)], [Fr(5), Fr(1)]])
     f = tmp_path / "gamma.json"
-    f.write_text(dump_json(encode_gamma_module(m)))
+    f.write_text('{"type": "gamma_module", "ring": "Zp", "prime": 5, '
+                 '"gamma": [[6, 0], [5, 1]], "torsion": []}')
     code, doc = run(capsys, ["zf", "--gamma", str(f)])
     assert code == 0
     assert doc["routes_agree"] is True
@@ -337,6 +338,29 @@ MALFORMED = [
     ("verify", "--package",
      '{"type":"package","p":5,"a":1,"dim":1,"degrees":[{"j":0,"poly":[1,-1]},'
      '{"j":1,"poly":[1,3,5]},{"j":1,"poly":[1,0,5]},{"j":2,"poly":[1,-5]}]}'),
+    # sizes above a cap (README, "Caps"): refused before any work
+    ("package", "--variety", '{"kind":"elliptic","coeffs":[1,1],"p":0}'),
+    ("package", "--variety", '{"kind":"elliptic","coeffs":[1,1],"p":false}'),
+    ("package", "--variety", '{"kind":"elliptic","coeffs":[1,1],"p":4}'),
+    ("package", "--variety", '{"kind":"torus","p":5,"a":300}'),
+    *[(command, "--variety", doc) for command in ("package", "zeta", "verify")
+      for doc in ('{"kind":"projective","n":100000,"p":5}',
+                  '{"kind":"affine","n":10000000,"p":5}')],
+    ("verify", "--variety",
+     '{"kind":"product","p":5,"factors":[{"kind":"projective","n":60,"p":5},'
+     '{"kind":"projective","n":60,"p":5}]}'),
+    ("slopes", "--input",
+     '{"type":"isocrystal","p":5,"a":300,"matrix":[[1]]}'),
+    ("slopes", "--input",
+     f'{{"type":"isocrystal","p":{BIG_PRIME},"matrix":[[1]]}}'),
+    ("zf", "--gamma",
+     '{"type":"gamma_module","ring":"Zp","prime":5,"gamma":[[2]],'
+     '"torsion":[{"e":1000000000000,"unit":2}]}'),
+    ("zf", "--gamma",
+     f'{{"type":"gamma_module","ring":"Zp","prime":{BIG_PRIME},'
+     '"gamma":[[2]]}'),
+    ("verify", "--package",
+     f'{{"type":"package","p":5,"a":{10 ** 21},"degrees":[]}}'),
 ]
 
 
@@ -347,7 +371,41 @@ def test_malformed_document_exits_2_without_traceback(capsys, tmp_path,
     f.write_text(doc)
     argv = [command, flag, str(f)] + (["--r", "1"] if command == "verify"
                                       else [])
+    t0 = time.monotonic()
     assert main(argv) == 2
+    assert time.monotonic() - t0 < 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["slopes", "--input"], ["gauge", "--input"], ["zf", "--gamma"],
+    ["zeta", "--variety"], ["package", "--variety"],
+    ["verify", "--r", "1", "--variety"], ["corpus", "run"]])
+def test_precision_flag_is_capped(capsys, tmp_path, crystal_file,
+                                  elliptic_file, argv):
+    """--prec above MAX_PRECISION exits 2 before a context is built."""
+    gamma = tmp_path / "gamma.json"
+    gamma.write_text('{"type":"gamma_module","ring":"Zp","prime":5,'
+                     '"gamma":[[2]]}')
+    doc = {"--input": crystal_file, "--gamma": str(gamma),
+           "--variety": elliptic_file}.get(argv[-1])
+    t0 = time.monotonic()
+    assert main(argv + ([doc] if doc else [])
+                + ["--prec", str(10 ** 8)]) == 2
+    assert time.monotonic() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: precision must be in "
+                            f"[1, {MAX_PRECISION}], got {10 ** 8}\n")
+    assert captured.out == ""
+
+
+def test_composite_characteristic_is_named_before_the_curve_is_read(
+        capsys, tmp_path):
+    """p = 4 is refused as a non-prime, not as a singular curve."""
+    f = tmp_path / "e.json"
+    f.write_text('{"kind":"elliptic","coeffs":[1,1],"p":4}')
+    assert main(["package", "--variety", str(f)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: expected a prime at most {MAX_PRIME}, got 4\n")

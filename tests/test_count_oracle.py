@@ -28,7 +28,8 @@ FIELDS = [(p, k) for p in (2, 3, 5, 7) for k in (1, 2, 3)]
 
 def _oracle_count(field, coeffs):
     """#E(F) by exhaustive evaluation of the Weierstrass equation."""
-    a1, a2, a3, a4, a6 = (field.from_int(c).coeffs for c in coeffs)
+    a1, a2, a3, a4, a6 = ((c % field.p,) + (0,) * (field.k - 1)
+                          for c in coeffs)
     add, mul = field.add, field.mul
     total = 0
     if field.is_zero(a1) and field.is_zero(a3):

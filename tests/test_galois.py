@@ -1,10 +1,14 @@
 """Gamma-modules: invariants, coinvariants, z(f) by two routes, rank calculus."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from fqzeta import gammamodules, plinalg
+from fqzeta.cli import main
 from fqzeta.errors import MultipleRootError, ValidationError
 from fqzeta.gammamodules import (
     GammaModule,
@@ -17,13 +21,20 @@ from fqzeta.gammamodules import (
 )
 
 
+def _z(m):
+    """z(f) by both routes, which must agree."""
+    via_snf = z_of_f(m, route="snf")
+    assert via_snf == z_of_f(m, route="poly")
+    return via_snf
+
+
 def test_identity_action_has_full_invariants():
     m = GammaModule("Zp", 5, [[1, 0], [0, 1]])
     inv, coinv = invariants_coinvariants(m)
     assert inv.free_rank == coinv.free_rank == 2
     assert inv.torsion == coinv.torsion == []
     # semisimple at 1 (minimal polynomial t - 1): f is the identity
-    assert z_of_f(m) == 1
+    assert _z(m) == 1
 
 
 def test_jordan_block_at_one_is_rejected():
@@ -40,7 +51,7 @@ def test_unit_difference_gives_trivial_cohomology():
     inv, coinv = invariants_coinvariants(m)
     assert inv == coinv
     assert inv.free_rank == 0 and inv.torsion == []
-    assert z_of_f(m) == 1
+    assert _z(m) == 1
 
 
 def test_z_of_f_single_eigenvalue_near_one():
@@ -49,14 +60,14 @@ def test_z_of_f_single_eigenvalue_near_one():
     inv, coinv = invariants_coinvariants(m)
     assert inv.free_rank == coinv.free_rank == 0
     assert coinv.torsion == [1]
-    assert z_of_f(m) == Fraction(1, 5)
+    assert _z(m) == Fraction(1, 5)
 
 
 def test_z_of_f_mixed_block():
     m = GammaModule("Zp", 5, [[6, 0], [5, 1]])
     inv, coinv = invariants_coinvariants(m)
     assert inv.free_rank == coinv.free_rank == 1
-    assert z_of_f(m) == Fraction(1, 5)
+    assert _z(m) == Fraction(1, 5)
 
 
 def test_z_routes_agree_and_match_charpoly_derivative():
@@ -73,14 +84,14 @@ def test_torsion_component_with_trivial_action():
     inv, coinv = invariants_coinvariants(with_torsion)
     assert inv.torsion == coinv.torsion == [2]
     # equal contributions to kernel and cokernel cancel in z
-    assert z_of_f(with_torsion) == z_of_f(base)
+    assert _z(with_torsion) == _z(base)
 
 
 def test_torsion_component_with_unit_action_is_invisible():
     m = GammaModule("Zp", 5, [[2]], torsion=(TorsionComponent(3, 2),))
     inv, coinv = invariants_coinvariants(m)
     assert inv.torsion == coinv.torsion == []
-    assert z_of_f(m) == 1
+    assert _z(m) == 1
 
 
 def test_torsion_partial_action():
@@ -136,10 +147,28 @@ def test_z_of_f_dual_routes_random():
 
 
 def test_eigen_multiplicity_at_one():
-    assert GammaModule("Zp", 5, [[2]]).eigen_multiplicity_at_one()[0] == 0
-    assert GammaModule("Zp", 5, [[1]]).eigen_multiplicity_at_one()[0] == 1
+    assert GammaModule("Zp", 5, [[2]]).at_one[0] == 0
+    assert GammaModule("Zp", 5, [[1]]).at_one[0] == 1
     m = GammaModule("Zp", 5, [[1, 1], [0, 1]])
-    assert m.eigen_multiplicity_at_one()[0] == 2
+    assert m.at_one[0] == 2
+
+
+def test_zf_computes_one_smith_form_and_one_charpoly(monkeypatch, capsys):
+    """`fqzeta zf` reads both routes and the invariants off one Smith form
+    of 1 - gamma and one det(1 - t*gamma).  On the golden module z0 = 0,
+    so the Smith-form route needs no presentation of coker f."""
+    calls = Counter()
+    for module, name in ((plinalg, "smith_normal_form"),
+                         (gammamodules, "smith_normal_form"),
+                         (gammamodules, "rev_charpoly_fractions")):
+        def counted(*args, _f=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(module, name, counted)
+    golden = Path(__file__).parent / "golden" / "gamma.json"
+    assert main(["zf", "--gamma", str(golden)]) == 0
+    assert calls == {"smith_normal_form": 1, "rev_charpoly_fractions": 1}
+    assert '"routes_agree": true' in capsys.readouterr().out
 
 
 def test_ext_ranks_oracle():

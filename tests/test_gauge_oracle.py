@@ -23,11 +23,12 @@ from fqzeta.isocrystals import Isocrystal
 from fqzeta.padics import QqContext
 from fqzeta.plinalg import (lattice_contains, lattice_equal,
                             lattice_intersect, lattice_quotient_divisors,
-                            lattice_sum, mat_det_valuation, mat_identity,
-                            mat_inverse, mat_min_valuation, mat_mul,
-                            mat_shift, mat_sigma, semilinear_preimage)
+                            lattice_sum, mat_identity, mat_inverse,
+                            mat_min_valuation, mat_mul, mat_shift, mat_sigma,
+                            semilinear_preimage)
 from fqzeta.serialize import (dump_json, encode_isocrystal, encode_padic,
                               parse_json)
+from matrix_oracles import mat_det_valuation
 
 # The scan takes i_max - i_min + 2 steps; this bounds a runaway scan only.
 SCAN_CAP = 64

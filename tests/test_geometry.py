@@ -1,5 +1,6 @@
 """Point counting, closed points, and cohomology-package emission."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from fqzeta.geometry import (
 )
 from fqzeta.lfun import euler_product_series, rational_series
 from fqzeta.polys import poly_pow
-from fqzeta.serialize import dump_json, encode_variety
+from fqzeta.serialize import parse_json
 
 BUDGET = 10 ** 5
 
@@ -126,8 +127,12 @@ def test_package_spends_the_point_counts_budget(tmp_path):
         with pytest.raises(BudgetExceeded):
             count(6 * q - 1)
         count(6 * q)
+    text = json.dumps({"kind": "product", "p": 5, "factors": [
+        {"kind": "elliptic", "coeffs": list(c.coeffs), "p": 5}
+        for c in (ELLIPTIC, SUPERSINGULAR)]})
+    assert parse_json(text, expected={"variety"}) == pair
     doc = tmp_path / "pair.json"
-    doc.write_text(dump_json(encode_variety(pair)))
+    doc.write_text(text)
     for command in (["package"], ["verify", "--r", "1"]):
         assert main(command + ["--variety", str(doc),
                                "--budget", str(6 * q - 1)]) == 2
@@ -231,8 +236,12 @@ def test_complement_cannot_remove_more_points_than_exist(capsys, tmp_path,
         point_counts(spec, 1)
     with pytest.raises(ValidationError, match=message):
         package(spec, budget=BUDGET)
+    text = json.dumps({"kind": "complement", "p": 5, "ambient": {
+        "kind": "projective", "n": ambient.n, "p": 5}, "closed": {
+        "kind": "points", "count": removed, "p": 5}})
+    assert parse_json(text, expected={"variety"}) == spec
     doc = tmp_path / "complement.json"
-    doc.write_text(dump_json(encode_variety(spec)))
+    doc.write_text(text)
     for r in ("0", "1"):
         assert main(["verify", "--variety", str(doc), "--r", r]) == 2
         captured = capsys.readouterr()

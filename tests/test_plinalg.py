@@ -6,6 +6,7 @@ import pytest
 
 from fqzeta.errors import PrecisionExhausted, ValidationError
 from fqzeta.padics import QqContext, Zp
+from matrix_oracles import mat_det_valuation, mat_equal
 from fqzeta.plinalg import (
     lattice_canonical,
     lattice_contains,
@@ -13,8 +14,6 @@ from fqzeta.plinalg import (
     lattice_intersect,
     lattice_quotient_divisors,
     lattice_sum,
-    mat_det_valuation,
-    mat_equal,
     mat_from_ints,
     mat_identity,
     mat_inverse,

@@ -11,11 +11,11 @@ from fqzeta.errors import ValidationError
 from fqzeta.isocrystals import Isocrystal
 from fqzeta.padics import (FiniteField, QqContext, _mulmod, _powmod,
                            minimal_polynomial)
-from fqzeta.plinalg import mat_equal
 from fqzeta.polys import (companion_of_reversed, kron, mat_mul,
                           mat_pow_fractions, poly_mul, poly_mul_trunc,
                           poly_pow, poly_pow_trunc, rev_charpoly_fractions,
                           tensor_poly)
+from matrix_oracles import mat_equal
 
 PRIMES_AND_DEGREES = [(p, a) for p in (2, 3, 5, 7) for a in (1, 2, 3)]
 

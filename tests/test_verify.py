@@ -16,7 +16,7 @@ from fqzeta.geometry import (
     package,
 )
 from fqzeta.padics import Zp
-from fqzeta.serialize import dump_json, encode_package, encode_variety
+from fqzeta.serialize import dump_json, encode_package, parse_json
 from fqzeta.specialvalues import (
     compatibility_check,
     verify_elladic,
@@ -163,8 +163,11 @@ def test_fourth_power_json_round_trip(tmp_path, capsys):
     e4 = VarietySpec.product([E] * 4)
     doc = tmp_path / "e4.json"
     doc.write_text(dump_json(encode_package(package(e4, budget=BUDGET))))
+    curve = {"kind": "elliptic", "coeffs": [0, 0, 0, 1, 1], "p": 5}
+    text = json.dumps({"kind": "product", "p": 5, "factors": [curve] * 4})
+    assert parse_json(text, expected={"variety"}) == e4
     variety = tmp_path / "e4_variety.json"
-    variety.write_text(dump_json(encode_variety(e4)))
+    variety.write_text(text)
     for route in ([], ["--ell", "3"]):
         assert main(["verify", "--package", str(doc), "--r", "2"] + route) == 0
         out = capsys.readouterr().out
