@@ -22,7 +22,12 @@ from .errors import (
 from .gammamodules import invariants_coinvariants, z_of_f
 from .gauges import hodge, slope_gauge_check
 from .geometry import DEFAULT_BUDGET, closed_points, corpus, package, point_counts
-from .lfun import euler_product_series, rational_series
+from .lfun import (
+    MAX_TRUNCATION,
+    check_truncation,
+    euler_product_series,
+    rational_series,
+)
 from .padics import DEFAULT_PRECISION, QqElement
 from .serialize import (
     SCHEMA,
@@ -31,7 +36,12 @@ from .serialize import (
     encode_rational,
     parse_json,
 )
-from .specialvalues import verify_elladic, verify_padic
+from .specialvalues import (
+    MAX_TWIST,
+    check_twist,
+    verify_elladic,
+    verify_padic,
+)
 
 
 def _plain(x):
@@ -58,8 +68,20 @@ def _read(path, what):
         raise FqzetaError(f"cannot read {what} file {path}: {exc}") from exc
 
 
-def _emit(payload):
-    sys.stdout.write(dump_json(_plain(payload)))
+def _emit(payload, report=None):
+    """Write payload, with the fields of a `VerificationReport` when given.
+
+    Every number is turned into text here; one too long for Python's
+    int-to-str limit (4300 digits by default) exits 2 like any input
+    above a cap, not 1, which means a failed identity.
+    """
+    try:
+        if report is not None:
+            payload = {**payload, **report.to_dict()}
+        text = dump_json(_plain(payload))
+    except ValueError as exc:
+        raise FqzetaError(f"output too large to print: {exc}") from exc
+    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +123,7 @@ def _cmd_gauge(args):
 
 
 def _cmd_zeta(args):
+    check_truncation(args.truncation)
     spec = parse_json(_read(args.variety, "variety"), expected={"variety"})
     pkg = package(spec, prec=args.prec, budget=args.budget)
     zeta = pkg.zeta()
@@ -150,14 +173,13 @@ def _load_package(args):
 
 
 def _cmd_verify(args):
+    check_twist(args.r)
     pkg = _load_package(args)
     if args.ell is not None:
         report = verify_elladic(pkg, args.r, args.ell)
     else:
         report = verify_padic(pkg, args.r)
-    payload = {"schema": SCHEMA, "type": "verification_report"}
-    payload.update(report.to_dict())
-    _emit(payload)
+    _emit({"schema": SCHEMA, "type": "verification_report"}, report)
     return 0 if report.passed else 1
 
 
@@ -223,7 +245,8 @@ def build_parser():
                                 "3q per distinct elliptic curve")
         if truncation:
             p.add_argument("--truncation", type=int, default=10,
-                           help="series comparison order")
+                           help="series comparison order T, "
+                                f"0 <= T <= {MAX_TRUNCATION}")
 
     p = sub.add_parser("slopes", help="Newton slope profile of a crystal")
     p.add_argument("--input", required=True, help="crystal JSON file")
@@ -248,7 +271,8 @@ def build_parser():
     p = sub.add_parser("verify", help="two-sided special-value verification")
     p.add_argument("--package", help="cohomology-package JSON file")
     p.add_argument("--variety", help="variety JSON file (package built here)")
-    p.add_argument("--r", type=int, required=True, help="twist integer r")
+    p.add_argument("--r", type=int, required=True,
+                   help=f"twist integer r, |r| <= {MAX_TWIST}")
     p.add_argument("--ell", type=int, help="auxiliary prime for l-adic route")
     common(p, budget=True)
     p.set_defaults(func=_cmd_verify)

@@ -216,7 +216,9 @@ def _mobius(n):
 
 def _cost(spec, e):
     """Field operations to count N_e of an elliptic curve: three passes
-    over F_{q^e} (its log tables, the squares and traces, the x loop)."""
+    over F_{q^e} (its log tables, the squares and traces, the x loop).  The
+    bill is the same for every curve, though a field builds its tables
+    once, so the budget decides alike whichever curve comes first."""
     return 3 * spec.q ** e
 
 
@@ -226,10 +228,10 @@ def _enumerate_elliptic(field, coeffs):
     One pass over x in Zech-log form (`FiniteField.log_tables`).  With
     c = a1 x + a3 and r the right-hand side, the y over x number
     #{y : y^2 = r} when c = 0, and #{t : t^2 + t = r/c^2} when c != 0
-    (set y = c t).  Both counts are tabulated, by the log of the value, in
-    one pass over the field.
+    (set y = c t).  Both counts are tabulated, by the log of the value,
+    once per field (`squares` and `traces` of the log tables).
     """
-    _, log, zech = field.log_tables()
+    _, log, zech, squares, traces = field.log_tables()
     p, q = field.p, field.order
     n = q - 1                   # log of zero
 
@@ -244,12 +246,6 @@ def _enumerate_elliptic(field, coeffs):
     def mul(u, v):              # log(g^u g^v)
         return n if u == n or v == n else (u + v) % n
 
-    squares = bytearray(q)      # squares[l] = #{y : log y^2 = l}
-    traces = bytearray(q)       # traces[l] = #{t : log(t^2 + t) = l}
-    squares[n] = traces[n] = 1  # y = 0 and t = 0
-    for i in range(n):
-        squares[2 * i % n] += 1
-        traces[mul(i, zech[i])] += 1
     a1, a2, a3, a4, a6 = (log[c % p] for c in coeffs)
     total = 1                   # the point at infinity
     for x in range(q):

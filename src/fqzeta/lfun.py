@@ -5,7 +5,13 @@ coefficients (constant terms 1), assembled from the per-degree factors
 det(1 - t F | H^j).  `fqzeta zeta` prints it and compares its Taylor series
 with the Euler product over closed points; the verifier reads the pole
 order and leading coefficient at t = q^{-r} off the factors instead
-(`specialvalues`).  There is no floating point anywhere in this module.
+(`specialvalues`).  The Euler product is one power-sum recurrence: its
+logarithm sums tr(F^e) t^e / e over the closed points, and Newton's
+identities n g_n = sum_{k=1..n} s_k g_{n-k} turn those power sums s_e
+into the coefficients g_n in O(T^2) operations through t^T (A. Bostan,
+P. Flajolet, B. Salvy, E. Schost, "Fast computation of special
+resultants", J. Symbolic Comput. 2006).  Both series stop at
+MAX_TRUNCATION.  There is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -15,15 +21,31 @@ from fractions import Fraction
 from .errors import ValidationError
 from .padics import rational_valuation
 from .polys import (
-    mat_pow_fractions,
+    from_power_sums,
+    integral_scaling,
     poly_inverse_series,
     poly_mul,
     poly_mul_trunc,
-    poly_pow_trunc,
     poly_trim,
     poly_truncate,
+    power_sums,
     rev_charpoly_fractions,
 )
+
+# Largest series order T of `euler_product_series` and `rational_series`
+# (`fqzeta zeta --truncation`): both are O(T^2) operations on integers of
+# O(T log q) digits.
+MAX_TRUNCATION = 64
+
+
+def check_truncation(truncation):
+    """The series order as an int; ValidationError unless it lies in
+    [0, MAX_TRUNCATION]."""
+    order = int(truncation)
+    if not 0 <= order <= MAX_TRUNCATION:
+        raise ValidationError(f"truncation must be in [0, {MAX_TRUNCATION}], "
+                              f"got {truncation}")
+    return order
 
 
 def _poly_divmod(f, g):
@@ -117,49 +139,46 @@ def abs_valuation_inverse(x, prime):
     return Fraction(prime) ** rational_valuation(x, prime)
 
 
-def _local_factor(d, frobenius):
-    """det(1 - t^d F^d) for a closed point of degree d (F = 1 untwisted)."""
-    if frobenius is None:
-        out = [Fraction(0)] * (d + 1)
-        out[0], out[d] = Fraction(1), Fraction(-1)
-        return out
-    char = rev_charpoly_fractions(mat_pow_fractions(frobenius, d))
-    out = [Fraction(0)] * (d * (len(char) - 1) + 1)
-    for i, coeff in enumerate(char):
-        out[i * d] = coeff
-    return out
-
-
 def euler_product_series(closed_counts, truncation=10, frobenius=None):
     """Coefficients of prod_v det(1 - t^{deg v} F_v)^{-1} through t^truncation.
 
-    closed_counts maps a degree d to the number of closed points of that
-    degree; degrees above the truncation order contribute nothing and are
-    skipped.  `frobenius`, when given, is the rational matrix of the twisting
-    Frobenius on the fibre at a rational point, and a degree-d point
-    contributes det(1 - t^d F^d)^{-1}; without it each local factor is
-    (1 - t^d)^{-1}.
+    closed_counts maps a degree d to the number a_d of closed points of
+    that degree; every degree is validated, and those above the truncation
+    order contribute nothing.  `frobenius`, when given, is the rational
+    matrix of the twisting Frobenius on the fibre at a rational point, and
+    a degree-d point contributes det(1 - t^d F^d)^{-1}; without it each
+    local factor is (1 - t^d)^{-1}.
+
+    The logarithm of the product is sum_e s_e t^e / e with
+    s_e = tr(F^e) sum_{d | e} d a_d, so its coefficients g_n satisfy
+    n g_n = sum_{k=1..n} s_k g_{n-k}, g_0 = 1: `from_power_sums` of the
+    negated s_e, O(T^2) operations and no power of a series
+    (Bostan-Flajolet-Salvy-Schost 2006).  tr(F^e) are the power sums of
+    det(1 - tF); scaling t by the lcm d of its denominators keeps every
+    step over the integers, and the coefficient of t^n is divided by d^n.
     """
-    order = int(truncation)
-    if order < 0:
-        raise ValidationError("truncation order must be non-negative")
-    series = [Fraction(1)] + [Fraction(0)] * order
-    for d in sorted(closed_counts):
-        count = int(closed_counts[d])
-        if int(d) <= 0:
+    order = check_truncation(truncation)
+    sums = [0] * order              # sums[e - 1] = sum_{d | e} d a_d
+    for key in sorted(closed_counts):
+        count, d = int(closed_counts[key]), int(key)
+        if d <= 0:
             raise ValidationError("closed-point degrees must be positive")
         if count < 0:
             raise ValidationError(f"negative closed-point count in degree {d}")
-        if int(d) > order or count == 0:
-            continue
-        inv = poly_inverse_series(_local_factor(int(d), frobenius), order)
-        series = poly_mul_trunc(series, poly_pow_trunc(inv, count, order),
-                                order)
-    return series
+        for e in range(d, order + 1, d):
+            sums[e - 1] += d * count
+    scale = 1
+    if frobenius is not None:
+        if any(len(row) != len(frobenius) for row in frobenius):
+            raise ValidationError("frobenius must be a square matrix")
+        scale, char = integral_scaling(rev_charpoly_fractions(frobenius))
+        sums = [s * tr for s, tr in zip(sums, power_sums(char, order))]
+    return [Fraction(c, scale ** n)
+            for n, c in enumerate(from_power_sums([-s for s in sums]))]
 
 
 def rational_series(zeta, truncation=10):
     """Taylor coefficients of zeta(t) = num/den at t = 0, through t^truncation."""
-    order = int(truncation)
+    order = check_truncation(truncation)
     inv_den = poly_inverse_series(zeta.den, order)
     return poly_mul_trunc(poly_truncate(zeta.num, order), inv_den, order)

@@ -250,7 +250,8 @@ class FiniteField:
         return all(c == 0 for c in u)
 
     def log_tables(self):
-        """Zech log/antilog tables (exp, log, zech), built once per field.
+        """Zech log/antilog and curve tables (exp, log, zech, squares,
+        traces), built once per field.
 
         An element (c_0, ..., c_{k-1}) has index sum c_i p^i, its place in
         `elements()`.  g is the first element in that order of order
@@ -259,7 +260,9 @@ class FiniteField:
         index j, and n stands for zero (log[0] = n); zech[i] = log(1 + g^i),
         so g^u + g^v = g^(u + zech[v - u]) (K. Huber, "Some comments on
         Zech's logarithms", IEEE Trans. Inf. Theory 36, 1990).  The tables
-        are `array` machine ints.
+        are `array` machine ints.  For point counting on curves,
+        squares[l] = #{y : log y^2 = l} and traces[l] = #{t : log(t^2 + t)
+        = l} (l = n for zero), as `bytearray`s made in one pass.
         """
         if self._log_tables is None:
             p, m, n = self.p, self.modulus, self.order - 1
@@ -279,7 +282,14 @@ class FiniteField:
             # 1 + g^i: add 1 to the constant digit of g^i, mod p
             zech = array("i", (log[j + 1 if j % p != p - 1 else j + 1 - p]
                                for j in exp))
-            self._log_tables = (exp, log, zech)
+            squares = bytearray(self.order)
+            traces = bytearray(self.order)
+            squares[n] = traces[n] = 1      # y = 0 and t = 0
+            for i in range(n):              # y = g^i; t = g^i, t + 1 = g^z
+                squares[2 * i % n] += 1
+                z = zech[i]
+                traces[n if z == n else (i + z) % n] += 1
+            self._log_tables = (exp, log, zech, squares, traces)
         return self._log_tables
 
 

@@ -5,7 +5,9 @@ work over Fraction; `rev_charpoly`, the one characteristic polynomial, is
 O(n^3) and generic, so it serves crystals over Z_q and Gamma-modules,
 closed points and twists over Fractions alike.  The Kunneth
 product `tensor_poly` needs no matrix: it multiplies power sums
-(Bostan-Flajolet-Salvy-Schost).  `power`, `mat_mul` and `kron` are the one
+(Bostan-Flajolet-Salvy-Schost), and `from_power_sums` is the one way back
+from power sums to coefficients, for it and for the Euler product
+(`lfun.euler_product_series`).  `power`, `mat_mul` and `kron` are the one
 square-and-multiply, matrix product and Kronecker product of the library;
 each works over any ring, from F_p[x]/(m) to Fractions and Z_q.
 """
@@ -77,11 +79,6 @@ def poly_mul_trunc(f, g, order):
                 break
             out[i + j] += a * b
     return out
-
-
-def poly_pow_trunc(f, e, order):
-    return power(poly_truncate(f, order), e,
-                 lambda g, h: poly_mul_trunc(g, h, order), [Fraction(1)])
 
 
 def poly_inverse_series(f, order):
@@ -244,7 +241,7 @@ def kron(A, B):
     return [[a * b for a in ra for b in rb] for ra in A for rb in B]
 
 
-def _power_sums(P, n):
+def power_sums(P, n):
     """[p_1, ..., p_n]: p_k is the sum of the k-th powers of the inverse roots
     of P, by Newton's identities p_k = -k c_k - sum_{0<i<k} c_i p_{k-i}.
     """
@@ -257,7 +254,27 @@ def _power_sums(P, n):
     return sums
 
 
-def _integral(P):
+def from_power_sums(sums):
+    """[c_0, ..., c_n] of exp(-sum_k s_k t^k / k), for n = len(sums).
+
+    The inverse of `power_sums`: by Newton's identities
+    k c_k = -sum_{0<i<=k} s_i c_{k-i}, c_0 = 1, so when s_k is the k-th
+    power sum of the inverse roots of a polynomial P with P(0) = 1, these
+    are the coefficients of P (the det(1 - tA) convention, s_k = tr A^k),
+    and negated power sums give the series of 1/P.  O(n^2) operations.
+    For integer power sums of a polynomial, or of a product of such, every
+    c_k is an integer and the division by k is exact.
+    """
+    out = [1]
+    for k in range(1, len(sums) + 1):
+        acc = 0
+        for i in range(1, k + 1):
+            acc += sums[i - 1] * out[k - i]
+        out.append(-acc // k)
+    return out
+
+
+def integral_scaling(P):
     """(d, P(d t)) with d the lcm of the denominators of P, so that P(d t),
     whose inverse roots are d alpha, has integer coefficients."""
     d = math.lcm(*(c.denominator for c in P))
@@ -270,25 +287,21 @@ def tensor_poly(P, Q):
     Both inputs must have constant term 1.  This is the Kunneth building
     block for products of varieties; no root extraction happens anywhere.
     The power sums of the product are p_k(P) p_k(Q), for k up to the degree
-    mn of the result, and Newton's identities turn them back into
-    coefficients: O((mn)^2) operations against O((mn)^3) for `rev_charpoly`
-    of the Kronecker product of companion matrices (A. Bostan, P. Flajolet,
-    B. Salvy, E. Schost, "Fast computation of special resultants", J.
-    Symbolic Comput. 2006).  The result is exact: scaling t by d and e
-    makes both factors integral, so every step runs over the integers (the
-    division by k is exact), and dividing the coefficient of t^k by (de)^k
-    undoes the scaling.
+    mn of the result, and Newton's identities (`from_power_sums`) turn them
+    back into coefficients: O((mn)^2) operations against O((mn)^3) for
+    `rev_charpoly` of the Kronecker product of companion matrices (A.
+    Bostan, P. Flajolet, B. Salvy, E. Schost, "Fast computation of special
+    resultants", J. Symbolic Comput. 2006).  The result is exact: scaling t
+    by d and e makes both factors integral, so every step runs over the
+    integers (the division by k is exact), and dividing the coefficient of
+    t^k by (de)^k undoes the scaling.
     """
-    (d, P), (e, Q) = _integral(_unit_constant(P)), _integral(_unit_constant(Q))
+    d, P = integral_scaling(_unit_constant(P))
+    e, Q = integral_scaling(_unit_constant(Q))
     n = (len(P) - 1) * (len(Q) - 1)
-    sums = [x * y for x, y in zip(_power_sums(P, n), _power_sums(Q, n))]
-    out = [1]
-    for k in range(1, n + 1):
-        acc = sums[k - 1]
-        for i in range(1, k):
-            acc += out[i] * sums[k - i - 1]
-        out.append(-acc // k)
-    return [Fraction(c, (d * e) ** k) for k, c in enumerate(out)]
+    sums = [x * y for x, y in zip(power_sums(P, n), power_sums(Q, n))]
+    return [Fraction(c, (d * e) ** k)
+            for k, c in enumerate(from_power_sums(sums))]
 
 
 def mat_pow_fractions(mat, e):

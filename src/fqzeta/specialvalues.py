@@ -28,6 +28,17 @@ from .isocrystals import (
 from .lfun import abs_valuation_inverse
 from .padics import check_field, rational_valuation
 
+# Largest |r| of a twist: q^r enters every deflation and leading
+# coefficient, so the exact rationals grow with |r| log q.
+MAX_TWIST = 64
+
+
+def check_twist(r):
+    """ValidationError unless |r| <= MAX_TWIST."""
+    if not -MAX_TWIST <= r <= MAX_TWIST:
+        raise ValidationError(
+            f"twist r must be in [-{MAX_TWIST}, {MAX_TWIST}], got {r}")
+
 
 class Identity:
     """One asserted equality with both sides as exact witnesses."""
@@ -106,7 +117,8 @@ class VerificationReport:
             "chi_hodge": self.chi_hodge,
             "synthetic": self.synthetic,
             "identities": {k: v.to_dict() for k, v in self.identities.items()},
-            "observations": dict(self.observations),
+            "observations": {k: v.to_dict()
+                             for k, v in self.observations.items()},
             "passed": self.passed,
             "precision_audit": dict(self.precision_audit),
         }
@@ -172,6 +184,7 @@ def _analytic_side(eigen, prime):
 
 
 def _eigen_data(pkg, r, with_slopes=True):
+    check_twist(r)
     out = {}
     for j, data in sorted(pkg.degrees.items()):
         profile = (newton_slopes_exact(data.poly, pkg.p, pkg.a)
@@ -253,8 +266,8 @@ def verify_padic(pkg, r):
         hodge_cmp = Identity(Fraction(chi_hodge), Fraction(chi_tilde))
         lead_hodge = Identity(abs_inv, chi * Fraction(pkg.q) ** chi_hodge)
         if synthetic:
-            observations["hodge_equals_slopes"] = hodge_cmp.to_dict()
-            observations["leading_vs_hodge"] = lead_hodge.to_dict()
+            observations["hodge_equals_slopes"] = hodge_cmp
+            observations["leading_vs_hodge"] = lead_hodge
         else:
             identities["hodge_equals_slopes"] = hodge_cmp
             identities["leading_vs_hodge"] = lead_hodge

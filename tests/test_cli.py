@@ -12,7 +12,8 @@ from fqzeta.errors import PrecisionExhausted, ValidationError
 from fqzeta.gauges import VirtualCrystal
 from fqzeta.geometry import (CohomologyPackage, PackageDegree, VarietySpec,
                              package)
-from fqzeta.padics import MAX_PRECISION, MAX_PRIME, Zp
+from fqzeta.lfun import MAX_TRUNCATION
+from fqzeta.padics import MAX_DEGREE, MAX_PRECISION, MAX_PRIME, Zp
 from fqzeta.serialize import (
     MAX_RANK,
     dump_json,
@@ -20,11 +21,16 @@ from fqzeta.serialize import (
     encode_virtual_crystal,
     parse_json,
 )
+from fqzeta.specialvalues import MAX_TWIST
 
 ELLIPTIC = '{"kind": "elliptic", "coeffs": [0, 0, 0, 1, 1], "p": 5, "a": 1}'
 
 # a prime of 31 digits, far above padics.MAX_PRIME
 BIG_PRIME = 10 ** 30 + 57
+
+# P^5 over the largest field within the caps, F_{65521^16}
+LARGEST = ('{"kind": "projective", "n": 5, "p": 65521, "a": %d}'
+           % MAX_DEGREE)
 
 
 @pytest.fixture
@@ -399,6 +405,83 @@ def test_precision_flag_is_capped(capsys, tmp_path, crystal_file,
     assert captured.err == (f"error: precision must be in "
                             f"[1, {MAX_PRECISION}], got {10 ** 8}\n")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags,message", [
+    *[(["zeta", "--truncation", str(t)],
+       f"truncation must be in [0, {MAX_TRUNCATION}], got {t}")
+      for t in (-1, MAX_TRUNCATION + 1, 100000)],
+    *[(["verify", "--r", str(r)] + ell,
+       f"twist r must be in [-{MAX_TWIST}, {MAX_TWIST}], got {r}")
+      for r in (-MAX_TWIST - 1, MAX_TWIST + 1, 100000)
+      for ell in ([], ["--ell", "3"])],
+])
+def test_truncation_and_twist_are_capped(capsys, tmp_path, flags, message):
+    """--truncation and --r above their caps exit 2 before the variety is
+    counted, on P^5 over the largest field as on P^1 over F_5."""
+    for doc in ('{"kind": "projective", "n": 1, "p": 5}', LARGEST):
+        f = tmp_path / "variety.json"
+        f.write_text(doc)
+        t0 = time.monotonic()
+        assert main(flags + ["--variety", str(f)]) == 2
+        assert time.monotonic() - t0 < 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+
+def test_truncation_and_twist_at_their_caps(capsys, tmp_path):
+    f = tmp_path / "p1.json"
+    f.write_text('{"kind": "projective", "n": 1, "p": 5}')
+    code, report = run(capsys, ["zeta", "--variety", str(f),
+                                "--truncation", str(MAX_TRUNCATION)])
+    assert code == 0 and report["euler_match"]
+    assert len(report["series"]) == MAX_TRUNCATION + 1
+    for r in (-MAX_TWIST, MAX_TWIST):
+        for ell in ([], ["--ell", "3"]):
+            code, report = run(capsys, ["verify", "--variety", str(f),
+                                        "--r", str(r)] + ell)
+            assert code == 0 and report["r"] == r
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--r", str(MAX_TWIST), "--ell", "3"],
+    ["verify", "--r", str(MAX_TWIST)],
+    ["zeta", "--truncation", "20"],
+])
+def test_output_beyond_the_int_to_str_limit_exits_2(capsys, tmp_path, argv):
+    """Inside every cap, P^5 over F_{65521^16} has reports with integers
+    longer than Python's int-to-str limit: exit 2, which is for input too
+    large, not 1, which is for a failed identity."""
+    f = tmp_path / "largest.json"
+    f.write_text(LARGEST)
+    t0 = time.monotonic()
+    assert main(argv + ["--variety", str(f)]) == 2
+    assert time.monotonic() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: output too large to print: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_observation_beyond_the_int_to_str_limit_exits_2(capsys, tmp_path):
+    """A synthetic package (u != 0) logs the Hodge comparison as an
+    observation; at r = 64 over F_{65521^16} its witnesses are too long to
+    print, and that is found where the report is written, not inside
+    verify_padic."""
+    pkg = package(VarietySpec.projective(5, 65521, MAX_DEGREE))
+    pkg = CohomologyPackage(pkg.p, pkg.a, pkg.dim, {
+        j: d._replace(u=int(j == 2)) for j, d in pkg.degrees.items()})
+    f = tmp_path / "synthetic.json"
+    f.write_text(dump_json(encode_package(pkg)))
+    assert main(["verify", "--package", str(f), "--r", "2"]) == 0
+    assert "leading_vs_hodge" in json.loads(
+        capsys.readouterr().out)["observations"]
+    t0 = time.monotonic()
+    assert main(["verify", "--package", str(f), "--r", str(MAX_TWIST)]) == 2
+    assert time.monotonic() - t0 < 5
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: output too large to print: ")
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_composite_characteristic_is_named_before_the_curve_is_read(

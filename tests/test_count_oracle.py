@@ -109,7 +109,7 @@ def _index(u, p):
 @pytest.mark.parametrize("p,k", FIELDS)
 def test_log_tables_are_inverse_bijections_from_a_generator(p, k):
     F = FiniteField(p, k)
-    exp, log, zech = F.log_tables()
+    exp, log, zech, _, _ = F.log_tables()
     q, n = F.order, F.order - 1
     elements = list(F.elements())
     assert [_index(u, p) for u in elements] == list(range(q))
@@ -128,10 +128,25 @@ def test_log_tables_are_inverse_bijections_from_a_generator(p, k):
 @pytest.mark.parametrize("p,k", FIELDS)
 def test_zech_logs_match_tuple_addition(p, k):
     F = FiniteField(p, k)
-    exp, log, zech = F.log_tables()
+    exp, log, zech, _, _ = F.log_tables()
     elements = list(F.elements())
     for i in range(F.order - 1):
         assert zech[i] == log[_index(F.add(F.one, elements[exp[i]]), p)]
+
+
+@pytest.mark.parametrize("p,k", FIELDS)
+def test_curve_tables_count_squares_and_traces(p, k):
+    """squares[l] = #{y : log y^2 = l}, traces[l] = #{t : log(t^2 + t) = l},
+    counted through the tuple kernel."""
+    F = FiniteField(p, k)
+    _, log, _, squares, traces = F.log_tables()
+    want_squares, want_traces = [0] * F.order, [0] * F.order
+    for u in F.elements():
+        u2 = F.mul(u, u)
+        want_squares[log[_index(u2, p)]] += 1
+        want_traces[log[_index(F.add(u2, u), p)]] += 1
+    assert list(squares) == want_squares
+    assert list(traces) == want_traces
 
 
 def test_building_the_tables_bills_no_operations():

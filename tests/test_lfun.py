@@ -4,7 +4,9 @@ The verifier reads the pole order and leading coefficient at t = q^{-r}
 off the per-degree factors, deflating each once.  The oracle here takes
 the long way round: assemble the whole zeta function, reduce num/den by a
 gcd over Q, and deflate (1 - q^r t) out of each.  The two must agree on
-every package.
+every package.  The Euler product is one power-sum recurrence; its oracle
+multiplies the local factors out, raising each inverse factor to its
+closed-point count by square-and-multiply.
 """
 
 import random
@@ -14,8 +16,15 @@ import pytest
 
 import fqzeta
 from fqzeta.errors import ValidationError
-from fqzeta.geometry import VarietySpec, _weierstrass_discriminant, package
+from fqzeta.geometry import (
+    VarietySpec,
+    _weierstrass_discriminant,
+    closed_points,
+    package,
+    point_counts,
+)
 from fqzeta.lfun import (
+    MAX_TRUNCATION,
     RationalFunction,
     _poly_divmod,
     _poly_gcd,
@@ -24,7 +33,18 @@ from fqzeta.lfun import (
     euler_product_series,
     rational_series,
 )
-from fqzeta.polys import poly_eval, poly_mul, poly_trim, root_multiplicity
+from fqzeta.polys import (
+    mat_pow_fractions,
+    poly_eval,
+    poly_inverse_series,
+    poly_mul,
+    poly_mul_trunc,
+    poly_trim,
+    poly_truncate,
+    power,
+    rev_charpoly_fractions,
+    root_multiplicity,
+)
 from fqzeta.serialize import _check_realises
 from fqzeta.specialvalues import (
     compatibility_check,
@@ -58,6 +78,44 @@ def _euclid_gcd(f, g):
     elif a:
         a = [c / a[-1] for c in a]
     return a
+
+
+def poly_pow_trunc(f, e, order):
+    """f^e mod t^(order+1) by square-and-multiply."""
+    return power(poly_truncate(f, order), e,
+                 lambda g, h: poly_mul_trunc(g, h, order), [Fraction(1)])
+
+
+def _local_factor(d, frobenius):
+    """det(1 - t^d F^d) for a closed point of degree d (F = 1 untwisted)."""
+    if frobenius is None:
+        out = [Fraction(0)] * (d + 1)
+        out[0], out[d] = Fraction(1), Fraction(-1)
+        return out
+    char = rev_charpoly_fractions(mat_pow_fractions(frobenius, d))
+    out = [Fraction(0)] * (d * (len(char) - 1) + 1)
+    for i, coeff in enumerate(char):
+        out[i * d] = coeff
+    return out
+
+
+def _euler_product_by_powers(closed_counts, order, frobenius=None):
+    """The Euler product multiplied out: per degree d the series inverse of
+    det(1 - t^d F^d), raised to the count a_d by square-and-multiply."""
+    series = [Fraction(1)] + [Fraction(0)] * order
+    for d, count in sorted(closed_counts.items()):
+        if d > order or count == 0:
+            continue
+        inv = poly_inverse_series(_local_factor(d, frobenius), order)
+        series = poly_mul_trunc(series, poly_pow_trunc(inv, count, order),
+                                order)
+    return series
+
+
+def _random_frobenius(rng):
+    n = rng.randrange(1, 4)
+    return [[Fraction(rng.randrange(-7, 8), rng.choice((1, 1, 2, 3, 5)))
+             for _ in range(n)] for _ in range(n)]
 
 
 def test_rational_function_reduces():
@@ -150,6 +208,55 @@ def test_euler_product_with_frobenius_twist():
                                 frobenius=[[1, 0], [0, 5]])
     expected = rational_series(RationalFunction([1], [1, -6, 5]), 3)
     assert got2 == expected
+
+
+def test_euler_product_matches_square_and_multiply_oracle():
+    """Random closed-point counts up to 10^16, zero counts and degrees
+    beyond T, for T in 0..12, untwisted and with a rational rank-1-3
+    Frobenius."""
+    rng = random.Random(14)
+    for trial in range(80):
+        order = trial % 13
+        counts = {d: rng.choice((0, rng.randrange(1, 10),
+                                 rng.randrange(10 ** 16)))
+                  for d in rng.sample(range(1, 16), rng.randrange(1, 6))}
+        frob = _random_frobenius(rng) if trial % 2 else None
+        assert euler_product_series(counts, order, frobenius=frob) == \
+            _euler_product_by_powers(counts, order, frob), (counts, frob)
+
+
+@pytest.mark.parametrize("p,a", [(p, a) for p in (2, 3, 5, 7)
+                                 for a in (1, 2, 3)])
+def test_euler_product_of_point_counts_matches_oracle(p, a):
+    """The closed points of random varieties over F_{p^a}, untwisted and
+    twisted, through t^8."""
+    rng = random.Random(10 * p + a)
+    for _ in range(3):
+        closed = closed_points(point_counts(_random_spec(rng, p, a), 8))
+        for frob in (None, _random_frobenius(rng)):
+            assert euler_product_series(closed, 8, frobenius=frob) == \
+                _euler_product_by_powers(closed, 8, frob), (closed, frob)
+
+
+def test_euler_product_validates_every_degree():
+    """Degrees beyond the truncation are still checked, in sorted order."""
+    with pytest.raises(ValidationError, match="negative"):
+        euler_product_series({1: 1, 9: -1}, truncation=4)
+    with pytest.raises(ValidationError, match="positive"):
+        euler_product_series({-2: 1, 1: -1}, truncation=4)
+    with pytest.raises(ValidationError, match="square"):
+        euler_product_series({1: 1}, truncation=4, frobenius=[[1, 2]])
+
+
+def test_series_truncation_is_capped():
+    zeta = assemble(P1_FACTORS)
+    for bad in (-1, MAX_TRUNCATION + 1, 2000):
+        with pytest.raises(ValidationError, match="truncation"):
+            euler_product_series({1: 6}, bad)
+        with pytest.raises(ValidationError, match="truncation"):
+            rational_series(zeta, bad)
+    assert len(euler_product_series({1: 6}, MAX_TRUNCATION)) == \
+        MAX_TRUNCATION + 1
 
 
 def test_rational_series_matches_euler_product_for_projective_line():

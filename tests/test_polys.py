@@ -11,11 +11,12 @@ from fqzeta.errors import ValidationError
 from fqzeta.isocrystals import Isocrystal
 from fqzeta.padics import (FiniteField, QqContext, _mulmod, _powmod,
                            minimal_polynomial)
-from fqzeta.polys import (companion_of_reversed, kron, mat_mul,
-                          mat_pow_fractions, poly_mul, poly_mul_trunc,
-                          poly_pow, poly_pow_trunc, rev_charpoly_fractions,
-                          tensor_poly)
+from fqzeta.polys import (companion_of_reversed, from_power_sums, kron,
+                          mat_mul, mat_pow_fractions, poly_inverse_series,
+                          poly_mul, poly_mul_trunc, poly_pow, power_sums,
+                          rev_charpoly_fractions, tensor_poly)
 from matrix_oracles import mat_equal
+from test_lfun import poly_pow_trunc
 
 PRIMES_AND_DEGREES = [(p, a) for p in (2, 3, 5, 7) for a in (1, 2, 3)]
 
@@ -225,6 +226,22 @@ def test_tensor_poly_matches_berkowitz_on_kron():
         got = tensor_poly(P, Q)
         assert got == tensor_poly_berkowitz(P, Q), (P, Q)
         assert all(isinstance(c, Fraction) for c in got)
+
+
+def test_newton_identities_round_trip_and_invert():
+    """from_power_sums undoes power_sums on integer polynomials with P(0) = 1
+    (trailing zero coefficients included), and the negated power sums give
+    the series of 1/P; both exact over the integers."""
+    rng = random.Random(11)
+    for _ in range(200):
+        P = [1] + [rng.randrange(-9, 10) for _ in range(rng.randrange(7))]
+        n = len(P) - 1
+        sums = power_sums(P, n)
+        assert from_power_sums(sums) == P
+        order = rng.randrange(12)
+        inverse = from_power_sums([-s for s in power_sums(P, order)])
+        assert inverse == poly_inverse_series(P, order), P
+        assert all(type(c) is int for c in inverse)
 
 
 def test_tensor_poly_degree_and_zeta_of_products():

@@ -18,6 +18,7 @@ from fqzeta.geometry import (
 from fqzeta.padics import Zp
 from fqzeta.serialize import dump_json, encode_package, parse_json
 from fqzeta.specialvalues import (
+    MAX_TWIST,
     compatibility_check,
     verify_elladic,
     verify_padic,
@@ -28,6 +29,18 @@ BUDGET = 10 ** 5
 
 def _pkg(name):
     return package(corpus()[name], budget=BUDGET)
+
+
+def test_twist_is_capped_in_both_routes():
+    pkg = _pkg("elliptic-F5-a5=-3")
+    for r in (-MAX_TWIST - 1, MAX_TWIST + 1):
+        with pytest.raises(ValidationError, match="twist r must be in"):
+            verify_padic(pkg, r)
+        with pytest.raises(ValidationError, match="twist r must be in"):
+            verify_elladic(pkg, r, 3)
+    for r in (-MAX_TWIST, MAX_TWIST):
+        assert verify_padic(pkg, r).passed
+        assert verify_elladic(pkg, r, 3).passed
 
 
 def test_elliptic_rank_one_identity():
