@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .errors import (
     FqzetaError,
@@ -228,7 +229,10 @@ def _cmd_package(args):
 # parser
 
 
+@cache
 def build_parser():
+    """The parser, built on the first call and kept: parsing leaves it as it
+    was, so every call of `main` in a process shares it."""
     parser = argparse.ArgumentParser(
         prog="fqzeta",
         description="Special values of zeta functions over finite fields: "

@@ -26,7 +26,7 @@ from .errors import (
 from .gauges import VirtualCrystal
 from .isocrystals import Isocrystal, purity_check
 from .lfun import assemble
-from .padics import DEFAULT_PRECISION, FiniteField, QqContext, check_field
+from .padics import DEFAULT_PRECISION, check_field, context, field
 from .polys import (
     companion_of_reversed,
     kron,
@@ -190,16 +190,6 @@ class VarietySpec:
 # point counting
 
 
-_FIELD_CACHE = {}
-
-
-def _field(p, k):
-    key = (p, k)
-    if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = FiniteField(p, k)
-    return _FIELD_CACHE[key]
-
-
 def _mobius(n):
     result, d = 1, 2
     while d * d <= n:
@@ -337,11 +327,11 @@ def _curve_n1(spec, budget):
         raise BudgetExceeded(
             f"counting N_1 of {len(curves)} elliptic curve(s) needs {spent} "
             f"operations; the budget is {budget}")
-    n1 = {c: _enumerate_elliptic(_field(c.p, c.a), c.coeffs) for c in curves}
+    n1 = {c: _enumerate_elliptic(field(c.p, c.a), c.coeffs) for c in curves}
     for c in curves:
         if spent + _cost(c, 2) <= budget:
             spent += _cost(c, 2)
-            n2 = _enumerate_elliptic(_field(c.p, 2 * c.a), c.coeffs)
+            n2 = _enumerate_elliptic(field(c.p, 2 * c.a), c.coeffs)
             want = _weil_counts(c.q, n1[c], 2)[1]
             if n2 != want:
                 raise ValidationError(
@@ -617,7 +607,7 @@ def package(spec, twist=None, prec=DEFAULT_PRECISION,
     are not known.  Each distinct elliptic curve is counted once, under
     `budget` exactly as in `point_counts`.
     """
-    ctx = QqContext(spec.p, spec.a, prec=prec)
+    ctx = context(spec.p, spec.a, prec)
     degrees = _package_degrees(spec, ctx, _curve_n1(spec, budget))
     if twist is not None:
         degrees = _apply_twist(ctx, degrees, twist)

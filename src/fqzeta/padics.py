@@ -4,7 +4,9 @@ The unramified extension W(F_{p^a}) is represented as Z_p[x]/(m(x)) where m is
 the lexicographically smallest monic irreducible polynomial of degree a over
 F_p (coefficients compared low degree first), lifted with digits {0..p-1}.
 The Frobenius lift sigma is computed once per context by Hensel-lifting the
-root x -> x^p and stored as an a-by-a matrix over Z/p^prec.
+root x -> x^p and stored as an a-by-a matrix over Z/p^prec.  `context` and
+`field` build each context and residue field once per process, among the
+most recently used (`CACHE_SIZE`); neither holds a result.
 
 Elements carry a valuation, a primitive coefficient vector for the unit part,
 and a relative precision.  Exact zero (infinite valuation) is distinct from
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from array import array
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import PrecisionExhausted, ValidationError
 from .polys import power
@@ -35,6 +38,13 @@ GUARD_DIGITS = 8
 MAX_PRIME = 2 ** 16
 MAX_DEGREE = 16
 MAX_PRECISION = 1024
+
+# Entries kept by `field` and by `context`, each.  One pass of any benchmark
+# workload touches at most 11 fields (count-zeta) and 8 contexts (cli-docs),
+# so none is rebuilt within a run.  A field holds its modulus and, once
+# points are counted over it, tables of about 14 q bytes; a context holds
+# its field and the a x a matrix of sigma.
+CACHE_SIZE = 16
 
 
 def int_valuation(n: int, p: int) -> int:
@@ -293,6 +303,14 @@ class FiniteField:
         return self._log_tables
 
 
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
+def field(p: int, k: int):
+    """F_{p^k}, built once while among the CACHE_SIZE most recently used:
+    the search for its modulus and its log tables are made once.  A refused
+    (p, k) raises on every call; exceptions are not cached."""
+    return FiniteField(p, k)
+
+
 # ---------------------------------------------------------------------------
 # Z_q = W(F_{p^a}) at fixed precision
 
@@ -316,15 +334,20 @@ class QqContext:
         self.prec = prec
         self.guard = GUARD_DIGITS
         self.pN = p ** prec
-        self.residue_field = FiniteField(p, a)
+        self.residue_field = field(p, a)
         self.modulus = self.residue_field.modulus  # int coeffs, monic
         self._sigma_cols = self._build_sigma() if a > 1 else None
 
     # -- construction of sigma ---------------------------------------------
 
     def _zq_inv_ints(self, u, modcap_digits):
-        """Inverse of a unit vector mod (m(x), p^modcap_digits), by lifting."""
+        """Inverse of a unit vector mod (m(x), p^modcap_digits): one `pow`
+        in Z_p, else Newton lifting from the residue field."""
         p = self.p
+        if self.a == 1:
+            if u[0] % p == 0:
+                raise ZeroDivisionError("inverse of a non-unit in Z_p")
+            return [pow(u[0], -1, p ** modcap_digits)]
         # inverse in the residue field
         red = tuple(c % p for c in u)
         inv0 = self.residue_field.inv(red)
@@ -644,7 +667,15 @@ class QqElement:
                 f"+ O(p^{self.val + self.rel}); a={self.ctx.a})")
 
 
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
+def context(p: int, a: int = 1, prec: int = DEFAULT_PRECISION):
+    """The QqContext of (p, a, prec), built once while among the CACHE_SIZE
+    most recently used; keyed on the arguments as passed, so callers pass
+    all three.  A refused (p, a) or prec raises on every call."""
+    return QqContext(p, a, prec)
+
+
 def Zp(p: int, prec: int = DEFAULT_PRECISION):
     """Context for Z_p/Q_p (the a = 1 unramified extension)."""
-    return QqContext(p, 1, prec)
+    return context(p, 1, prec)
 

@@ -18,7 +18,7 @@ from .gammamodules import GammaModule, TorsionComponent
 from .gauges import VirtualCrystal
 from .geometry import MAX_RANK, CohomologyPackage, PackageDegree, VarietySpec
 from .isocrystals import Isocrystal, lower_hull, polygon_value
-from .padics import (DEFAULT_PRECISION, QqContext, QqElement, check_field,
+from .padics import (DEFAULT_PRECISION, QqElement, check_field, context,
                      rational_valuation)
 from .plinalg import mat_inverse, mat_mul, mat_sigma
 
@@ -69,6 +69,14 @@ def _int_digits(n, p, count):
     return out
 
 
+def _digits_int(digits, p):
+    """sum d_i p^i of base-p digits, low first, by Horner's rule."""
+    n = 0
+    for d in reversed(digits):
+        n = n * p + int(d)
+    return n
+
+
 def encode_padic(x: QqElement):
     ctx = x.ctx
     out = {"p": ctx.p}
@@ -100,7 +108,6 @@ def decode_padic(data, ctx):
         return ctx.ifz(int(_require(data, "abs_prec", "ifz element")))
     val = int(_require(data, "val", "p-adic element"))
     rel = min(int(data.get("prec", ctx.prec)), ctx.prec)
-    p = ctx.p
     if "digits" in data:
         vectors = [data["digits"]]
     else:
@@ -108,9 +115,8 @@ def decode_padic(data, ctx):
     if len(vectors) != ctx.a:
         raise ValidationError(
             f"element has {len(vectors)} coordinates, context needs {ctx.a}")
-    ints = [sum(int(d) * p ** i for i, d in enumerate(vec[:rel]))
-            for vec in vectors]
-    return ctx.from_vector(ints, val, rel)
+    return ctx.from_vector([_digits_int(vec[:rel], ctx.p) for vec in vectors],
+                           val, rel)
 
 
 def _decode_matrix(rows, ctx, what):
@@ -132,7 +138,7 @@ def _context_of(data, prec=None):
     a = int(data.get("a", 1))
     if prec is None:
         prec = int(data.get("prec", DEFAULT_PRECISION))
-    return QqContext(p, a, prec=prec)
+    return context(p, a, prec)
 
 
 def encode_isocrystal(E: Isocrystal):

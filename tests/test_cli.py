@@ -111,6 +111,21 @@ def test_verify_elladic(capsys, elliptic_file):
     assert doc["abs_inverse"] == "9" and doc["chi"] == "9"
 
 
+def test_reused_parser_keeps_no_state_between_calls(capsys, elliptic_file):
+    """`main` builds its parser once per process: a flag given to one call
+    is not seen by the next, and an argparse error leaves it usable."""
+    argv = ["verify", "--variety", elliptic_file, "--r", "1",
+            "--budget", "100000"]
+    code, doc = run(capsys, argv + ["--ell", "3"])
+    assert code == 0 and doc["prime"] == 3
+    code, doc = run(capsys, argv)
+    assert code == 0 and doc["prime"] == 5 and doc["route"] == "p-adic"
+    assert main(["verify", "--variety", elliptic_file, "--r", "x"]) == 2
+    assert "invalid int value" in capsys.readouterr().err
+    code, doc = run(capsys, argv)
+    assert code == 0 and doc["passed"] is True
+
+
 def test_package_verify_round_trip(capsys, elliptic_file, tmp_path):
     code, direct = run(capsys, ["verify", "--variety", elliptic_file,
                                 "--r", "1", "--budget", "100000"])

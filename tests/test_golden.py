@@ -38,3 +38,16 @@ def test_stdout_matches_recorded_bytes(capsys, name):
     assert main(argv) == 0
     got = capsys.readouterr().out.encode("utf-8")
     assert got == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name, flags", [("verify_eee_r1", []),
+                                         ("verify_eee_r1_ell3", ["--ell", "3"])])
+def test_package_route_matches_recorded_bytes(capsys, tmp_path, name, flags):
+    """`package` then `verify --package` prints what `verify --variety`
+    printed when the file was recorded."""
+    assert main(["package", "--variety", str(GOLDEN / "eee_f5.json")]) == 0
+    pkg = tmp_path / "eee_f5_package.json"
+    pkg.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main(["verify", "--package", str(pkg), "--r", "1", *flags]) == 0
+    got = capsys.readouterr().out.encode("utf-8")
+    assert got == (GOLDEN / f"{name}.out").read_bytes()

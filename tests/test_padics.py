@@ -8,6 +8,8 @@ import pytest
 from fqzeta import padics
 from fqzeta.errors import PrecisionExhausted, ValidationError
 from fqzeta.padics import (
+    MAX_DEGREE,
+    MAX_PRECISION,
     FiniteField,
     QqContext,
     Zp,
@@ -15,6 +17,8 @@ from fqzeta.padics import (
     _fp_trim,
     _is_irreducible,
     _powmod,
+    context,
+    field,
     int_valuation,
     rational_valuation,
 )
@@ -209,6 +213,25 @@ def test_division_and_inverse():
         (ctx.one() - ctx.one()).inverse()
 
 
+def test_zp_inverse_is_the_inverse_mod_p_power_and_refuses_non_units():
+    """The Z_p inverse (one `pow`) is the one integer in [0, p^N) that
+    inverts u; a non-unit raises ZeroDivisionError in Z_p as in Z_q."""
+    rng = random.Random(3)
+    for p in (2, 3, 5, 7):
+        ctx = Zp(p, prec=20)
+        for N in (1, 2, 7, 20):
+            for _ in range(20):
+                u = rng.randrange(1, p ** N)
+                if u % p == 0:
+                    continue
+                (inv,) = ctx._zq_inv_ints([u], N)
+                assert 0 <= inv < p ** N and u * inv % p ** N == 1
+    with pytest.raises(ZeroDivisionError):
+        padics.QqElement(Zp(5, prec=10), "n", 0, (10,), 10, 0).inverse()
+    with pytest.raises(ZeroDivisionError):
+        QqContext(3, 2, prec=10)._zq_inv_ints([3, 6], 10)
+
+
 def test_frobenius_fixes_prime_subfield_and_has_order_a():
     ctx = QqContext(3, 2, prec=16)
     rng = random.Random(11)
@@ -263,11 +286,12 @@ def test_shift_is_exact():
 
 
 def test_context_searches_its_minimal_polynomial_once(monkeypatch):
-    """Z_q takes its modulus from the residue field it builds."""
+    """Z_q takes its modulus from its residue field, which builds it."""
     calls = []
     search = padics.minimal_polynomial
     monkeypatch.setattr(padics, "minimal_polynomial",
                         lambda p, a: calls.append((p, a)) or search(p, a))
+    field.cache_clear()
     ctx = QqContext(3, 2)
     assert calls == [(3, 2)]
     assert ctx.modulus == ctx.residue_field.modulus == tuple(search(3, 2))
@@ -278,3 +302,37 @@ def test_context_primality_validation():
         Zp(6)
     with pytest.raises(ValidationError):
         QqContext(4, 2)
+
+
+def test_field_and_context_caches_are_bounded_and_evict_the_oldest():
+    """`field` and `context` keep CACHE_SIZE entries each: building one more
+    drops the least recently used, which is then built afresh."""
+    primes = [p for p in range(2, 200) if padics._is_prime(p)]
+    for build, keys in ((field, [(p, 1) for p in primes]),
+                        (context, [(5, 1, prec) for prec in range(1, 100)])):
+        build.cache_clear()
+        keys = keys[:padics.CACHE_SIZE + 1]
+        first = build(*keys[0])
+        assert build(*keys[0]) is first
+        for key in keys[1:]:
+            build(*key)
+        assert build.cache_info().currsize == padics.CACHE_SIZE
+        assert build(*keys[-1]) is build(*keys[-1])
+        again = build(*keys[0])
+        assert again is not first
+        assert (again.p, again.modulus) == (first.p, first.modulus)
+
+
+def test_refused_fields_and_contexts_raise_on_every_call():
+    """Exceptions are not cached, and a cached entry never answers for an
+    argument of another type that compares equal to its key."""
+    Zp(5, prec=64)
+    for _ in range(2):
+        for args in ((4, 2), (5, 1, 0), (5, 1, MAX_PRECISION + 1),
+                     (5, MAX_DEGREE + 1), (5.0, 1, 64)):
+            with pytest.raises(ValidationError):
+                context(*args)
+        for args in ((6, 1), (5, 2 * MAX_DEGREE + 1), (5.0, 1)):
+            with pytest.raises(ValidationError):
+                field(*args)
+    assert Zp(5, prec=64) is context(5, 1, 64)

@@ -8,7 +8,7 @@ from fqzeta.errors import ValidationError
 from fqzeta.gammamodules import GammaModule, TorsionComponent
 from fqzeta.geometry import VarietySpec, corpus, package
 from fqzeta.isocrystals import Isocrystal
-from fqzeta.padics import QqContext, Zp
+from fqzeta.padics import QqContext, Zp, context
 from fqzeta.serialize import (
     decode_padic,
     dump_json,
@@ -117,6 +117,21 @@ def test_package_round_trip_preserves_zeta_and_crystals():
     # precision override re-homes the crystals
     pkg3 = parse_json(text, expected={"package"}, prec=16)
     assert pkg3.degrees[1].crystal.ctx.prec == 16
+
+
+def test_decoded_package_crystals_share_one_context():
+    """Every crystal of a package document is decoded in the one context of
+    its (p, a, prec), not in one built per degree."""
+    E = corpus()["elliptic-F5-a5=-3"]
+    pkg = package(VarietySpec.product([E, VarietySpec.projective(1, 5)]),
+                  budget=10 ** 5)
+    text = dump_json(encode_package(pkg))
+    for prec, ctx in ((None, context(5, 1, 64)), (16, context(5, 1, 16))):
+        decoded = parse_json(text, expected={"package"}, prec=prec)
+        crystals = [d.crystal for d in decoded.degrees.values()
+                    if d.crystal is not None]
+        assert len(crystals) >= 3
+        assert all(vc.ctx is ctx for vc in crystals)
 
 
 def test_standard_lattice_is_not_written_and_old_documents_still_verify():
