@@ -67,16 +67,16 @@ class VirtualCrystal:
 class FGaugeWindow:
     """The computed gauge: window bounds, lattices M^i, Hodge numbers.
 
-    Everything is read off the elementary divisors p^{e_k} of Frobenius in
-    N-coordinates and the basis W = sigma^{-1}(V^{-1}) of N adapted to them
-    (see `hodge`).  `lattice_at` builds M^i = W diag(p^{max(0, i - e_k)}) on
-    demand, in N-coordinates.
+    Everything is read off the Smith form of Frobenius in N-coordinates:
+    its elementary divisors p^{e_k} and, once `lattice_at` asks for it, the
+    basis W = sigma^{-1}(V^{-1}) of N adapted to them (see `hodge`).
+    `lattice_at` builds M^i = W diag(p^{max(0, i - e_k)}) in N-coordinates.
     """
 
-    def __init__(self, vc, basis, exponents):
+    def __init__(self, vc, snf, exponents):
         self.vc = vc
         self.ctx = vc.ctx
-        self._basis = basis             # W, columns span N
+        self._snf = snf                 # Smith form of Frobenius on N
         self._exponents = exponents     # e_k, one per column of W
         self.i_min = min(exponents)
         self.i_max = max(exponents)
@@ -85,8 +85,9 @@ class FGaugeWindow:
         self.det_val = sum(exponents)
 
     def lattice_at(self, i):
+        basis = mat_sigma(self._snf.V_inv, self.ctx.a - 1)
         return [[x.shift(max(0, i - e)) for x, e in zip(row, self._exponents)]
-                for row in self._basis]
+                for row in basis]
 
     def hodge_polygon(self):
         """Vertices of the polygon with slope i over length h^i."""
@@ -94,7 +95,7 @@ class FGaugeWindow:
 
     def tate_twist(self, r: int):
         """Pure reindexing M(r)^i = M^{i+r}; inverse of twisting by -r."""
-        return FGaugeWindow(self.vc.tate_twist(r), self._basis,
+        return FGaugeWindow(self.vc.tate_twist(r), self._snf,
                             [e - r for e in self._exponents])
 
 
@@ -115,7 +116,7 @@ def hodge(vc: VirtualCrystal) -> FGaugeWindow:
         raise DegenerateCrystal(str(exc)) from exc
     if any(e is None for e in snf.divisors):
         raise DegenerateCrystal("Frobenius is singular at working precision")
-    return FGaugeWindow(vc, mat_sigma(snf.V_inv, vc.ctx.a - 1), snf.divisors)
+    return FGaugeWindow(vc, snf, snf.divisors)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 Matrices are lists of rows of QqElement, and each routine reads its Z_q
 context (p, a, guard digits) from the entries.  The Smith normal form
-A = U D V uses minimum-valuation pivoting (ties broken row-major) and keeps
-only the integral transforms U^{-1} and V^{-1}, updated with each row and
-column operation, so U^{-1} A V^{-1} = D with diagonal entries exact powers
-p^e.
+A = U D V (D diagonal of exact powers p^e) pivots on minimum valuation, ties
+row-major.  It runs only its row operations on the work matrix and logs
+every operation; U^{-1} and V^{-1} are replayed from the log when a caller
+first reads them (kernels, inverses, lattices, z(f)), never for one that
+reads only the divisors (Hodge numbers, kernel ranks).
 
 Rank decisions are only made when the precision policy allows: a pivot must
 retain `ctx.guard` relative digits of the entries' context, and an entry is
@@ -20,15 +21,10 @@ integrality, never from basis comparison.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from functools import cached_property
 
 from .errors import PrecisionExhausted, ValidationError
 from .polys import mat_mul
-
-SNFResult = namedtuple("SNFResult", "U_inv V_inv divisors")
-# U_inv A V_inv = D.  divisors: list of length min(n, m); entry = exponent e
-# (int) for a nonzero diagonal p^e, or None for a certified zero diagonal.
-
 
 # ---------------------------------------------------------------------------
 # dense matrix helpers
@@ -94,41 +90,6 @@ def mat_min_valuation(A):
 # Smith normal form
 
 
-class _Transforms:
-    """Incrementally maintained U^{-1} and V^{-1} with U^{-1} A V^{-1} = D."""
-
-    def __init__(self, ctx, n, m):
-        self.U_inv = mat_identity(ctx, n)
-        self.V_inv = mat_identity(ctx, m)
-
-    # row op on the work matrix: row_i <- row_i + c * row_k
-    def row_axpy(self, A, i, k, c):
-        A[i] = [x + c * y for x, y in zip(A[i], A[k])]
-        self.U_inv[i] = [x + c * y for x, y in
-                         zip(self.U_inv[i], self.U_inv[k])]
-
-    def row_swap(self, A, i, k):
-        A[i], A[k] = A[k], A[i]
-        self.U_inv[i], self.U_inv[k] = self.U_inv[k], self.U_inv[i]
-
-    def row_scale(self, i, u):
-        self.U_inv[i] = [u * x for x in self.U_inv[i]]
-
-    # column op on the work matrix: col_j <- col_j + c * col_k
-    def col_axpy(self, A, j, k, c):
-        for r in range(len(A)):
-            A[r][j] = A[r][j] + c * A[r][k]
-        for r in range(len(self.V_inv)):
-            self.V_inv[r][j] = self.V_inv[r][j] + c * self.V_inv[r][k]
-
-    def col_swap(self, A, j, k):
-        for r in range(len(A)):
-            A[r][j], A[r][k] = A[r][k], A[r][j]
-        for r in range(len(self.V_inv)):
-            self.V_inv[r][j], self.V_inv[r][k] = \
-                self.V_inv[r][k], self.V_inv[r][j]
-
-
 def certified_zero(x, floor, guard):
     """May x be treated as an exact zero for rank purposes?"""
     if x.is_exact_zero():
@@ -142,25 +103,59 @@ def certified_zero(x, floor, guard):
     return False
 
 
+def _replay(ctx, size, ops):
+    """The identity with logged row operations (i, k, c) applied in order:
+    row_i <- row_i + c * row_k, a swap of rows i and k when c is None, and
+    row_i <- c * row_i when i == k."""
+    M = mat_identity(ctx, size)
+    for i, k, c in ops:
+        if c is None:
+            M[i], M[k] = M[k], M[i]
+        elif i == k:
+            M[i] = [c * x for x in M[i]]
+        else:
+            M[i] = [x + c * y for x, y in zip(M[i], M[k])]
+    return M
+
+
+class SNFResult:
+    """U_inv A V_inv = D.  divisors: per diagonal entry, the exponent e of
+    p^e or None for a certified zero.  U_inv replays the logged row
+    operations on the identity when first read; V_inv is the transpose of
+    the column operations replayed the same way."""
+
+    def __init__(self, ctx, n, m, divisors, row_ops, col_ops):
+        self.divisors = divisors
+        self._ctx, self._n, self._m = ctx, n, m
+        self._row_ops, self._col_ops = row_ops, col_ops
+
+    @cached_property
+    def U_inv(self):
+        return _replay(self._ctx, self._n, self._row_ops)
+
+    @cached_property
+    def V_inv(self):
+        return [list(c) for c in zip(*_replay(self._ctx, self._m,
+                                              self._col_ops))]
+
+
 def smith_normal_form(A):
     """A = U * D * V over Z_q, D diagonal with entries exact powers p^e.
 
-    Minimum-valuation pivoting, ties row-major.  Returns an SNFResult with
-    the integral inverses U_inv, V_inv and the divisor exponents (None marks
-    a zero diagonal).  Exponents are non-decreasing.  Raises
-    PrecisionExhausted when a pivot or a zero cannot be certified under the
-    guard-digit policy.
+    Minimum-valuation pivoting, ties row-major; the SNFResult's exponents
+    are non-decreasing.  Raises PrecisionExhausted when a pivot or a zero
+    cannot be certified under the guard-digit policy.
     """
     if not A or not A[0]:
         raise ValidationError("Smith form of an empty matrix")
     ctx = A[0][0].ctx
     n, m = len(A), len(A[0])
     W = mat_copy(A)
-    T = _Transforms(ctx, n, m)
-    divisors = []
-    last_val = 0
+    divisors, row_ops, col_ops = [], [], []
     for k in range(min(n, m)):
-        # locate the minimum-valuation entry of the trailing block
+        # minimum-valuation entry of the trailing block; for k > 0 nothing
+        # lies below the last pivot, so the first row reaching it ends the scan
+        last_val = divisors[-1] if divisors else 0
         piv, piv_val = None, None
         for i in range(k, n):
             for j in range(k, m):
@@ -170,6 +165,8 @@ def smith_normal_form(A):
                 v = x.valuation()
                 if piv_val is None or v < piv_val:
                     piv, piv_val = (i, j), v
+            if k and piv_val == last_val:
+                break
         if piv is None:
             # certify that the whole trailing block is zero
             for i in range(k, n):
@@ -179,24 +176,31 @@ def smith_normal_form(A):
             break
         ctx.certify(W[piv[0]][piv[1]], "pivot")
         if piv[0] != k:
-            T.row_swap(W, k, piv[0])
+            W[k], W[piv[0]] = W[piv[0]], W[k]
+            row_ops.append((k, piv[0], None))
         if piv[1] != k:
-            T.col_swap(W, k, piv[1])
-        last_val = piv_val
-        # clear the pivot column and row; quotients are integral because the
-        # pivot has minimal valuation in the block
-        pinv = W[k][k].inverse()
+            for row in W:
+                row[k], row[piv[1]] = row[piv[1]], row[k]
+            col_ops.append((k, piv[1], None))
+        # clear the pivot column (integral quotients: the pivot is minimal);
+        # an IFZ entry's row operation only carries its uncertainty into W.
+        # Row and column k of W are never read again, so the column
+        # operations clearing row k are only logged, for V_inv
+        row_k = W[k]
+        pinv = row_k[k].inverse()
         for i in range(k + 1, n):
-            if not W[i][k].is_zeroish():
-                T.row_axpy(W, i, k, -(W[i][k] * pinv))
-        for j in range(k + 1, m):
-            if not W[k][j].is_zeroish():
-                T.col_axpy(W, j, k, -(W[k][j] * pinv))
+            if not W[i][k].is_exact_zero():
+                c = -(W[i][k] * pinv)
+                W[i][k + 1:] = [x + c * y for x, y in
+                                zip(W[i][k + 1:], row_k[k + 1:])]
+                if not c.is_ifz():
+                    row_ops.append((i, k, c))
+        col_ops.extend((j, k, -(row_k[j] * pinv)) for j in range(k + 1, m)
+                       if not row_k[j].is_zeroish())
         divisors.append(piv_val)
-        # normalize the pivot to an exact p^e, absorbing the unit into U; row
-        # k of W is never read again
-        T.row_scale(k, W[k][k].shift(-piv_val).inverse())
-    return SNFResult(T.U_inv, T.V_inv, divisors)
+        # normalize the pivot to an exact p^e, absorbing the unit into U
+        row_ops.append((k, k, pinv.shift(piv_val)))
+    return SNFResult(ctx, n, m, divisors, row_ops, col_ops)
 
 
 def right_kernel(A):
@@ -206,11 +210,10 @@ def right_kernel(A):
     when the matrix is wider than tall.  Returns an m-by-r matrix (possibly
     r = 0).
     """
-    n, m = len(A), len(A[0])
     snf = smith_normal_form(A)
     cols = [k for k, e in enumerate(snf.divisors) if e is None]
-    cols += list(range(min(n, m), m))
-    return [[snf.V_inv[i][j] for j in cols] for i in range(m)]
+    cols += range(len(snf.divisors), len(A[0]))
+    return [[row[j] for j in cols] for row in snf.V_inv]
 
 
 def kernel_rank(A):
@@ -227,12 +230,9 @@ def mat_inverse(A):
     snf = smith_normal_form(A)
     if any(e is None for e in snf.divisors):
         raise ValidationError("matrix is singular at this precision")
-    X = mat_copy(snf.V_inv)
-    # scale columns by p^{-e}: V^{-1} D^{-1}
-    for j, e in enumerate(snf.divisors):
-        if e:
-            for i in range(n):
-                X[i][j] = X[i][j].shift(-e)
+    # V^{-1} D^{-1}: column j of V^{-1} scaled by p^{-e_j}
+    X = [[x.shift(-e) for x, e in zip(row, snf.divisors)]
+         for row in snf.V_inv]
     return mat_mul(X, snf.U_inv)
 
 
@@ -283,14 +283,13 @@ def lattice_equal(B1, B2):
 
 def lattice_sum(B1, B2):
     """Basis of span(B1) + span(B2)."""
-    n = len(B1)
     concat = mat_augment(B1, B2)
     snf = smith_normal_form(concat)
     UD = mat_mul(concat, snf.V_inv)
     cols = [k for k, e in enumerate(snf.divisors) if e is not None]
-    if len(cols) != n:
+    if len(cols) != len(B1):
         raise ValidationError("lattice sum is not full rank")
-    return [[UD[i][j] for j in cols] for i in range(n)]
+    return [[row[j] for j in cols] for row in UD]
 
 
 def lattice_intersect(B1, B2):

@@ -1,13 +1,18 @@
 """Smith normal form and lattice operations over Z_q."""
 
 import random
+from collections import Counter
 
 import pytest
 
+from fqzeta import gauges, plinalg
 from fqzeta.errors import PrecisionExhausted, ValidationError
-from fqzeta.padics import QqContext, Zp
-from matrix_oracles import mat_det_valuation, mat_equal
+from fqzeta.gauges import VirtualCrystal, hodge
+from fqzeta.padics import QqContext, Zp, context
+from matrix_oracles import (eager_smith_normal_form, mat_det_valuation,
+                            mat_equal)
 from fqzeta.plinalg import (
+    kernel_rank,
     lattice_canonical,
     lattice_contains,
     lattice_equal,
@@ -36,6 +41,15 @@ def _random_unimodular(ctx, n, rng, steps=6):
     return U
 
 
+def _factorizes(A, snf):
+    """U^{-1} A V^{-1} = D, with p^e on the diagonal of D, at the
+    overlapping precision."""
+    ctx, e = A[0][0].ctx, snf.divisors
+    D = [[ctx.one().shift(e[i]) if i == j and e[i] is not None
+          else ctx.zero() for j in range(len(A[0]))] for i in range(len(A))]
+    return mat_equal(mat_mul(mat_mul(snf.U_inv, A), snf.V_inv), D)
+
+
 def test_snf_diagonal_oracle():
     ctx = Zp(5, prec=24)
     A = mat_from_ints(ctx, [[5, 0], [0, 125]])
@@ -61,10 +75,7 @@ def test_snf_factorization_and_transform_integrality():
                                   val=rng.randrange(3))
                   for _ in range(m)] for _ in range(n)]
             snf = smith_normal_form(A)
-            D = [[ctx.from_int(1).shift(snf.divisors[i])
-                  if i == j and snf.divisors[i] is not None else ctx.zero()
-                  for j in range(m)] for i in range(n)]
-            assert mat_equal(mat_mul(mat_mul(snf.U_inv, A), snf.V_inv), D)
+            assert _factorizes(A, snf)
             for M in (snf.U_inv, snf.V_inv):
                 for row in M:
                     for x in row:
@@ -206,3 +217,92 @@ def test_snf_precision_exhaustion_on_uncertifiable_pivot():
     A = [[x]]
     with pytest.raises(PrecisionExhausted):
         smith_normal_form(A)
+
+
+def _sweep_entry(rng, ctx):
+    """An exact zero, an IFZ entry, or p^v * unit with v in [-2, 3] and a
+    relative precision that may fall below the guard."""
+    kind = rng.random()
+    if kind < 0.15:
+        return ctx.zero()
+    if kind < 0.25:
+        return ctx.ifz(rng.randrange(-2, ctx.prec + 1))
+    rel = ctx.prec if rng.random() < 0.7 else rng.randrange(1, ctx.prec + 1)
+    return ctx.from_vector([rng.randrange(ctx.p ** 3) for _ in range(ctx.a)],
+                           val=rng.randrange(-2, 4), rel=rel)
+
+
+def _sweep_matrix(rng, ctx, n, m):
+    A = [[_sweep_entry(rng, ctx) for _ in range(m)] for _ in range(n)]
+    if n > 1 and rng.random() < 0.4:
+        # forced rank loss: one row a Z_q-combination of two others
+        i, k, t = (rng.randrange(n) for _ in range(3))
+        c, d = (ctx.from_int(rng.randrange(-4, 5)) for _ in range(2))
+        A[i] = [c * x + d * y for x, y in zip(A[k], A[t])]
+    return A
+
+
+def test_snf_matches_the_eager_elimination_under_starved_precision():
+    """The logged elimination against the eager one on 600 seeded matrices
+    with exact zeros, IFZ entries, valuations down to -2, short relative
+    precision and forced rank loss.
+
+    Where both certify, the divisors agree.  The logged form's row
+    operations carry an IFZ pivot-column entry's uncertainty into the
+    trailing block, as the eager column pass does, and also the product
+    with an IFZ pivot-row entry, which the eager form drops ("ifz
+    product"): only there may it raise where the eager form certifies.
+    Wherever it returns, U^{-1} A V^{-1} = D, except where the eager form's
+    pivot skipped a coarser IFZ entry ("ifz below pivot"), and its own
+    transforms fail too.
+    """
+    rng = random.Random(1907)
+    outcomes = Counter()
+    for _ in range(600):
+        ctx = context(rng.choice((2, 3, 5, 7)), rng.choice((1, 2, 3)),
+                      rng.choice((4, 10, 12, 24)))
+        A = _sweep_matrix(rng, ctx, rng.randrange(1, 7), rng.randrange(1, 7))
+        try:
+            ref = eager_smith_normal_form(A)
+        except PrecisionExhausted:
+            ref = None
+        try:
+            snf = smith_normal_form(A)
+        except PrecisionExhausted:
+            assert ref is None or "ifz product" in ref.blind_spots
+            outcomes["raises" if ref is None else "raises on ifz product"] += 1
+            continue
+        assert ref is not None, "certifies where the eager form raised"
+        assert snf.divisors == ref.divisors
+        if _factorizes(A, snf):
+            outcomes["same divisors"] += 1
+        else:
+            assert "ifz below pivot" in ref.blind_spots
+            assert not _factorizes(A, ref)
+            outcomes["neither factors"] += 1
+    assert outcomes["same divisors"] > 200 and outcomes["raises"] > 200, \
+        outcomes
+
+
+def test_divisor_only_callers_build_no_transform(monkeypatch):
+    """`hodge` and `kernel_rank` read only the divisors, so their Smith forms
+    never replay the logged operations; reading the transforms afterwards
+    still factors the matrix."""
+    results = []
+
+    def recording(A):
+        snf = smith_normal_form(A)
+        results.append((A, snf))
+        return snf
+
+    monkeypatch.setattr(plinalg, "smith_normal_form", recording)
+    monkeypatch.setattr(gauges, "smith_normal_form", recording)
+    ctx = QqContext(5, 2, prec=24)
+    window = hodge(VirtualCrystal.from_ints(ctx, [[0, -5], [1, -3]]))
+    assert window.hodge_numbers == {0: 1, 1: 1}
+    assert kernel_rank(mat_from_ints(ctx, [[1, 2, 3], [2, 4, 6]])) == 2
+    assert len(results) == 2
+    for A, snf in results:
+        assert "U_inv" not in vars(snf) and "V_inv" not in vars(snf)
+    for A, snf in results:
+        assert _factorizes(A, snf)

@@ -167,6 +167,23 @@ def test_fourth_power_of_an_elliptic_curve():
     assert verify_elladic(pkg, 2, 3).passed
 
 
+def test_fifth_power_of_an_elliptic_curve():
+    """E^5/F_5 at r = 2, ranks 210 and 252 in degrees 4 and 5: both routes
+    pass, and the Hodge numbers are the Kunneth convolution of the curve's.
+    Tier-1 can afford it because the gauges' Smith forms replay no
+    transform."""
+    E = VarietySpec.elliptic([0, 0, 0, 1, 1], 5)
+    curve_hodge = _audit_hodge(verify_padic(package(E, budget=BUDGET), 2))
+    pkg = package(VarietySpec.product([E] * 5), budget=BUDGET)
+    rep = verify_padic(pkg, 2)
+    assert rep.passed and rep.precision_audit["hodge_route"]
+    expected = curve_hodge
+    for _ in range(4):
+        expected = _kunneth_hodge(expected, curve_hodge)
+    assert _audit_hodge(rep) == expected
+    assert verify_elladic(pkg, 2, 3).passed
+
+
 def test_fourth_power_json_round_trip(tmp_path, capsys):
     """E^4/F_5 written as a package document and read back by the CLI: the
     decoder checks every crystal against its factor (rank 70 in degree 4),
