@@ -93,11 +93,6 @@ class FGaugeWindow:
         """Vertices of the polygon with slope i over length h^i."""
         return newton_polygon_vertices(sorted(self.hodge_numbers.items()))
 
-    def tate_twist(self, r: int):
-        """Pure reindexing M(r)^i = M^{i+r}; inverse of twisting by -r."""
-        return FGaugeWindow(self.vc.tate_twist(r), self._snf,
-                            [e - r for e in self._exponents])
-
 
 def hodge(vc: VirtualCrystal) -> FGaugeWindow:
     """The gauge M^i = F^{-1}(p^i N) ∩ N of a crystal, from one Smith form.

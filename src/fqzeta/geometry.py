@@ -3,13 +3,13 @@
 Varieties here are the ones whose Frobenius data can be written down in full:
 projective and affine spaces, the torus, Weierstrass curves, products, and
 complements of rational points.  Point counts enumerate only what the
-closed forms need: N_1 of each distinct elliptic curve, in one pass over x
-with Zech log tables of F_q.  Every other N_e comes from the Weil
-recurrence or from the exact counts of P^n, A^n and G_m.  The operation
-budget bounds that enumeration, 3 q^e for degree e of a curve, and what N_1
-leaves of it pays for one cross-check per curve: N_2, enumerated and
-compared with the recurrence.  Packages carry exact integer zeta factors
-together with the corresponding p-adic crystals.
+closed forms need: #E(F_p) of each distinct curve (its coefficients lie in
+F_p), in one pass over x with Zech log tables.  N_1 over F_q and every
+other N_e come from the Weil recurrence or the exact counts of P^n, A^n and
+G_m.  The budget bills 3 q^e for degree e of a curve, an upper bound on
+that work, and what N_1 leaves of it pays for one cross-check per curve:
+N_2, enumerated over F_{q^2} and compared with the recurrence.  Packages
+carry exact integer zeta factors and the corresponding p-adic crystals.
 """
 
 from __future__ import annotations
@@ -205,17 +205,18 @@ def _mobius(n):
 
 
 def _cost(spec, e):
-    """Field operations to count N_e of an elliptic curve: three passes
-    over F_{q^e} (its log tables, the squares and traces, the x loop).  The
-    bill is the same for every curve, though a field builds its tables
-    once, so the budget decides alike whichever curve comes first."""
+    """The bill for N_e of an elliptic curve: three passes over F_{q^e}
+    (log tables, squares and traces, the x loop), alike for every curve.
+    For N_1 at a > 1, counted over F_p, it is an upper bound, kept so
+    that every budget decides as when F_q itself was enumerated."""
     return 3 * spec.q ** e
 
 
 def _enumerate_elliptic(field, coeffs):
     """#E(F) for y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
 
-    One pass over x in Zech-log form (`FiniteField.log_tables`).  With
+    F is F_p, or F_{q^2} for the N_2 cross-check (`_curve_n1`).  One pass
+    over x in Zech-log form (`FiniteField.log_tables`).  With
     c = a1 x + a3 and r the right-hand side, the y over x number
     #{y : y^2 = r} when c = 0, and #{t : t^2 + t = r/c^2} when c != 0
     (set y = c t).  Both counts are tabulated, by the log of the value,
@@ -265,7 +266,7 @@ def _weil_counts(q, n1, degrees):
 
 def _leaf_counts(spec, degrees, n1):
     """N_1, ..., N_degrees of a leaf: closed forms, and for an elliptic
-    curve the Weil recurrence from its enumerated N_1 (`n1[spec]`)."""
+    curve the Weil recurrence from its N_1 (`n1[spec]`, `_curve_n1`)."""
     kind = spec.kind
     if kind == "elliptic":
         return _weil_counts(spec.q, n1[spec], degrees)
@@ -313,13 +314,14 @@ def _curves(spec):
 
 
 def _curve_n1(spec, budget):
-    """N_1 of each distinct elliptic curve of spec, by enumeration.
+    """N_1 over F_q of each distinct elliptic curve of spec: #E(F_p),
+    enumerated, lifted to degree a by the Weil recurrence.
 
-    `budget` bounds the field operations spent enumerating, 3 q^e per
-    degree e of a curve: BudgetExceeded is raised, before any field is
-    built, exactly when the N_1 counts cost more than `budget`.  What they
-    leave pays for one cross-check per curve: N_2 is enumerated when it
-    fits, and must equal the recurrence or ValidationError is raised.
+    `budget` is billed 3 q^e per degree e of a curve (`_cost`):
+    BudgetExceeded is raised, before any field is built, exactly when the
+    N_1 bills exceed `budget`.  What they leave pays for one cross-check
+    per curve: N_2 is enumerated over F_{q^2} when it fits, and must equal
+    the recurrence or ValidationError is raised.
     """
     curves = _curves(spec)
     spent = sum(_cost(c, 1) for c in curves)
@@ -327,7 +329,8 @@ def _curve_n1(spec, budget):
         raise BudgetExceeded(
             f"counting N_1 of {len(curves)} elliptic curve(s) needs {spent} "
             f"operations; the budget is {budget}")
-    n1 = {c: _enumerate_elliptic(field(c.p, c.a), c.coeffs) for c in curves}
+    n1 = {c: _weil_counts(c.p, _enumerate_elliptic(field(c.p, 1), c.coeffs),
+                          c.a)[-1] for c in curves}
     for c in curves:
         if spent + _cost(c, 2) <= budget:
             spent += _cost(c, 2)
@@ -343,10 +346,10 @@ def _curve_n1(spec, budget):
 def point_counts(spec, degrees, budget=DEFAULT_BUDGET):
     """(N_1, ..., N_B): points of spec over F_{q^e} for e = 1..degrees.
 
-    Only N_1 of each distinct elliptic curve is enumerated, in one pass over
-    x with Zech log tables, under `budget` (`_curve_n1`); every other N_e
-    comes from a closed form (P^n, A^n, G_m, point sets) or from the
-    curve's Weil recurrence.
+    Only #E(F_p) of each distinct elliptic curve is enumerated, in one pass
+    over x with Zech log tables, under `budget` (`_curve_n1`); N_1 over F_q
+    and every other N_e come from a closed form (P^n, A^n, G_m, point sets)
+    or from the curve's Weil recurrence.
     """
     if degrees < 1:
         return ()

@@ -1,12 +1,14 @@
 """Point counts against exhaustive enumeration on the tuple kernel.
 
-`_enumerate_elliptic` counts #E(F_q) in one pass over x with Zech log
+`_enumerate_elliptic` counts #E(F) in one pass over x with Zech log
 tables.  The oracles below are the loops it replaced: a Counter of squares
 when a1 = a3 = 0, and every (x, y) pair otherwise.  `point_counts`
-enumerates only N_1 of a curve (and N_2 as a runtime cross-check) and
-takes the rest from the Weil recurrence, and it counts P^n, A^n and G_m by
-closed forms; the brute-force enumerators it used to run for those live
-here too, so every degree it returns is checked against a full count.
+enumerates only #E(F_p) of a curve over F_q, q = p^a (and N_2 over F_{q^2}
+as a runtime cross-check), and takes N_1 and the rest from the Weil
+recurrence; N_1 is checked here against a count over F_q itself.  It
+counts P^n, A^n and G_m by closed forms; the brute-force enumerators it
+used to run for those live here too, so every degree it returns is
+checked against a full count.
 """
 
 import itertools
@@ -102,6 +104,27 @@ def test_supersingular_counts_match_the_exhaustive_loops(p, coeffs):
         assert (p ** k + 1 - new) % p == 0          # trace = 0 mod p
 
 
+def _lift_cases():
+    rng = random.Random(17)
+    for p, a in FIELDS:
+        for cross in ((True,) if p == 2 else (False, True)):
+            for _ in range(2):
+                yield p, a, _random_curve(rng, p, cross)
+    for p, coeffs in SUPERSINGULAR:
+        for a in (1, 2, 3):
+            yield p, a, coeffs
+
+
+@pytest.mark.parametrize("p,a,coeffs", list(_lift_cases()))
+def test_n1_lifted_from_f_p_matches_enumeration_over_f_q(p, a, coeffs):
+    """At budget 3q no cross-check runs: N_1 is #E(F_p) and the recurrence
+    alone, and must equal the one-pass count over F_q = F_{p^a}."""
+    q = p ** a
+    counts = point_counts(VarietySpec.elliptic(coeffs, p, a), 1,
+                          budget=3 * q)
+    assert counts == (_enumerate_elliptic(FiniteField(p, a), coeffs),)
+
+
 def _index(u, p):
     return sum(c * p ** i for i, c in enumerate(u))
 
@@ -164,8 +187,8 @@ _POINTS_LIMIT, _PAIRS_LIMIT = 5 ** 6, 5 ** 3
 @pytest.mark.parametrize("p,k", [(p, k) for p in (2, 3, 5, 7)
                                  for k in (1, 2)])
 def test_point_counts_match_the_exhaustive_loops_at_degrees_1_to_3(p, k):
-    """N_1..N_3 of curves over F_{p^k}: N_1 is enumerated, N_2 is the
-    runtime anchor, N_3 comes from the recurrence alone."""
+    """N_1..N_3 of curves over F_{p^k}: N_1 is lifted from F_p, N_2 is
+    the runtime anchor, N_3 comes from the recurrence alone."""
     rng = random.Random(100 * p + k)
     for cross in ((True,) if p == 2 else (False, True)):
         coeffs = _random_curve(rng, p, cross)

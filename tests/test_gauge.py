@@ -105,15 +105,16 @@ def test_gauge_in_extension_context():
 
 
 def test_tate_twist_shifts_the_window():
+    """Twisting the crystal by r shifts the gauge window down by r:
+    M(r)^i = M^{i+r}, so h^i moves to h^{i-r} and v_p(det) drops by r*rank."""
     ctx = Zp(5, prec=32)
     vc = _vc(ctx, [[0, -5], [1, -3]])
-    g = hodge(vc)
-    twisted_window = g.tate_twist(1)
-    assert twisted_window.hodge_numbers == {-1: 1, 0: 1}
-    # twisting the crystal first gives the same numbers and determinant
-    direct = hodge(vc.tate_twist(1))
-    assert direct.hodge_numbers == {-1: 1, 0: 1}
-    assert twisted_window.det_val == direct.det_val == -1
+    g, twisted = hodge(vc), hodge(vc.tate_twist(1))
+    assert g.hodge_numbers == {0: 1, 1: 1}
+    assert twisted.hodge_numbers == {i - 1: h
+                                     for i, h in g.hodge_numbers.items()}
+    assert (twisted.i_min, twisted.i_max) == (g.i_min - 1, g.i_max - 1)
+    assert twisted.det_val == g.det_val - vc.rank == -1
 
 
 def test_direct_sum_adds_hodge_numbers():

@@ -154,6 +154,32 @@ def test_package_enumerates_each_curve_once_per_degree(monkeypatch):
     assert pkg.degrees[1].poly == poly_pow([1, 3, 5], 3)    # N_1 = 9
 
 
+def test_curve_over_extension_enumerates_only_f_p_and_the_cross_check(
+        monkeypatch):
+    """E over F_125 enumerates F_5 for N_1 and, when 3q + 3q^2 fits,
+    F_{5^6} for the N_2 cross-check; below 3q no field is built."""
+    curve = VarietySpec.elliptic([0, 0, 0, 1, 1], 5, a=3)
+    q = curve.q
+    fields = []
+    enumerate_elliptic = geometry._enumerate_elliptic
+
+    def recorded(field, coeffs):
+        fields.append(field.order)
+        return enumerate_elliptic(field, coeffs)
+
+    monkeypatch.setattr(geometry, "_enumerate_elliptic", recorded)
+    want = point_counts(curve, 2, budget=3 * q)
+    assert fields == [5]
+    fields.clear()
+    assert point_counts(curve, 2, budget=3 * q + 3 * q * q) == want
+    assert fields == [5, 5 ** 6]
+    fields.clear()
+    before = field.cache_info()
+    with pytest.raises(BudgetExceeded):
+        point_counts(curve, 2, budget=3 * q - 1)
+    assert field.cache_info() == before and fields == []
+
+
 def test_package_shapes_for_projective_line():
     pkg = package(VarietySpec.projective(1, 5), budget=BUDGET)
     assert sorted(pkg.degrees) == [0, 2]

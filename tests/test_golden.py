@@ -4,8 +4,9 @@ Each `.out` file under `tests/golden/` is the stdout of one command on the
 input documents beside it, recorded from the library before its power,
 matrix-product and polygon helpers were merged and its Smith form dropped
 U, V and D; `zeta_eee_f5.out` was recorded before point counting stopped
-enumerating degrees past N_2.  A change that alters an answer or its
-formatting fails here.
+enumerating degrees past N_2, and `zeta_e_f5_9.out` while N_1 of a curve
+over F_{5^9} was still enumerated over F_{5^9}.  A change that alters an
+answer or its formatting fails here.
 """
 
 from pathlib import Path
@@ -25,6 +26,8 @@ CASES = {
     "zeta_f25": ["zeta", "--variety", "elliptic_f25.json",
                  "--budget", "20000"],
     "zeta_eee_f5": ["zeta", "--variety", "eee_f5.json"],
+    "zeta_e_f5_9": ["zeta", "--variety", "elliptic_f5_9.json",
+                    "--truncation", "4"],
     "gauge_f25": ["gauge", "--input", "crystal_f25.json"],
     "slopes_f25": ["slopes", "--input", "crystal_f25.json"],
     "zf_gamma": ["zf", "--gamma", "gamma.json"],
