@@ -123,52 +123,32 @@ def _z_snf_route(m: GammaModule):
     """[Ker f]/[coker f] via explicit presentations.
 
     Free part: with 1 - gamma = U D V, the invariants are the kernel columns
-    of V^{-1} and the coinvariants live in U^{-1}-coordinates where the
-    relation lattice is D.  The induced map is read off G = U^{-1} K: rows at
-    unit divisors die, rows at divisors p^e (e>0) land in Z/p^e, rows at zero
-    divisors land in the free quotient.  The cokernel order is the Smith form
-    of G with the torsion relations adjoined; the kernel is trivial once z is
-    defined (f is injective modulo torsion).  Torsion components contribute
-    Z/p^{min(d, e-d)} to both sides.
+    K of V^{-1} and the coinvariants live in U^{-1}-coordinates where the
+    relation lattice is D.  The induced map is G = U^{-1} K: rows at unit
+    divisors die, rows at divisors p^e (e > 0) land in Z/p^e, and the rows
+    G_f at zero divisors land in the free quotient.  The presentation
+    [[G_t, diag(p^e)], [G_f, 0]] of coker f is block triangular, so
+    [coker f] = p^{sum e} p^{v(det G_f)}, read off the Smith form of G_f
+    (empty when z0 = 0); the kernel is trivial once z is defined (f is
+    injective modulo torsion).  A torsion component contributes
+    Z/p^{min(d, e-d)} to both sides, which cancels.
 
     z is defined when the kernel rank z0 of 1 - gamma, read off the same
     Smith form, equals the exact multiplicity of 1 in det(1 - t*gamma).
     """
-    ctx = m._ctx
     m.defined_at_one()          # MultipleRootError unless z is defined
     snf = m.snf
-    z0 = snf.divisors.count(None)
-    ker_order = Fraction(1)
-    coker_order = Fraction(1)
-    if z0 > 0:
-        n = m.rank
-        kcols = [k for k, e in enumerate(snf.divisors) if e is None]
-        K = [[snf.V_inv[i][j] for j in kcols] for i in range(n)]
-        G = mat_mul(snf.U_inv, K)
-        torsion_rows = [i for i, e in enumerate(snf.divisors)
-                        if e is not None and e > 0]
-        free_rows = kcols
-        rows = torsion_rows + free_rows
-        t = len(torsion_rows)
-        C = []
-        for ridx, i in enumerate(rows):
-            rel = [ctx.from_int(m.prime ** snf.divisors[torsion_rows[j]]
-                                if ridx == j else 0) for j in range(t)]
-            C.append([G[i][j] for j in range(z0)] + rel)
-        snf2 = smith_normal_form(C)
-        if any(e is None for e in snf2.divisors):
+    exponent = sum(e for e in snf.divisors if e is not None)
+    free = [k for k, e in enumerate(snf.divisors) if e is None]
+    if free:
+        G_f = mat_mul([snf.U_inv[i] for i in free],
+                      [[row[j] for j in free] for row in snf.V_inv])
+        divisors = smith_normal_form(G_f).divisors
+        if None in divisors:
             raise ValidationError("cokernel of f is infinite although z is "
                                   "defined; inconsistent module data")
-        coker_order *= Fraction(m.prime) ** sum(snf2.divisors)
-    else:
-        coker_order *= Fraction(m.prime) ** sum(
-            e for e in snf.divisors if e is not None and e > 0)
-    for comp in m.torsion:
-        d = m._torsion_d(comp)
-        k = min(d, comp.e - d)
-        ker_order *= Fraction(m.prime) ** k
-        coker_order *= Fraction(m.prime) ** k
-    return ker_order / coker_order
+        exponent += sum(divisors)
+    return 1 / Fraction(m.prime) ** exponent
 
 
 def _z_poly_route(m: GammaModule):

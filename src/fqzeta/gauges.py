@@ -1,4 +1,4 @@
-"""Hodge gauges of virtual crystals: filtrations M^i, Hodge numbers, twists.
+"""Hodge gauges of virtual crystals: filtrations M^i and Hodge numbers.
 
 A virtual crystal is an isocrystal together with a lattice N in its ambient
 space.  The gauge functor computes M^i = F^{-1}(p^i N) ∩ N, and it depends
@@ -46,12 +46,6 @@ class VirtualCrystal:
     @classmethod
     def from_ints(cls, ctx, rows):
         return cls(Isocrystal.from_ints(ctx, rows))
-
-    def tate_twist(self, r: int):
-        """Scale F by p^{-r}; the linearization picks up q^{-r}."""
-        return VirtualCrystal(Isocrystal(self.ctx,
-                                         [[x.shift(-r) for x in row]
-                                          for row in self.crystal.matrix]))
 
     def direct_sum(self, other):
         if self.ctx is not other.ctx:

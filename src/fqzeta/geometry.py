@@ -8,8 +8,13 @@ F_p), in one pass over x with Zech log tables.  N_1 over F_q and every
 other N_e come from the Weil recurrence or the exact counts of P^n, A^n and
 G_m.  The budget bills 3 q^e for degree e of a curve, an upper bound on
 that work, and what N_1 leaves of it pays for one cross-check per curve:
-N_2, enumerated over F_{q^2} and compared with the recurrence.  Packages
-carry exact integer zeta factors and the corresponding p-adic crystals.
+N_2, enumerated over F_{q^2} and compared with the recurrence.
+
+Packages carry exact zeta factors and the corresponding p-adic crystals,
+built from Tate pieces Q_p(-i) (`_tate`) and one elliptic H^1 by two
+operations: the Kunneth product (`_kunneth`) and the direct sum of pieces
+in one degree (`_merge_degree`).  A coefficient twist and the Tate twist
+are Kunneth factors on the point.
 """
 
 from __future__ import annotations
@@ -27,12 +32,12 @@ from .gauges import VirtualCrystal
 from .isocrystals import Isocrystal, purity_check
 from .lfun import assemble
 from .padics import DEFAULT_PRECISION, check_field, context, field
+from .plinalg import mat_identity, mat_shift
 from .polys import (
     companion_of_reversed,
     kron,
     mat_pow_fractions,
     poly_mul,
-    poly_pow,
     poly_trim,
     rev_charpoly_fractions,
     tensor_poly,
@@ -437,23 +442,17 @@ class CohomologyPackage:
         return out
 
     def tate_twist(self, r):
-        """Twist every degree: inverse roots divide by q^r, crystals by p^r.
+        """X(r), the Kunneth product with Q_p(r) on the point: inverse roots
+        divide by q^r, crystals by p^r, weights drop by 2r, u stays.
 
         Factor coefficients become rational for r > 0, so a twisted package
-        is p-adic-only (compatibility_check fails); weights drop by 2r.
+        is p-adic-only (compatibility_check fails).
         """
-        scale = Fraction(self.q) ** r
-        degrees = {}
-        for j, data in self.degrees.items():
-            poly = [Fraction(c) / scale ** k for k, c in enumerate(data.poly)]
-            degrees[j] = PackageDegree(
-                poly=poly,
-                weight=None if data.weight is None else data.weight - 2 * r,
-                u=data.u,
-                semisimple=data.semisimple,
-                crystal=None if data.crystal is None
-                else data.crystal.tate_twist(r))
-        return CohomologyPackage(self.p, self.a, self.dim, degrees)
+        ctx = max((d.crystal.ctx for d in self.degrees.values()
+                   if d.crystal is not None), key=lambda c: c.prec,
+                  default=None) or context(self.p, self.a, DEFAULT_PRECISION)
+        return CohomologyPackage(self.p, self.a, self.dim, _kunneth(
+            self.degrees, {0: _tate(ctx, -r)}))
 
     def __repr__(self):
         polys = {j: [str(c) for c in d.poly]
@@ -461,61 +460,54 @@ class CohomologyPackage:
         return f"CohomologyPackage(q={self.q}, factors={polys})"
 
 
-def _unit_crystal(ctx, rank):
-    return VirtualCrystal.from_ints(
-        ctx, [[1 if i == j else 0 for j in range(rank)] for i in range(rank)])
+def _tate(ctx, i, mult=1):
+    """mult copies of the Tate piece Q_p(-i): factor (1 - q^i t)^mult,
+    weight 2i, and p^i times the identity as crystal (any integer i)."""
+    q = ctx.p ** ctx.a
+    num, den = (q ** i, 1) if i >= 0 else (1, q ** -i)
+    return PackageDegree(
+        poly=[Fraction(math.comb(mult, k) * (-num) ** k, den ** k)
+              for k in range(mult + 1)],
+        weight=2 * i, u=0, semisimple=True, crystal=VirtualCrystal(
+            Isocrystal(ctx, mat_shift(mat_identity(ctx, mult), i))))
 
 
-def _scalar_crystal(ctx, scalar):
-    return VirtualCrystal.from_ints(ctx, [[scalar]])
-
-
-def _crystal_from_rational(ctx, rows):
-    mat = [[ctx.from_fraction(x) for x in row] for row in rows]
-    return VirtualCrystal(Isocrystal(ctx, mat))
-
-
-def _crystal_tensor(vc1, vc2):
-    if vc1 is None or vc2 is None:
-        return None
-    return VirtualCrystal(Isocrystal(
-        vc1.ctx, kron(vc1.crystal.matrix, vc2.crystal.matrix)))
-
-
-def _pure_degree(poly, weight, crystal):
-    return PackageDegree(poly=[Fraction(c) for c in poly], weight=weight,
-                         u=0, semisimple=True, crystal=crystal)
+def _twist_degree(ctx, twist):
+    """The coefficient twist as a package on the point: det(1 - t T^a) in
+    degree 0 for the square rational matrix T, weight unknown, semisimple
+    when T has rank 1, and T itself as the (sigma-semilinear) crystal."""
+    rows = [[Fraction(x) for x in row] for row in twist]
+    if any(len(r) != len(rows) for r in rows):
+        raise ValidationError("twist matrix must be square")
+    return PackageDegree(
+        poly=rev_charpoly_fractions(mat_pow_fractions(rows, ctx.a)),
+        weight=None, u=0, semisimple=len(rows) == 1,
+        crystal=VirtualCrystal(Isocrystal(
+            ctx, [[ctx.from_fraction(x) for x in row] for row in rows])))
 
 
 def _leaf_package(spec, ctx, n1):
     kind = spec.kind
-    p, q = spec.p, spec.q
     if kind == "projective":
-        return {2 * i: _pure_degree([1, -q ** i], 2 * i,
-                                    _scalar_crystal(ctx, p ** i))
-                for i in range(spec.n + 1)}
+        return {2 * i: _tate(ctx, i) for i in range(spec.n + 1)}
     if kind == "affine":
-        n = spec.n
-        return {2 * n: _pure_degree([1, -q ** n], 2 * n,
-                                    _scalar_crystal(ctx, p ** n))}
+        return {2 * spec.n: _tate(ctx, spec.n)}
     if kind == "torus":
-        return {1: _pure_degree([1, -1], 0, _unit_crystal(ctx, 1)),
-                2: _pure_degree([1, -q], 2, _scalar_crystal(ctx, p))}
+        return {1: _tate(ctx, 0), 2: _tate(ctx, 1)}
     if kind == "points":
-        if spec.count == 0:
-            return {}
-        return {0: _pure_degree(poly_pow([1, -1], spec.count), 0,
-                                _unit_crystal(ctx, spec.count))}
+        return {0: _tate(ctx, 0, spec.count)} if spec.count else {}
     if kind == "elliptic":
+        q = spec.q
         a_q = q + 1 - n1[spec]
         frob = None
         if spec.a == 1:
             rows = [[int(x) for x in row]
                     for row in companion_of_reversed([1, -a_q, q])]
             frob = VirtualCrystal.from_ints(ctx, rows)
-        return {0: _pure_degree([1, -1], 0, _unit_crystal(ctx, 1)),
-                1: _pure_degree([1, -a_q, q], 1, frob),
-                2: _pure_degree([1, -q], 2, _scalar_crystal(ctx, p))}
+        return {0: _tate(ctx, 0),
+                1: PackageDegree([Fraction(c) for c in (1, -a_q, q)],
+                                 weight=1, u=0, semisimple=True, crystal=frob),
+                2: _tate(ctx, 1)}
     raise ValidationError(f"no package rule for kind {spec.kind!r}")
 
 
@@ -535,22 +527,24 @@ def _merge_degree(first, second):
 
 
 def _kunneth(deg1, deg2):
+    """Degree j of the product is the direct sum over j1 + j2 = j of the
+    tensor products d1 (x) d2.  A unipotent exponent passes through a
+    tensor with a piece of u = 0; two nonzero ones do not combine."""
     out = {}
     for j1, d1 in deg1.items():
         for j2, d2 in deg2.items():
-            poly = tensor_poly(d1.poly, d2.poly)
-            if d1.u or d2.u:
+            if d1.u and d2.u:
                 raise ValidationError("unipotent exponents do not combine")
-            if d1.crystal is not None and d2.crystal is not None:
-                crystal = _crystal_tensor(d1.crystal, d2.crystal)
-            else:
-                crystal = None
-            weight = (d1.weight + d2.weight
-                      if d1.weight is not None and d2.weight is not None
-                      else None)
-            piece = PackageDegree(poly=poly, weight=weight, u=0,
-                                  semisimple=d1.semisimple and d2.semisimple,
-                                  crystal=crystal)
+            c1, c2 = d1.crystal, d2.crystal
+            piece = PackageDegree(
+                poly=tensor_poly(d1.poly, d2.poly),
+                weight=(None if d1.weight is None or d2.weight is None
+                        else d1.weight + d2.weight),
+                u=d1.u or d2.u,
+                semisimple=d1.semisimple and d2.semisimple,
+                crystal=None if c1 is None or c2 is None
+                else VirtualCrystal(Isocrystal(c1.ctx, kron(
+                    c1.crystal.matrix, c2.crystal.matrix))))
             j = j1 + j2
             out[j] = piece if j not in out else _merge_degree(out[j], piece)
     return out
@@ -573,29 +567,9 @@ def _cone_degrees(ctx, ambient_degrees, k):
             "cone rule needs a connected ambient with degree-0 factor 1-t")
     out = {j: d for j, d in ambient_degrees.items() if j != 0}
     if k > 1:
-        boundary = PackageDegree(poly=poly_pow([1, -1], k - 1), weight=0,
-                                 u=0, semisimple=True,
-                                 crystal=_unit_crystal(ctx, k - 1))
+        boundary = _tate(ctx, 0, k - 1)
         out[1] = (boundary if 1 not in out
                   else _merge_degree(out[1], boundary))
-    return out
-
-
-def _apply_twist(ctx, degrees, twist):
-    rows = [[Fraction(x) for x in row] for row in twist]
-    rank = len(rows)
-    if any(len(r) != rank for r in rows):
-        raise ValidationError("twist matrix must be square")
-    p0 = rev_charpoly_fractions(mat_pow_fractions(rows, ctx.a))
-    twist_vc = _crystal_from_rational(ctx, rows)
-    out = {}
-    for j, d in degrees.items():
-        poly = tensor_poly(d.poly, p0)
-        crystal = (_crystal_tensor(d.crystal, twist_vc)
-                   if d.crystal is not None else None)
-        out[j] = PackageDegree(poly=poly, weight=None, u=d.u,
-                               semisimple=d.semisimple and rank == 1,
-                               crystal=crystal)
     return out
 
 
@@ -604,16 +578,17 @@ def package(spec, twist=None, prec=DEFAULT_PRECISION,
     """CohomologyPackage of a corpus variety (compact support).
 
     `twist` is an optional square matrix with rational entries: the
-    (sigma-semilinear) Frobenius of an isocrystal on the point.  Twisting
-    tensors every factor with det(1 - t F^a) of the twist and every crystal
-    with the twist crystal; weight tags are dropped since the twist's weights
-    are not known.  Each distinct elliptic curve is counted once, under
-    `budget` exactly as in `point_counts`.
+    (sigma-semilinear) Frobenius of an isocrystal on the point.  The twisted
+    package is the Kunneth product with that package on the point
+    (`_twist_degree`): every factor is tensored with det(1 - t F^a) of the
+    twist and every crystal with the twist crystal, and weight tags are
+    dropped since the twist's weights are not known.  Each distinct elliptic
+    curve is counted once, under `budget` exactly as in `point_counts`.
     """
     ctx = context(spec.p, spec.a, prec)
     degrees = _package_degrees(spec, ctx, _curve_n1(spec, budget))
     if twist is not None:
-        degrees = _apply_twist(ctx, degrees, twist)
+        degrees = _kunneth(degrees, {0: _twist_degree(ctx, twist)})
     return CohomologyPackage(spec.p, spec.a, spec.dim, degrees)
 
 

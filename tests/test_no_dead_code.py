@@ -9,8 +9,9 @@ called, imported, read as an attribute, or given as an identifier string
 neither is anything in ``tests/``: code that only tests call belongs in
 ``tests/``, as an oracle.  The exceptions are listed in ``TEST_PINNED``,
 each with the claim its tests pin.  A definition on its own is not a use,
-so a helper that nothing names fails here.  A name used only inside its
-own body is not caught.
+so a helper that nothing names fails here, and neither is a use inside
+the body of a definition of the same name: two methods that only call
+each other's name through different objects are both unused.
 
 A method whose name is also a data attribute of the library
 (``self.<name> = ...`` or a namedtuple field) is held to more: reading
@@ -37,6 +38,8 @@ TEST_PINNED = {
         "the gauge filtration M^i, checked against the window-scan oracle",
     "geometry.CohomologyPackage.check_purity":
         "Weil purity of the corpus factors (acceptance test 08)",
+    "geometry.CohomologyPackage.tate_twist":
+        "verifying X at r equals verifying X(r) at 0",
     "padics.FiniteField.is_zero":
         "the tuple-kernel oracle of the Zech-log point counter",
 }
@@ -118,11 +121,22 @@ def _data_strings(tree):
             yield from map(id, [node.left] + node.comparators)
 
 
+def _scoped(node, around=frozenset()):
+    """(node, names of the definitions around it) for every node below."""
+    for child in ast.iter_child_nodes(node):
+        yield child, around
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _scoped(child, around | {child.name})
+        else:
+            yield from _scoped(child, around)
+
+
 def _uses(path, tree):
     """(names, calls): every name used, and the names that count for a
     method shadowed by data (attribute calls and identifier strings that
     do not name data).  Nothing counts in tests/, nor the imports and
-    __all__ of an __init__.py."""
+    __all__ of an __init__.py, nor a name inside a definition of that
+    name."""
     names, calls = set(), set()
     if not any(path.is_relative_to(top) for top in USERS):
         return names, calls
@@ -134,21 +148,26 @@ def _uses(path, tree):
                      and any(getattr(t, "id", None) == "__all__"
                              for t in node.targets))], type_ignores=[])
     data_strings = set(_data_strings(tree))
-    for node in ast.walk(tree):
+    for node, around in _scoped(tree):
+        name = call = None
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            name = node.id
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            name = node.attr
         elif isinstance(node, ast.alias):
-            names.add(node.name.rsplit(".", 1)[-1])
+            name = node.name.rsplit(".", 1)[-1]
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and node.value.isidentifier()):
-            names.add(node.value)
+            name = node.value
             if id(node) not in data_strings:
-                calls.add(node.value)
+                call = node.value
         elif (isinstance(node, ast.Call)
               and isinstance(node.func, ast.Attribute)):
-            calls.add(node.func.attr)
+            call = node.func.attr
+        if name is not None and name not in around:
+            names.add(name)
+        if call is not None and call not in around:
+            calls.add(call)
     return names, calls
 
 
@@ -203,3 +222,20 @@ def test_method_named_like_data_needs_a_call():
     called = ast.parse("def use(x):\n    return Planted().rank()\n")
     assert set(_orphans(trees + [(ROOT / "bench" / "use.py", called)])) \
         == set(TEST_PINNED)
+
+
+def test_methods_that_only_name_each_other_fail():
+    # each method calls the other's name, through another object, inside a
+    # definition of that same name: neither is used
+    planted = ast.parse("class First:\n"
+                        "    def planted_twist(self, other):\n"
+                        "        return other.planted_twist(self)\n\n\n"
+                        "class Second:\n"
+                        "    def planted_twist(self, other):\n"
+                        "        return other.planted_twist(self)\n")
+    trees = list(_trees()) + [(LIBRARY / "planted.py", planted)]
+    assert {"planted.First.planted_twist",
+            "planted.Second.planted_twist"} <= set(_orphans(trees))
+    called = ast.parse("def use(x, y):\n    return x.planted_twist(y)\n")
+    assert "planted.First.planted_twist" not in _orphans(
+        trees + [(ROOT / "bench" / "use.py", called)])

@@ -247,14 +247,12 @@ def test_snf_matches_the_eager_elimination_under_starved_precision():
     with exact zeros, IFZ entries, valuations down to -2, short relative
     precision and forced rank loss.
 
-    Where both certify, the divisors agree.  The logged form's row
-    operations carry an IFZ pivot-column entry's uncertainty into the
-    trailing block, as the eager column pass does, and also the product
-    with an IFZ pivot-row entry, which the eager form drops ("ifz
-    product"): only there may it raise where the eager form certifies.
-    Wherever it returns, U^{-1} A V^{-1} = D, except where the eager form's
-    pivot skipped a coarser IFZ entry ("ifz below pivot"), and its own
-    transforms fail too.
+    Where both certify, the divisors agree and U^{-1} A V^{-1} = D.  The
+    logged form may raise where the eager form certifies only at one of
+    the eager form's blind spots: its pivot scan skipped an IFZ entry
+    below the pivot ("ifz below pivot"), which the logged form's scan
+    refuses, or an IFZ pivot-column entry met an IFZ pivot-row entry
+    ("ifz product"), whose product the logged form's row operation keeps.
     """
     rng = random.Random(1907)
     outcomes = Counter()
@@ -269,19 +267,36 @@ def test_snf_matches_the_eager_elimination_under_starved_precision():
         try:
             snf = smith_normal_form(A)
         except PrecisionExhausted:
-            assert ref is None or "ifz product" in ref.blind_spots
-            outcomes["raises" if ref is None else "raises on ifz product"] += 1
+            assert ref is None or ref.blind_spots & {"ifz below pivot",
+                                                     "ifz product"}
+            outcomes["raises" if ref is None else "raises on blind spot"] += 1
             continue
         assert ref is not None, "certifies where the eager form raised"
         assert snf.divisors == ref.divisors
-        if _factorizes(A, snf):
-            outcomes["same divisors"] += 1
-        else:
-            assert "ifz below pivot" in ref.blind_spots
-            assert not _factorizes(A, ref)
-            outcomes["neither factors"] += 1
+        assert _factorizes(A, snf)
+        outcomes["same divisors"] += 1
     assert outcomes["same divisors"] > 200 and outcomes["raises"] > 200, \
         outcomes
+
+
+def test_snf_refuses_an_ifz_entry_below_the_pivot():
+    """Draw 214 of the starved sweep: after the first pivot, the O(p^-2)
+    entry leaves an entry O(p^0) in the trailing block, below the second
+    pivot p^1, so the true valuation may be below the pivot's.  The scan
+    used to skip it and certify divisors [-2, 1, 3] that do not factor
+    the matrix."""
+    ctx = context(5, 2, 12)
+
+    def x(u, w, val):
+        return ctx.from_vector([u, w], val=val)
+
+    A = [[x(122, 88, 3), x(40, 81, 0), x(41, 2, 3), x(41, 61, 3), ctx.ifz(-2)],
+         [x(42, 81, 2), x(41, 30, 0), x(94, 55, 1), ctx.ifz(12),
+          x(61, 124, -2)],
+         [ctx.ifz(7), x(41, 115, 2), x(84, 81, 3), ctx.zero(),
+          x(81, 63, -1)]]
+    with pytest.raises(PrecisionExhausted, match="below the pivot"):
+        smith_normal_form(A)
 
 
 def test_divisor_only_callers_build_no_transform(monkeypatch):

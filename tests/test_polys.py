@@ -13,7 +13,7 @@ from fqzeta.padics import (FiniteField, QqContext, _mulmod, _powmod,
                            minimal_polynomial)
 from fqzeta.polys import (companion_of_reversed, from_power_sums, kron,
                           mat_mul, mat_pow_fractions, poly_inverse_series,
-                          poly_mul, poly_mul_trunc, poly_pow, power_sums,
+                          poly_mul, poly_mul_trunc, power, power_sums,
                           rev_charpoly_fractions, tensor_poly)
 from matrix_oracles import mat_equal
 from test_lfun import poly_pow_trunc
@@ -22,8 +22,8 @@ PRIMES_AND_DEGREES = [(p, a) for p in (2, 3, 5, 7) for a in (1, 2, 3)]
 
 
 def _rings(p, a, rng):
-    """(name, x, mul, one, pow_fn) for the five rings `power` serves, where
-    pow_fn is the library's power in that ring, built on `power`."""
+    """(name, x, mul, one, pow_fn) for five rings, where pow_fn is built on
+    `power`: the library's power in that ring where it has one."""
     m = minimal_polynomial(p, a)
     cap = p ** 4
     field = FiniteField(p, a)
@@ -36,7 +36,8 @@ def _rings(p, a, rng):
            field.mul, field.one, field.pow)
     yield ("Fraction polynomials",
            [Fraction(rng.randrange(-p, p + 1)) for _ in range(2)],
-           poly_mul, [Fraction(1)], poly_pow)
+           poly_mul, [Fraction(1)],
+           lambda f, e: power(f, e, poly_mul, [Fraction(1)]))
     yield ("truncated polynomials",
            [Fraction(rng.randrange(-p, p + 1), p) for _ in range(a + 3)],
            lambda f, g: poly_mul_trunc(f, g, order), [Fraction(1)],
