@@ -29,7 +29,7 @@ from .lfun import (
     euler_product_series,
     rational_series,
 )
-from .padics import DEFAULT_PRECISION, QqElement
+from .padics import DEFAULT_PRECISION
 from .serialize import (
     SCHEMA,
     dump_json,
@@ -51,8 +51,6 @@ def _plain(x):
         return x
     if isinstance(x, Fraction):
         return encode_rational(x)
-    if isinstance(x, QqElement):
-        return repr(x)
     if isinstance(x, dict):
         return {str(k): _plain(v) for k, v in sorted(x.items(),
                                                      key=lambda kv: str(kv[0]))}
@@ -246,7 +244,7 @@ def build_parser():
         if budget:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                            help="field operations for point counting: "
-                                "3q per distinct elliptic curve")
+                                "3p per distinct elliptic curve")
         if truncation:
             p.add_argument("--truncation", type=int, default=10,
                            help="series comparison order T, "

@@ -6,15 +6,18 @@ complements of rational points.  Point counts enumerate only what the
 closed forms need: #E(F_p) of each distinct curve (its coefficients lie in
 F_p), in one pass over x with Zech log tables.  N_1 over F_q and every
 other N_e come from the Weil recurrence or the exact counts of P^n, A^n and
-G_m.  The budget bills 3 q^e for degree e of a curve, an upper bound on
-that work, and what N_1 leaves of it pays for one cross-check per curve:
-N_2, enumerated over F_{q^2} and compared with the recurrence.
+G_m.  The budget bills three passes over each field enumerated, 3p for
+N_1 of a curve, and what N_1 leaves of it pays for one cross-check per
+curve: N_2, enumerated over F_{q^2} (billed 3 q^2) and compared with the
+recurrence.  Mobius inversion to closed points reads mu off the one trial
+division of the library, `padics.prime_divisors`.
 
 Packages carry exact zeta factors and the corresponding p-adic crystals,
-built from Tate pieces Q_p(-i) (`_tate`) and one elliptic H^1 by two
-operations: the Kunneth product (`_kunneth`) and the direct sum of pieces
-in one degree (`_merge_degree`).  A coefficient twist and the Tate twist
-are Kunneth factors on the point.
+built from Tate pieces Q_p(-i) (`_tate`) and one elliptic H^1, whose
+crystal over F_p is the closed form [[0, -p], [1, a_p]] with
+det(1 - t C) = 1 - a_p t + p t^2, by two operations: the Kunneth product
+(`_kunneth`) and the direct sum of pieces in one degree (`_merge_degree`).
+A coefficient twist and the Tate twist are Kunneth factors on the point.
 """
 
 from __future__ import annotations
@@ -31,10 +34,15 @@ from .errors import (
 from .gauges import VirtualCrystal
 from .isocrystals import Isocrystal, purity_check
 from .lfun import assemble
-from .padics import DEFAULT_PRECISION, check_field, context, field
+from .padics import (
+    DEFAULT_PRECISION,
+    check_field,
+    context,
+    field,
+    prime_divisors,
+)
 from .plinalg import mat_identity, mat_shift
 from .polys import (
-    companion_of_reversed,
     kron,
     mat_pow_fractions,
     poly_mul,
@@ -196,25 +204,10 @@ class VarietySpec:
 
 
 def _mobius(n):
-    result, d = 1, 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
-        result = -result
-    return result
-
-
-def _cost(spec, e):
-    """The bill for N_e of an elliptic curve: three passes over F_{q^e}
-    (log tables, squares and traces, the x loop), alike for every curve.
-    For N_1 at a > 1, counted over F_p, it is an upper bound, kept so
-    that every budget decides as when F_q itself was enumerated."""
-    return 3 * spec.q ** e
+    """mu(n) for n >= 1: (-1)^k if n is a product of k distinct primes,
+    else 0."""
+    primes = prime_divisors(n)
+    return (-1) ** len(primes) if math.prod(primes) == n else 0
 
 
 def _enumerate_elliptic(field, coeffs):
@@ -322,14 +315,16 @@ def _curve_n1(spec, budget):
     """N_1 over F_q of each distinct elliptic curve of spec: #E(F_p),
     enumerated, lifted to degree a by the Weil recurrence.
 
-    `budget` is billed 3 q^e per degree e of a curve (`_cost`):
-    BudgetExceeded is raised, before any field is built, exactly when the
-    N_1 bills exceed `budget`.  What they leave pays for one cross-check
-    per curve: N_2 is enumerated over F_{q^2} when it fits, and must equal
-    the recurrence or ValidationError is raised.
+    `budget` is billed 3 |F| for each field F enumerated, the three passes
+    over it (log tables, squares and traces, the x loop): 3p for N_1 of
+    each curve.  BudgetExceeded is raised, before any field is built,
+    exactly when the N_1 bills exceed `budget`.  What they leave pays for
+    one cross-check per curve: N_2 is enumerated over F_{q^2}, billed
+    3 q^2, when it fits, and must equal the recurrence or ValidationError
+    is raised.
     """
     curves = _curves(spec)
-    spent = sum(_cost(c, 1) for c in curves)
+    spent = sum(3 * c.p for c in curves)
     if spent > budget:
         raise BudgetExceeded(
             f"counting N_1 of {len(curves)} elliptic curve(s) needs {spent} "
@@ -337,8 +332,8 @@ def _curve_n1(spec, budget):
     n1 = {c: _weil_counts(c.p, _enumerate_elliptic(field(c.p, 1), c.coeffs),
                           c.a)[-1] for c in curves}
     for c in curves:
-        if spent + _cost(c, 2) <= budget:
-            spent += _cost(c, 2)
+        if spent + 3 * c.q ** 2 <= budget:
+            spent += 3 * c.q ** 2
             n2 = _enumerate_elliptic(field(c.p, 2 * c.a), c.coeffs)
             want = _weil_counts(c.q, n1[c], 2)[1]
             if n2 != want:
@@ -500,10 +495,8 @@ def _leaf_package(spec, ctx, n1):
         q = spec.q
         a_q = q + 1 - n1[spec]
         frob = None
-        if spec.a == 1:
-            rows = [[int(x) for x in row]
-                    for row in companion_of_reversed([1, -a_q, q])]
-            frob = VirtualCrystal.from_ints(ctx, rows)
+        if spec.a == 1:         # det(1 - t C) = 1 - a_q t + q t^2
+            frob = VirtualCrystal.from_ints(ctx, [[0, -q], [1, a_q]])
         return {0: _tate(ctx, 0),
                 1: PackageDegree([Fraction(c) for c in (1, -a_q, q)],
                                  weight=1, u=0, semisimple=True, crystal=frob),

@@ -5,13 +5,16 @@ coefficients (constant terms 1), assembled from the per-degree factors
 det(1 - t F | H^j).  `fqzeta zeta` prints it and compares its Taylor series
 with the Euler product over closed points; the verifier reads the pole
 order and leading coefficient at t = q^{-r} off the factors instead
-(`specialvalues`).  The Euler product is one power-sum recurrence: its
-logarithm sums tr(F^e) t^e / e over the closed points, and Newton's
-identities n g_n = sum_{k=1..n} s_k g_{n-k} turn those power sums s_e
-into the coefficients g_n in O(T^2) operations through t^T (A. Bostan,
-P. Flajolet, B. Salvy, E. Schost, "Fast computation of special
-resultants", J. Symbolic Comput. 2006).  Both series stop at
-MAX_TRUNCATION.  There is no floating point anywhere in this module.
+(`specialvalues`).  The Taylor series is one series quotient,
+s_n = num_n - sum_i den_i s_{n-i} (`rational_series`).  The Euler product
+is another algorithm, one power-sum recurrence: its logarithm sums
+tr(F^e) t^e / e over the closed points, and Newton's identities
+n g_n = sum_{k=1..n} s_k g_{n-k} turn those power sums s_e into the
+coefficients g_n in O(T^2) operations through t^T (A. Bostan, P. Flajolet,
+B. Salvy, E. Schost, "Fast computation of special resultants", J. Symbolic
+Comput. 2006).  So the two sides of the `euler_match` of `fqzeta zeta`
+share no series code.  Both series stop at MAX_TRUNCATION.  There is no
+floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -23,11 +26,8 @@ from .padics import rational_valuation
 from .polys import (
     from_power_sums,
     integral_scaling,
-    poly_inverse_series,
     poly_mul,
-    poly_mul_trunc,
     poly_trim,
-    poly_truncate,
     power_sums,
     rev_charpoly_fractions,
 )
@@ -178,7 +178,19 @@ def euler_product_series(closed_counts, truncation=10, frobenius=None):
 
 
 def rational_series(zeta, truncation=10):
-    """Taylor coefficients of zeta(t) = num/den at t = 0, through t^truncation."""
+    """Taylor coefficients s_n of zeta(t) = num/den at t = 0, through
+    t^truncation, as Fractions.
+
+    One series quotient: den s = num and den_0 = 1 (`RationalFunction`
+    scales it so) give s_n = num_n - sum_{1 <= i <= min(n, deg den)}
+    den_i s_{n-i}, O(T deg den) operations.
+    """
     order = check_truncation(truncation)
-    inv_den = poly_inverse_series(zeta.den, order)
-    return poly_mul_trunc(poly_truncate(zeta.num, order), inv_den, order)
+    num, den = zeta.num, zeta.den
+    series = []
+    for n in range(order + 1):
+        s = num[n] if n < len(num) else Fraction(0)
+        for i in range(1, min(n, len(den) - 1) + 1):
+            s -= den[i] * series[n - i]
+        series.append(s)
+    return series

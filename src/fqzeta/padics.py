@@ -6,7 +6,10 @@ F_p (coefficients compared low degree first), lifted with digits {0..p-1}.
 The Frobenius lift sigma is computed once per context by Hensel-lifting the
 root x -> x^p and stored as an a-by-a matrix over Z/p^prec.  `context` and
 `field` build each context and residue field once per process, among the
-most recently used (`CACHE_SIZE`); neither holds a result.
+most recently used (`CACHE_SIZE`); neither holds a result.  Products
+and powers in F_q are those of Z_q taken mod p (`_mulmod`, `_powmod`):
+the residue inverse that starts the Newton lift of a Z_q inverse is
+u^(q - 2).  `prime_divisors` is the one trial division of the library.
 
 Elements carry a valuation, a primitive coefficient vector for the unit part,
 and a relative precision.  Exact zero (infinite valuation) is distinct from
@@ -25,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import PrecisionExhausted, ValidationError
-from .polys import power
+from .polys import poly_trim, power
 
 DEFAULT_PRECISION = 64
 GUARD_DIGITS = 8
@@ -70,12 +73,6 @@ def rational_valuation(x, p: int) -> int:
 # polynomial helpers over F_p and Z/cap (dense int lists, low degree first)
 
 
-def _fp_trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
 def _fp_mod(f, m, p):
     # m monic
     f = list(f)
@@ -87,7 +84,7 @@ def _fp_mod(f, m, p):
             for i in range(dm + 1):
                 f[shift + i] = (f[shift + i] - c * m[i]) % p
         f.pop()
-    return _fp_trim(f)
+    return poly_trim(f)
 
 
 def _mulmod(u, v, m, cap):
@@ -140,40 +137,19 @@ def _is_irreducible(m, p):
         t = x
         for _ in range(n):
             t = _powmod(t, p, m, p)
-        return _fp_trim([(u - v) % p for u, v in zip(t, x)])
+        return poly_trim([(u - v) % p for u, v in zip(t, x)])
 
     # x^(p^a) == x mod m, and no factor of degree a/l for prime l | a
     if frobenius_minus_x(a):
         return False
     return all(len(_fp_gcd(frobenius_minus_x(a // ell), m, p)) == 1
-               for ell in range(2, a + 1) if a % ell == 0 and _is_prime(ell))
+               for ell in prime_divisors(a))
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def check_field(p, a, max_degree=MAX_DEGREE):
-    """Refuse F_{p^a} unless p is a prime int at most MAX_PRIME and a an
-    int in [1, max_degree]; the one check wherever a document's (p, a)
-    enters.  `FiniteField` allows degree 2 * MAX_DEGREE, for the N_2 anchor
-    of a curve over F_{p^a}."""
-    if not (isinstance(p, int) and 2 <= p <= MAX_PRIME and _is_prime(p)):
-        raise ValidationError(f"expected a prime at most {MAX_PRIME}, got {p}")
-    if not (isinstance(a, int) and 1 <= a <= max_degree):
-        raise ValidationError(
-            f"extension degree a must be in [1, {max_degree}], got {a}")
-
-
-def _prime_divisors(n):
-    """The distinct primes dividing n >= 1, by trial division."""
+def prime_divisors(n):
+    """The distinct primes dividing n >= 1, in increasing order, by trial
+    division: the one factorisation of the library (primality, the
+    irreducibility test, the order of a log-table generator, Mobius)."""
     out, d = [], 2
     while d * d <= n:
         if n % d == 0:
@@ -182,6 +158,19 @@ def _prime_divisors(n):
                 n //= d
         d += 1
     return out + [n] if n > 1 else out
+
+
+def check_field(p, a, max_degree=MAX_DEGREE):
+    """Refuse F_{p^a} unless p is a prime int at most MAX_PRIME and a an
+    int in [1, max_degree]; the one check wherever a document's (p, a)
+    enters.  `FiniteField` allows degree 2 * MAX_DEGREE, for the N_2 anchor
+    of a curve over F_{p^a}."""
+    if not (isinstance(p, int) and 2 <= p <= MAX_PRIME
+            and prime_divisors(p) == [p]):
+        raise ValidationError(f"expected a prime at most {MAX_PRIME}, got {p}")
+    if not (isinstance(a, int) and 1 <= a <= max_degree):
+        raise ValidationError(
+            f"extension degree a must be in [1, {max_degree}], got {a}")
 
 
 def minimal_polynomial(p: int, a: int):
@@ -221,7 +210,6 @@ class FiniteField:
         self.k = k
         self.order = p ** k
         self.modulus = tuple(minimal_polynomial(p, k))
-        self.zero = (0,) * k
         self.one = (1,) + (0,) * (k - 1)
         self._log_tables = None
 
@@ -239,25 +227,9 @@ class FiniteField:
                 cur[i] = 0
                 i += 1
 
-    # raw tuple arithmetic -------------------------------------------------
-
-    def add(self, u, v):
-        return tuple((a + b) % self.p for a, b in zip(u, v))
-
     def mul(self, u, v):
+        """The product of raw tuples."""
         return tuple(_mulmod(u, v, self.modulus, self.p))
-
-    def pow(self, u, e):
-        """u^e for e >= 0."""
-        return power(u, e, self.mul, self.one)
-
-    def inv(self, u):
-        if u == self.zero:
-            raise ZeroDivisionError("inverse of 0 in finite field")
-        return self.pow(u, self.order - 2)
-
-    def is_zero(self, u):
-        return all(c == 0 for c in u)
 
     def log_tables(self):
         """Zech log/antilog and curve tables (exp, log, zech, squares,
@@ -277,7 +249,7 @@ class FiniteField:
         if self._log_tables is None:
             p, m, n = self.p, self.modulus, self.order - 1
             one = list(self.one)
-            ells = _prime_divisors(n)
+            ells = prime_divisors(n)
             g = next(u for u in self.elements() if any(u)
                      and all(_powmod(u, n // ell, m, p) != one
                              for ell in ells))
@@ -342,16 +314,16 @@ class QqContext:
 
     def _zq_inv_ints(self, u, modcap_digits):
         """Inverse of a unit vector mod (m(x), p^modcap_digits): one `pow`
-        in Z_p, else Newton lifting from the residue field."""
+        in Z_p, else Newton lifting from the residue inverse red^(q - 2)."""
         p = self.p
         if self.a == 1:
             if u[0] % p == 0:
                 raise ZeroDivisionError("inverse of a non-unit in Z_p")
             return [pow(u[0], -1, p ** modcap_digits)]
-        # inverse in the residue field
-        red = tuple(c % p for c in u)
-        inv0 = self.residue_field.inv(red)
-        inv = list(inv0)
+        red = [c % p for c in u]
+        if not any(red):
+            raise ZeroDivisionError("inverse of a non-unit in Z_q")
+        inv = _powmod(red, self.q - 2, self.modulus, p)
         digits = 1
         while digits < modcap_digits:
             digits = min(2 * digits, modcap_digits)

@@ -9,7 +9,10 @@ product `tensor_poly` needs no matrix: it multiplies power sums
 from power sums to coefficients, for it and for the Euler product
 (`lfun.euler_product_series`).  `power`, `mat_mul` and `kron` are the one
 square-and-multiply, matrix product and Kronecker product of the library;
-each works over any ring, from F_p[x]/(m) to Fractions and Z_q.
+each works over any ring, from F_p[x]/(m) to Fractions and Z_q, and
+`poly_trim` is the one trim, over F_p as over Q.  Series division
+lives in `lfun.rational_series`; the slow series helpers and the companion
+matrix are oracles in the tests.
 """
 
 from __future__ import annotations
@@ -58,37 +61,6 @@ def poly_eval(f, x):
     for c in reversed(f):
         acc = acc * x + c
     return acc
-
-
-def poly_truncate(f, order):
-    """f mod t^(order+1)."""
-    return list(f[: order + 1])
-
-
-def poly_mul_trunc(f, g, order):
-    out = [Fraction(0)] * (order + 1)
-    for i, a in enumerate(f):
-        if i > order or not a:
-            continue
-        for j, b in enumerate(g):
-            if i + j > order:
-                break
-            out[i + j] += a * b
-    return out
-
-
-def poly_inverse_series(f, order):
-    """Inverse of f (constant term nonzero) as a power series mod t^(order+1)."""
-    if not f or f[0] == 0:
-        raise ValidationError("series inverse needs a unit constant term")
-    c0 = Fraction(f[0])
-    inv = [1 / c0]
-    for n in range(1, order + 1):
-        s = Fraction(0)
-        for i in range(1, min(n, len(f) - 1) + 1):
-            s += Fraction(f[i]) * inv[n - i]
-        inv.append(-s / c0)
-    return inv
 
 
 def deflate_once(coeffs, c):
@@ -180,7 +152,7 @@ def rev_charpoly_fractions(rows):
 
 
 # ---------------------------------------------------------------------------
-# companion matrices and tensor products of zeta factors
+# matrix products and tensor products of zeta factors
 
 
 def _unit_constant(P):
@@ -189,28 +161,6 @@ def _unit_constant(P):
     if not P or P[0] != 1:
         raise ValidationError("expected constant term 1")
     return P
-
-
-def companion_of_reversed(P):
-    """A rational matrix C with det(1 - t*C) = P, for P with P(0) = 1.
-
-    Works through the reversed (monic) polynomial x^n P(1/x); its companion
-    matrix has the inverse roots of P as eigenvalues.  Degree-0 input gives
-    the empty 0x0 matrix.
-    """
-    P = _unit_constant(P)
-    n = len(P) - 1
-    if n == 0:
-        return []
-    # monic reversal: x^n + a_1 x^(n-1) + ... + a_n, a_k = P[k]
-    # companion with characteristic polynomial = that reversal
-    C = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(1, n):
-        C[i][i - 1] = Fraction(1)
-    for i in range(n):
-        # last column: -coefficient of x^i in the monic reversal
-        C[i][n - 1] = -Fraction(P[n - i])
-    return C
 
 
 def mat_mul(A, B):

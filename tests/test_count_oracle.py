@@ -28,13 +28,22 @@ from fqzeta.padics import FiniteField
 FIELDS = [(p, k) for p in (2, 3, 5, 7) for k in (1, 2, 3)]
 
 
+def ff_add(field, u, v):
+    """The sum of raw tuples of F_{p^k}: the tuple kernel's addition."""
+    return tuple((a + b) % field.p for a, b in zip(u, v))
+
+
 def _oracle_count(field, coeffs):
     """#E(F) by exhaustive evaluation of the Weierstrass equation."""
     a1, a2, a3, a4, a6 = ((c % field.p,) + (0,) * (field.k - 1)
                           for c in coeffs)
-    add, mul = field.add, field.mul
+    mul = field.mul
+
+    def add(u, v):
+        return ff_add(field, u, v)
+
     total = 0
-    if field.is_zero(a1) and field.is_zero(a3):
+    if not any(a1) and not any(a3):
         squares = Counter()
         for y in field.elements():
             squares[mul(y, y)] += 1
@@ -154,7 +163,7 @@ def test_zech_logs_match_tuple_addition(p, k):
     exp, log, zech, _, _ = F.log_tables()
     elements = list(F.elements())
     for i in range(F.order - 1):
-        assert zech[i] == log[_index(F.add(F.one, elements[exp[i]]), p)]
+        assert zech[i] == log[_index(ff_add(F, F.one, elements[exp[i]]), p)]
 
 
 @pytest.mark.parametrize("p,k", FIELDS)
@@ -167,7 +176,7 @@ def test_curve_tables_count_squares_and_traces(p, k):
     for u in F.elements():
         u2 = F.mul(u, u)
         want_squares[log[_index(u2, p)]] += 1
-        want_traces[log[_index(F.add(u2, u), p)]] += 1
+        want_traces[log[_index(ff_add(F, u2, u), p)]] += 1
     assert list(squares) == want_squares
     assert list(traces) == want_traces
 

@@ -1,6 +1,7 @@
 """Point counting, closed points, and cohomology-package emission."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -102,15 +103,16 @@ def test_repeated_product_factor_is_counted_once():
 
 
 def test_budget_boundary_is_the_n1_cost():
-    """BudgetExceeded is raised below 3q, before any field is built; at 3q
-    the counts come back.  Closed forms cost nothing."""
+    """N_1 of a curve over F_q, q = p^a, costs one pass over F_p and is
+    billed 3p: BudgetExceeded is raised below 3p, before any field is
+    built; at 3p the counts come back.  Closed forms cost nothing."""
     curve = VarietySpec.elliptic([0, 0, 0, 1, 1], 7, a=2)
-    q = curve.q
+    p, q = curve.p, curve.q
     before = field.cache_info()
     with pytest.raises(BudgetExceeded):
-        point_counts(curve, 3, budget=3 * q - 1)
+        point_counts(curve, 3, budget=3 * p - 1)
     assert field.cache_info() == before     # no field asked for, or built
-    assert len(point_counts(curve, 3, budget=3 * q)) == 3
+    assert len(point_counts(curve, 3, budget=3 * p)) == 3
     assert point_counts(curve, 0, budget=0) == ()
     assert point_counts(VarietySpec.projective(2, 7, 2), 3, budget=0) == \
         tuple(sum(q ** (e * i) for i in range(3)) for e in (1, 2, 3))
@@ -157,10 +159,10 @@ def test_package_enumerates_each_curve_once_per_degree(monkeypatch):
 
 def test_curve_over_extension_enumerates_only_f_p_and_the_cross_check(
         monkeypatch):
-    """E over F_125 enumerates F_5 for N_1 and, when 3q + 3q^2 fits,
-    F_{5^6} for the N_2 cross-check; below 3q no field is built."""
+    """E over F_125 enumerates F_5 for N_1 and, when 3p + 3q^2 fits,
+    F_{5^6} for the N_2 cross-check; below 3p no field is built."""
     curve = VarietySpec.elliptic([0, 0, 0, 1, 1], 5, a=3)
-    q = curve.q
+    p, q = curve.p, curve.q
     fields = []
     enumerate_elliptic = geometry._enumerate_elliptic
 
@@ -169,16 +171,33 @@ def test_curve_over_extension_enumerates_only_f_p_and_the_cross_check(
         return enumerate_elliptic(field, coeffs)
 
     monkeypatch.setattr(geometry, "_enumerate_elliptic", recorded)
-    want = point_counts(curve, 2, budget=3 * q)
+    want = point_counts(curve, 2, budget=3 * p + 3 * q * q - 1)
     assert fields == [5]
     fields.clear()
-    assert point_counts(curve, 2, budget=3 * q + 3 * q * q) == want
+    assert point_counts(curve, 2, budget=3 * p + 3 * q * q) == want
     assert fields == [5, 5 ** 6]
     fields.clear()
     before = field.cache_info()
     with pytest.raises(BudgetExceeded):
-        point_counts(curve, 2, budget=3 * q - 1)
+        point_counts(curve, 2, budget=3 * p - 1)
     assert field.cache_info() == before and fields == []
+
+
+def test_curve_over_f_5_11_fits_the_default_budget(tmp_path, capsys):
+    """N_1 over F_{5^11} is billed one pass over F_5, so `fqzeta zeta`
+    prints the zeta function of y^2 = x^3 + x + 1 at the default budget
+    (billed as 3q it needed 1.5 * 10^8 operations and exited 2); N_2
+    over F_{5^22} stays out of reach, so it is not cross-checked."""
+    doc = tmp_path / "e_f5_11.json"
+    doc.write_text(json.dumps({"kind": "elliptic", "coeffs": [1, 1],
+                               "p": 5, "a": 11}))
+    assert main(["zeta", "--variety", str(doc)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    q = 5 ** 11
+    a_q = q + 1 - report["point_counts"][0]
+    assert report["euler_match"] is True
+    assert report["factors"]["1"] == [1, -a_q, q]
+    assert abs(a_q) <= 2 * math.isqrt(q) + 1
 
 
 def test_package_shapes_for_projective_line():

@@ -40,8 +40,6 @@ TEST_PINNED = {
         "Weil purity of the corpus factors (acceptance test 08)",
     "geometry.CohomologyPackage.tate_twist":
         "verifying X at r equals verifying X(r) at 0",
-    "padics.FiniteField.is_zero":
-        "the tuple-kernel oracle of the Zech-log point counter",
 }
 
 

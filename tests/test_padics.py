@@ -7,6 +7,7 @@ import pytest
 
 from fqzeta import padics
 from fqzeta.errors import PrecisionExhausted, ValidationError
+from fqzeta.geometry import _mobius
 from fqzeta.padics import (
     MAX_DEGREE,
     MAX_PRECISION,
@@ -14,14 +15,18 @@ from fqzeta.padics import (
     QqContext,
     Zp,
     _fp_mod,
-    _fp_trim,
     _is_irreducible,
+    _mulmod,
     _powmod,
+    check_field,
     context,
     field,
     int_valuation,
+    prime_divisors,
     rational_valuation,
 )
+from fqzeta.polys import poly_trim
+from test_count_oracle import ff_add
 
 
 def _fp_mul(f, g, p):
@@ -33,7 +38,7 @@ def _fp_mul(f, g, p):
     for i, a in enumerate(f):
         for j, b in enumerate(g):
             out[i + j] = (out[i + j] + a * b) % p
-    return _fp_trim(out)
+    return poly_trim(out)
 
 
 def _monic_polys(p, degree):
@@ -59,21 +64,22 @@ def test_finite_field_prime_case_matches_modular_arithmetic():
     for x in range(7):
         for y in range(7):
             u, v = (x,), (y,)
-            assert F.add(u, v) == ((x + y) % 7,)
+            assert ff_add(F, u, v) == ((x + y) % 7,)
             assert F.mul(u, v) == ((x * y) % 7,)
 
 
 def test_finite_field_f9_inverses_and_frobenius():
     F = FiniteField(3, 2)
+    m = F.modulus
     elems = list(F.elements())
     assert len(elems) == 9
     for u in elems:
-        if F.is_zero(u):
+        if not any(u):
             continue
-        assert F.mul(u, F.inv(u)) == F.one
+        assert F.mul(u, tuple(_powmod(u, 7, m, 3))) == F.one
         # x^(q-1) = 1 and Frobenius^2 = identity
-        assert F.pow(u, 8) == F.one
-        assert F.pow(F.pow(u, 3), 3) == u
+        assert tuple(_powmod(u, 8, m, 3)) == F.one
+        assert tuple(_powmod(_powmod(u, 3, m, 3), 3, m, 3)) == u
 
 
 def test_finite_field_mul_matches_schoolbook_oracle():
@@ -101,15 +107,45 @@ def test_is_irreducible_matches_trial_division():
             a += 1
 
 
+def _sieve_mobius(limit):
+    """mu(n) for 0 < n <= limit by a sieve of Eratosthenes: each prime
+    flips the sign of its multiples and zeroes those of its square."""
+    mu, prime = [1] * (limit + 1), [True] * (limit + 1)
+    for d in range(2, limit + 1):
+        if prime[d]:
+            for k in range(d, limit + 1, d):
+                prime[k] = k == d
+                mu[k] = -mu[k]
+            for k in range(d * d, limit + 1, d * d):
+                mu[k] = 0
+    return mu, prime
+
+
+def test_mobius_and_primality_match_a_sieve():
+    """The one trial division, `prime_divisors`, gives mu (Mobius
+    inversion to closed points) and the primality that `check_field`
+    requires; both agree with a sieve for every n <= 10^4."""
+    limit = 10 ** 4
+    mu, prime = _sieve_mobius(limit)
+    for n in range(1, limit + 1):
+        assert _mobius(n) == mu[n], n
+        if n >= 2 and prime[n]:
+            check_field(n, 1)
+            assert prime_divisors(n) == [n]
+        else:
+            with pytest.raises(ValidationError, match="prime"):
+                check_field(n, 1)
+
+
 def test_finite_field_ops_counter():
     F = FiniteField(5, 1)
     assert F.mul((2,), (3,)) == (1,)
-    assert F.inv((2,)) == (3,)
-    assert F.add((1,), (2,)) == (3,)
+    assert _powmod((2,), 3, F.modulus, 5) == [3]
+    assert ff_add(F, (1,), (2,)) == (3,)
 
 
 def _square_and_multiply_calls(e):
-    """Products made by the loop FiniteField.pow has always run."""
+    """Products made by the square-and-multiply loop of `polys.power`."""
     calls = 0
     while e:
         if e & 1:
@@ -120,23 +156,39 @@ def _square_and_multiply_calls(e):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_finite_field_pow_bills_the_same_operations(p):
+def test_finite_field_pow_bills_the_same_operations(p, monkeypatch):
+    """A power in F_{p^k} (`_powmod`) is one `polys.power` call with the
+    square-and-multiply count of products, and the residue inverse of a
+    Z_q inverse is one power to q - 2, which inverts the residue."""
     rng = random.Random(p)
+    power = padics.power
+    powers, products = [], []
+
+    def counted(x, e, mul, one):
+        powers.append(e)
+        return power(x, e, lambda v, w: products.append(1) or mul(v, w), one)
+
     for k in (1, 2, 3):
-        F = FiniteField(p, k)
-        u = F.zero
-        while u == F.zero:
-            u = tuple(rng.randrange(p) for _ in range(k))
-        calls = []
-        mul = F.mul
-        F.mul = lambda v, w: calls.append(1) or mul(v, w)
+        ctx = QqContext(p, k, prec=8)
+        m = ctx.modulus
+        u = [0] * k
+        while not any(u):
+            u = [rng.randrange(p) for _ in range(k)]
+        monkeypatch.setattr(padics, "power", counted)
         for e in range(41):
-            calls.clear()
-            F.pow(u, e)
-            assert len(calls) == _square_and_multiply_calls(e)
-        calls.clear()
-        F.inv(u)
-        assert len(calls) == _square_and_multiply_calls(F.order - 2)
+            powers.clear()
+            products.clear()
+            _powmod(u, e, m, p)
+            assert powers == [e]
+            assert len(products) == _square_and_multiply_calls(e)
+        if k > 1:
+            powers.clear()
+            products.clear()
+            inv = ctx._zq_inv_ints(u, 1)
+            assert powers == [p ** k - 2]
+            assert len(products) == _square_and_multiply_calls(p ** k - 2)
+            assert _mulmod(u, inv, m, p) == [1] + [0] * (k - 1)
+        monkeypatch.undo()
 
 
 def test_from_int_digits():
@@ -307,7 +359,7 @@ def test_context_primality_validation():
 def test_field_and_context_caches_are_bounded_and_evict_the_oldest():
     """`field` and `context` keep CACHE_SIZE entries each: building one more
     drops the least recently used, which is then built afresh."""
-    primes = [p for p in range(2, 200) if padics._is_prime(p)]
+    primes = [p for p in range(2, 200) if prime_divisors(p) == [p]]
     for build, keys in ((field, [(p, 1) for p in primes]),
                         (context, [(5, 1, prec) for prec in range(1, 100)])):
         build.cache_clear()

@@ -9,14 +9,14 @@ import pytest
 
 from fqzeta.errors import ValidationError
 from fqzeta.isocrystals import Isocrystal
+from fqzeta.lfun import RationalFunction, rational_series
 from fqzeta.padics import (FiniteField, QqContext, _mulmod, _powmod,
                            minimal_polynomial)
-from fqzeta.polys import (companion_of_reversed, from_power_sums, kron,
-                          mat_mul, mat_pow_fractions, poly_inverse_series,
-                          poly_mul, poly_mul_trunc, power, power_sums,
+from fqzeta.polys import (_unit_constant, from_power_sums, kron, mat_mul,
+                          mat_pow_fractions, poly_mul, power, power_sums,
                           rev_charpoly_fractions, tensor_poly)
 from matrix_oracles import mat_equal
-from test_lfun import poly_pow_trunc
+from test_lfun import poly_mul_trunc, poly_pow_trunc
 
 PRIMES_AND_DEGREES = [(p, a) for p in (2, 3, 5, 7) for a in (1, 2, 3)]
 
@@ -33,7 +33,7 @@ def _rings(p, a, rng):
            lambda u, v: _mulmod(u, v, m, cap), [1] + [0] * (a - 1),
            lambda u, e: _powmod(u, e, m, cap))
     yield ("F_{p^a}", tuple(rng.randrange(p) for _ in range(a)),
-           field.mul, field.one, field.pow)
+           field.mul, field.one, lambda u, e: tuple(_powmod(u, e, m, p)))
     yield ("Fraction polynomials",
            [Fraction(rng.randrange(-p, p + 1)) for _ in range(2)],
            poly_mul, [Fraction(1)],
@@ -192,6 +192,36 @@ def test_hessenberg_matches_berkowitz_over_zq(p, a):
                 assert h.kind == "n" and h.rel >= ctx.prec // 2
 
 
+def companion_of_reversed(P):
+    """A rational matrix C with det(1 - t*C) = P, for P with P(0) = 1.
+
+    Works through the reversed (monic) polynomial x^n P(1/x); its companion
+    matrix has the inverse roots of P as eigenvalues.  Degree-0 input gives
+    the empty 0x0 matrix.
+    """
+    P = _unit_constant(P)
+    n = len(P) - 1
+    C = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(1, n):
+        C[i][i - 1] = Fraction(1)
+    for i in range(n):
+        # last column: -coefficient of x^i in the monic reversal
+        C[i][n - 1] = -Fraction(P[n - i])
+    return C
+
+
+def test_companion_matrix_realises_its_polynomial():
+    """det(1 - t C) = P by Berkowitz, and for 1 - a t + q t^2 the companion
+    matrix is the closed form [[0, -q], [1, a]] of an elliptic H^1."""
+    rng = random.Random(9)
+    for _ in range(60):
+        P = _random_unit_poly(rng, rng.randrange(1, 7))
+        C = companion_of_reversed(P)
+        assert berkowitz(C, Fraction(0), Fraction(1)) == _unit_constant(P)
+    for a, q in ((-3, 5), (0, 7), (2, 4), (5, 9)):
+        assert companion_of_reversed([1, -a, q]) == [[0, -q], [1, a]]
+
+
 def tensor_poly_berkowitz(P, Q):
     """Oracle: det(1 - t*(C_P (x) C_Q)) by Berkowitz on the Kronecker product
     of the companion matrices, O((mn)^4)."""
@@ -241,7 +271,7 @@ def test_newton_identities_round_trip_and_invert():
         assert from_power_sums(sums) == P
         order = rng.randrange(12)
         inverse = from_power_sums([-s for s in power_sums(P, order)])
-        assert inverse == poly_inverse_series(P, order), P
+        assert inverse == rational_series(RationalFunction([1], P), order), P
         assert all(type(c) is int for c in inverse)
 
 
