@@ -21,7 +21,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .gammamodules import invariants_coinvariants, z_of_f
-from .gauges import hodge, slope_gauge_check
+from .gauges import VirtualCrystal, hodge, slope_gauge_check
 from .geometry import DEFAULT_BUDGET, closed_points, corpus, package, point_counts
 from .lfun import (
     MAX_TRUNCATION,
@@ -106,7 +106,6 @@ def _cmd_gauge(args):
                     expected={"virtual_crystal", "isocrystal"},
                     prec=args.prec)
     if not hasattr(vc, "crystal"):
-        from .gauges import VirtualCrystal
         vc = VirtualCrystal(vc)
     window = hodge(vc)
     comparison = slope_gauge_check(vc, window)

@@ -67,11 +67,10 @@ class FGaugeWindow:
     `lattice_at` builds M^i = W diag(p^{max(0, i - e_k)}) in N-coordinates.
     """
 
-    def __init__(self, vc, snf, exponents):
-        self.vc = vc
-        self.ctx = vc.ctx
+    def __init__(self, ctx, snf):
+        self.ctx = ctx
         self._snf = snf                 # Smith form of Frobenius on N
-        self._exponents = exponents     # e_k, one per column of W
+        self._exponents = exponents = snf.divisors  # e_k, per column of W
         self.i_min = min(exponents)
         self.i_max = max(exponents)
         self.hodge_numbers = {i: exponents.count(i)   # only nonzero entries
@@ -105,7 +104,7 @@ def hodge(vc: VirtualCrystal) -> FGaugeWindow:
         raise DegenerateCrystal(str(exc)) from exc
     if any(e is None for e in snf.divisors):
         raise DegenerateCrystal("Frobenius is singular at working precision")
-    return FGaugeWindow(vc, snf, snf.divisors)
+    return FGaugeWindow(vc.ctx, snf)
 
 
 # ---------------------------------------------------------------------------

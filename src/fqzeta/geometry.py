@@ -474,8 +474,11 @@ def _twist_degree(ctx, twist):
     rows = [[Fraction(x) for x in row] for row in twist]
     if any(len(r) != len(rows) for r in rows):
         raise ValidationError("twist matrix must be square")
+    poly = rev_charpoly_fractions(mat_pow_fractions(rows, ctx.a))
+    if len(poly_trim(poly)) <= len(rows):    # det T = 0: no isocrystal
+        raise ValidationError("twist matrix must be invertible")
     return PackageDegree(
-        poly=rev_charpoly_fractions(mat_pow_fractions(rows, ctx.a)),
+        poly=poly,
         weight=None, u=0, semisimple=len(rows) == 1,
         crystal=VirtualCrystal(Isocrystal(
             ctx, [[ctx.from_fraction(x) for x in row] for row in rows])))

@@ -15,7 +15,7 @@ from .errors import DegenerateCrystal, PrecisionExhausted, ValidationError
 from .padics import rational_valuation
 from .plinalg import (certified_zero, kernel_rank, mat_copy, mat_from_ints,
                       mat_mul, mat_sigma)
-from .polys import poly_eval, rev_charpoly, root_multiplicity
+from .polys import poly_eval, poly_trim, rev_charpoly, root_multiplicity
 
 
 class Isocrystal:
@@ -124,12 +124,10 @@ def newton_slopes_qq(coeffs, ctx):
 
 def newton_slopes_exact(coeffs, p, a):
     """Slope profile of an exact integer/Fraction polynomial."""
-    n = len(coeffs) - 1
-    while n > 0 and coeffs[n] == 0:
-        n -= 1
-    points = [(i, rational_valuation(coeffs[i], p))
-              for i in range(n + 1) if coeffs[i] != 0]
-    return _profile_from_points(points, [], n, a)
+    coeffs = poly_trim(coeffs)
+    points = [(i, rational_valuation(c, p))
+              for i, c in enumerate(coeffs) if c != 0]
+    return _profile_from_points(points, [], len(coeffs) - 1, a)
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +208,10 @@ def purity_check(P, w, q):
     """Necessary pairing condition for weight w: inverse roots stable under
     alpha -> q^w/alpha, as the coefficient identity c_j c_n = c_{n-j} q^{wj}.
     """
-    coeffs = [Fraction(c) for c in P]
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
+    coeffs = poly_trim(Fraction(c) for c in P)
     n = len(coeffs) - 1
-    if n == 0:
-        return PurityResult(coeffs[0] == 1)
+    if n <= 0:
+        return PurityResult(coeffs == [1])
     c_n = coeffs[n]
     return PurityResult(all(
         coeffs[j] * c_n == coeffs[n - j] * Fraction(q) ** (w * j)

@@ -1,15 +1,16 @@
 """Fixed-precision arithmetic in Z_p, Q_p and the unramified extension Z_q.
 
 The unramified extension W(F_{p^a}) is represented as Z_p[x]/(m(x)) where m is
-the lexicographically smallest monic irreducible polynomial of degree a over
-F_p (coefficients compared low degree first), lifted with digits {0..p-1}.
+the first monic irreducible c_0 + ... + c_{a-1} x^{a-1} + x^a over F_p in the
+order of the integer sum c_i p^i (`minimal_polynomial`), lifted to Z_p.
 The Frobenius lift sigma is computed once per context by Hensel-lifting the
 root x -> x^p and stored as an a-by-a matrix over Z/p^prec.  `context` and
 `field` build each context and residue field once per process, among the
 most recently used (`CACHE_SIZE`); neither holds a result.  Products
 and powers in F_q are those of Z_q taken mod p (`_mulmod`, `_powmod`):
 the residue inverse that starts the Newton lift of a Z_q inverse is
-u^(q - 2).  `prime_divisors` is the one trial division of the library.
+u^(q - 2), and Rabin's irreducibility test takes no gcd.  `prime_divisors`
+is the one trial division, `digits`/`from_digits` the one base-p codec.
 
 Elements carry a valuation, a primitive coefficient vector for the unit part,
 and a relative precision.  Exact zero (infinite valuation) is distinct from
@@ -26,9 +27,10 @@ from __future__ import annotations
 from array import array
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import PrecisionExhausted, ValidationError
-from .polys import poly_trim, power
+from .polys import power
 
 DEFAULT_PRECISION = 64
 GUARD_DIGITS = 8
@@ -69,22 +71,25 @@ def rational_valuation(x, p: int) -> int:
     return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
 
 
+def digits(n, p, count):
+    """The first `count` base-p digits of n >= 0, low first."""
+    out = []
+    for _ in range(count):
+        n, d = divmod(n, p)
+        out.append(d)
+    return out
+
+
+def from_digits(ds, p):
+    """sum d_i p^i of int base-p digits, low first, by Horner's rule."""
+    n = 0
+    for d in reversed(ds):
+        n = n * p + d
+    return n
+
+
 # ---------------------------------------------------------------------------
 # polynomial helpers over F_p and Z/cap (dense int lists, low degree first)
-
-
-def _fp_mod(f, m, p):
-    # m monic
-    f = list(f)
-    dm = len(m) - 1
-    while len(f) > dm:
-        c = f[-1] % p
-        if c:
-            shift = len(f) - 1 - dm
-            for i in range(dm + 1):
-                f[shift + i] = (f[shift + i] - c * m[i]) % p
-        f.pop()
-    return poly_trim(f)
 
 
 def _mulmod(u, v, m, cap):
@@ -114,36 +119,30 @@ def _powmod(u, e, m, cap):
                  [1] + [0] * (len(m) - 2))
 
 
-def _fp_gcd(f, g, p):
-    f, g = list(f), list(g)
-    while g:
-        # f mod g with g not necessarily monic
-        inv = pow(g[-1], -1, p)
-        gm = [(c * inv) % p for c in g]
-        f = _fp_mod(f, gm, p)
-        f, g = g, f
-    return f
-
-
 def _is_irreducible(m, p):
-    """Irreducibility of monic m over F_p, degree >= 1."""
+    """Rabin's test for monic m of degree a >= 1 over F_p, with no gcd.
+
+    Once x^(p^a) = x mod m, F_p[x]/(m) is a product of fields F_{p^d}, d | a,
+    and m has no factor of degree dividing a/l iff h = x^(p^(a/l)) - x is a
+    unit: h^(p^a - 1) = N^(p - 1) = 1, N = h h^p ... h^(p^(a-1)), each
+    h^(p^i) = x^(p^(a/l + i)) - x^(p^i) read off the list of x^(p^i)."""
     a = len(m) - 1
     if a == 1:
         return True
-    x = [0, 1] + [0] * (a - 2)
-
-    def frobenius_minus_x(n):
-        """x^(p^n) - x mod (m, p), trimmed."""
-        t = x
-        for _ in range(n):
-            t = _powmod(t, p, m, p)
-        return poly_trim([(u - v) % p for u, v in zip(t, x)])
-
-    # x^(p^a) == x mod m, and no factor of degree a/l for prime l | a
-    if frobenius_minus_x(a):
+    frob = [[0, 1] + [0] * (a - 2)]
+    for _ in range(a):
+        frob.append(_powmod(frob[-1], p, m, p))
+    if frob[a] != frob[0]:
         return False
-    return all(len(_fp_gcd(frobenius_minus_x(a // ell), m, p)) == 1
-               for ell in prime_divisors(a))
+    one = [1] + [0] * (a - 1)
+    for ell in prime_divisors(a):
+        norm = one
+        for i in range(a):
+            norm = _mulmod(norm, [(u - v) % p for u, v in zip(
+                frob[(a // ell + i) % a], frob[i])], m, p)
+        if _powmod(norm, p - 1, m, p) != one:
+            return False
+    return True
 
 
 def prime_divisors(n):
@@ -174,21 +173,16 @@ def check_field(p, a, max_degree=MAX_DEGREE):
 
 
 def minimal_polynomial(p: int, a: int):
-    """Lexicographically smallest monic irreducible of degree a over F_p.
+    """The first monic irreducible of degree a over F_p by sum c_i p^i.
 
-    Coefficient tuples (c_0, ..., c_{a-1}) are compared left to right; the
+    Coefficient tuples (c_0, ..., c_{a-1}) are compared right to left; the
     returned list is [c_0, ..., c_{a-1}, 1].  Deterministic, so contexts built
     anywhere agree on the model of F_{p^a} and W(F_{p^a}).
     """
     if a == 1:
         return [0, 1]  # x itself: Z_q = Z_p, residue field F_p
     for code in range(p ** a):
-        coeffs = []
-        c = code
-        for _ in range(a):
-            coeffs.append(c % p)
-            c //= p
-        m = coeffs + [1]
+        m = digits(code, p, a) + [1]
         if m[0] != 0 and _is_irreducible(m, p):
             return m
     raise ValueError(f"no irreducible polynomial of degree {a} over F_{p}")
@@ -214,18 +208,8 @@ class FiniteField:
         self._log_tables = None
 
     def elements(self):
-        """Iterate over all p^k raw tuples, lexicographic in the digits."""
-        p, k = self.p, self.k
-        cur = [0] * k
-        for _ in range(self.order):
-            yield tuple(cur)
-            i = 0
-            while i < k:
-                cur[i] += 1
-                if cur[i] < p:
-                    break
-                cur[i] = 0
-                i += 1
+        """All p^k raw tuples, (c_0, ..., c_{k-1}) at place sum c_i p^i."""
+        return (tuple(digits(j, self.p, self.k)) for j in range(self.order))
 
     def mul(self, u, v):
         """The product of raw tuples."""
@@ -253,12 +237,11 @@ class FiniteField:
             g = next(u for u in self.elements() if any(u)
                      and all(_powmod(u, n // ell, m, p) != one
                              for ell in ells))
-            weights = [p ** i for i in range(self.k)]
             exp = array("i", [0]) * n
             log = array("i", [n]) * self.order
             u = one
             for i in range(n):
-                j = sum(c * w for c, w in zip(u, weights))
+                j = from_digits(u, p)
                 exp[i], log[j] = j, i
                 u = _mulmod(g, u, m, p)
             # 1 + g^i: add 1 to the constant digit of g^i, mod p
@@ -368,17 +351,6 @@ class QqContext:
             acc = _mulmod(acc, vec, self.modulus, cap)
             acc[0] = (acc[0] + c) % cap
         return acc
-
-    def _apply_sigma_ints(self, coeffs, cap):
-        if self.a == 1:
-            return [coeffs[0] % cap]
-        out = [0] * self.a
-        for i, c in enumerate(coeffs):
-            if c:
-                col = self._sigma_cols[i]
-                for j in range(self.a):
-                    out[j] = (out[j] + c * col[j]) % cap
-        return out
 
     # -- element constructors ------------------------------------------------
 
@@ -584,9 +556,11 @@ class QqElement:
         if ctx.a == 1:
             return self
         cap = ctx.p ** self.rel
-        out = ctx._apply_sigma_ints([c % cap for c in self.coeffs], cap)
-        # sigma is an isometry: the image of a unit vector is a unit vector
-        return QqElement(ctx, "n", self.val, tuple(out), self.rel, 0)
+        # sum c_i sigma(x^i), row by row of the columns sigma(x^i); sigma is
+        # an isometry: the image of a unit vector is a unit vector
+        out = tuple(sum(map(mul, self.coeffs, row)) % cap
+                    for row in zip(*ctx._sigma_cols))
+        return QqElement(ctx, "n", self.val, out, self.rel, 0)
 
     def frobenius_iter(self, k: int):
         x = self

@@ -78,9 +78,7 @@ def deflate_once(coeffs, c):
 
 def root_multiplicity(coeffs, c):
     """Multiplicity of c as an inverse root (i.e. of (1 - c t) as a factor)."""
-    cur = [Fraction(x) for x in coeffs]
-    while len(cur) > 1 and cur[-1] == 0:
-        cur.pop()
+    cur = poly_trim(Fraction(x) for x in coeffs)
     m = 0
     while len(cur) > 1:
         quo, rem = deflate_once(cur, c)

@@ -2,10 +2,11 @@
 
 All payloads are versioned with {"schema": "sv/1"} and dispatch on a "type"
 field (varieties may omit it — a bare {"kind": ...} record parses too, as in
-the documented examples).  p-adic scalars carry their digits and precision
-explicitly so every report is self-describing; exact rationals travel as
-ints or "num/den" strings.  Encoding is deterministic: one call site,
-`dump_json`, fixes key order and separators.
+the documented examples).  p-adic scalars carry their base-p digits, low
+first (`padics.digits`, the one codec), and precision explicitly so every
+report is self-describing; exact rationals travel as ints or "num/den"
+strings.  Encoding is deterministic: one call site, `dump_json`, fixes key
+order and separators.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .gauges import VirtualCrystal
 from .geometry import MAX_RANK, CohomologyPackage, PackageDegree, VarietySpec
 from .isocrystals import Isocrystal, lower_hull, polygon_value
 from .padics import (DEFAULT_PRECISION, QqElement, check_field, context,
-                     rational_valuation)
+                     digits, from_digits, rational_valuation)
 from .plinalg import mat_inverse, mat_mul, mat_sigma
 
 SCHEMA = "sv/1"
@@ -61,22 +62,6 @@ def decode_rational(data):
 # p-adic scalars
 
 
-def _int_digits(n, p, count):
-    out = []
-    for _ in range(count):
-        n, d = divmod(n, p)
-        out.append(d)
-    return out
-
-
-def _digits_int(digits, p):
-    """sum d_i p^i of base-p digits, low first, by Horner's rule."""
-    n = 0
-    for d in reversed(digits):
-        n = n * p + int(d)
-    return n
-
-
 def encode_padic(x: QqElement):
     ctx = x.ctx
     out = {"p": ctx.p}
@@ -92,9 +77,9 @@ def encode_padic(x: QqElement):
     out["val"] = x.val
     out["prec"] = x.rel
     if ctx.a == 1:
-        out["digits"] = _int_digits(x.coeffs[0], ctx.p, x.rel)
+        out["digits"] = digits(x.coeffs[0], ctx.p, x.rel)
     else:
-        out["coeffs"] = [_int_digits(c, ctx.p, x.rel) for c in x.coeffs]
+        out["coeffs"] = [digits(c, ctx.p, x.rel) for c in x.coeffs]
     return out
 
 
@@ -115,8 +100,8 @@ def decode_padic(data, ctx):
     if len(vectors) != ctx.a:
         raise ValidationError(
             f"element has {len(vectors)} coordinates, context needs {ctx.a}")
-    return ctx.from_vector([_digits_int(vec[:rel], ctx.p) for vec in vectors],
-                           val, rel)
+    return ctx.from_vector([from_digits([int(d) for d in vec[:rel]], ctx.p)
+                            for vec in vectors], val, rel)
 
 
 def _decode_matrix(rows, ctx, what):

@@ -206,8 +206,6 @@ def _hodge_exponent(pkg, r):
     Needs a crystal in every degree; reports None otherwise.  The inner
     sum reads the Hodge numbers of the gauge window of the degree-n crystal.
     """
-    if not pkg.degrees:
-        return 0, {}
     if any(d.crystal is None for d in pkg.degrees.values()):
         return None, {}
     total = 0

@@ -70,6 +70,28 @@ def test_gauge(capsys, crystal_file):
     assert doc["newton_hodge"]["on_or_above"] is True
 
 
+@pytest.mark.parametrize("doc", [
+    {"p": 5, "matrix": [[0, -5], [1, -3]]},
+    {"p": 5, "a": 2, "prec": 24, "matrix": [[0, -25], [1, 2]]},
+    {"p": 3, "a": 3, "matrix": [[{"val": 0, "coeffs": [[1], [1], [0]]}, 3],
+                                [9, {"val": 1, "coeffs": [[2], [0], [1]]}]]},
+])
+@pytest.mark.parametrize("command", ["gauge", "slopes"])
+def test_isocrystal_and_virtual_crystal_documents_print_the_same(
+        capsys, tmp_path, command, doc):
+    """`gauge` and `slopes` read an isocrystal document as the virtual
+    crystal on the standard lattice: the same matrix prints the same JSON
+    under either type."""
+    outputs = []
+    for kind in ("isocrystal", "virtual_crystal"):
+        f = tmp_path / f"{kind}.json"
+        f.write_text(json.dumps({"type": kind, **doc}))
+        assert main([command, "--input", str(f)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["rank"] == 2
+
+
 def test_zeta_euler_match(capsys, elliptic_file):
     code, doc = run(capsys, ["zeta", "--variety", elliptic_file,
                              "--budget", "100000"])

@@ -300,9 +300,15 @@ def test_twisted_package():
     assert pkg.degrees[0].poly == [1, -5]
     assert pkg.degrees[2].poly == [1, -25]
     assert pkg.degrees[0].weight is None        # twists forget purity
-    # a singular twist is no isocrystal: its crystals outrank the factors
-    with pytest.raises(ValidationError, match="rank 1, its factor degree 0"):
-        package(VarietySpec.projective(1, 5), twist=[[0]], budget=BUDGET)
+
+
+@pytest.mark.parametrize("a", (1, 2))
+@pytest.mark.parametrize("twist", ([[0]], [[1, 1], [1, 1]]))
+def test_singular_twist_is_refused_where_it_enters(a, twist):
+    """A singular twist is no isocrystal: det(1 - t T^a) has degree below
+    the rank, and the twist is refused before any package is built."""
+    with pytest.raises(ValidationError, match="must be invertible"):
+        package(VarietySpec.projective(1, 5, a), twist=twist, budget=BUDGET)
 
 
 def test_purity_for_smooth_proper_corpus():

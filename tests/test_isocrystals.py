@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fqzeta.errors import PrecisionExhausted
+from fqzeta.errors import PrecisionExhausted, ValidationError
 from fqzeta.isocrystals import (
     Isocrystal,
     eigenproduct_excluding,
@@ -222,6 +222,29 @@ def test_purity_weight_one():
     assert mixed_case.pairing_ok
     assert purity_check([1, -5], 2, 5)              # |5| = q^(2/2)
     assert not purity_check([1, -1], 2, 5)          # |1| != q
+
+
+def test_trailing_zeros_and_the_zero_polynomial_are_trimmed_alike():
+    """`root_multiplicity`, `purity_check` and `newton_slopes_exact` trim
+    with `polys.poly_trim`: trailing zeros change no answer, and the zero
+    polynomial has no inverse root, no pairing and no Newton polygon."""
+    rng = random.Random(20)
+    for _ in range(200):
+        P = [1] + [rng.randrange(-30, 31) for _ in range(rng.randrange(4))]
+        P.append(rng.choice((-1, 1)) * 5 ** rng.randrange(4))
+        padded = P + [0] * rng.randrange(1, 4)
+        c = rng.choice((1, 5, 25, Fraction(1, 5)))
+        assert root_multiplicity(padded, c) == root_multiplicity(P, c)
+        assert bool(purity_check(padded, 1, 5)) == bool(purity_check(P, 1, 5))
+        assert newton_slopes_exact(padded, 5, 1) == \
+            newton_slopes_exact(P, 5, 1)
+    assert root_multiplicity([1, -2, 1, 0, 0], 1) == (2, [1])
+    for zero in ([], [0], [0, 0, 0]):
+        assert root_multiplicity(zero, 1) == (0, [])
+        assert not purity_check(zero, 1, 5)
+        with pytest.raises(ValidationError, match="unit constant term"):
+            newton_slopes_exact(zero, 5, 1)
+    assert purity_check([1, 0, 0], 2, 5)            # the constant 1
 
 
 def test_charpoly_reads_a_certified_zero_as_zero():

@@ -14,14 +14,16 @@ from fqzeta.padics import (
     FiniteField,
     QqContext,
     Zp,
-    _fp_mod,
     _is_irreducible,
     _mulmod,
     _powmod,
     check_field,
     context,
+    digits,
     field,
+    from_digits,
     int_valuation,
+    minimal_polynomial,
     prime_divisors,
     rational_valuation,
 )
@@ -39,6 +41,52 @@ def _fp_mul(f, g, p):
         for j, b in enumerate(g):
             out[i + j] = (out[i + j] + a * b) % p
     return poly_trim(out)
+
+
+def _fp_mod(f, m, p):
+    """f mod monic m over F_p by long division, trimmed: the oracle for the
+    reduction in `_mulmod`."""
+    f = list(f)
+    dm = len(m) - 1
+    while len(f) > dm:
+        c = f[-1] % p
+        if c:
+            shift = len(f) - 1 - dm
+            for i in range(dm + 1):
+                f[shift + i] = (f[shift + i] - c * m[i]) % p
+        f.pop()
+    return poly_trim(f)
+
+
+def _fp_gcd(f, g, p):
+    """A gcd over F_p by Euclid's algorithm, up to a unit."""
+    f, g = list(f), list(g)
+    while g:
+        inv = pow(g[-1], -1, p)
+        f = _fp_mod(f, [(c * inv) % p for c in g], p)
+        f, g = g, f
+    return f
+
+
+def _rabin_by_gcd(m, p):
+    """Rabin's test in its gcd form: x^(p^a) = x mod m, and
+    gcd(x^(p^(a/l)) - x, m) = 1 for every prime l | a.  The oracle for the
+    gcd-free `_is_irreducible`."""
+    a = len(m) - 1
+    if a == 1:
+        return True
+    x = [0, 1] + [0] * (a - 2)
+
+    def frobenius_minus_x(n):
+        t = x
+        for _ in range(n):
+            t = _powmod(t, p, m, p)
+        return poly_trim([(u - v) % p for u, v in zip(t, x)])
+
+    if frobenius_minus_x(a):
+        return False
+    return all(len(_fp_gcd(frobenius_minus_x(a // ell), m, p)) == 1
+               for ell in prime_divisors(a))
 
 
 def _monic_polys(p, degree):
@@ -105,6 +153,48 @@ def test_is_irreducible_matches_trial_division():
                     for d in range(1, a // 2 + 1) for g in _monic_polys(p, d))
                 assert _is_irreducible(m, p) == (not has_factor), (p, m)
             a += 1
+
+
+def test_gcd_free_rabin_matches_the_gcd_oracle():
+    """3 000 seeded monic polynomials of degree 2..16 over seven primes,
+    with a nonzero constant term as every candidate modulus has."""
+    rng = random.Random(20)
+    irreducible = 0
+    for _ in range(3000):
+        p = rng.choice((2, 3, 5, 7, 11, 13, 251))
+        a = rng.randrange(2, 17)
+        m = [rng.randrange(1, p)] + [rng.randrange(p)
+                                     for _ in range(a - 1)] + [1]
+        want = _rabin_by_gcd(m, p)
+        assert _is_irreducible(m, p) == want, (p, m)
+        irreducible += want
+    assert irreducible > 300            # both answers are exercised
+
+
+def test_minimal_polynomial_is_the_first_irreducible_of_the_oracle():
+    """The modulus of F_{p^a} is the first monic polynomial with nonzero
+    constant term that the gcd oracle accepts, in the order of the integer
+    sum c_i p^i, for p^a <= 10^6."""
+    for p in (2, 3, 5, 7):
+        a = 2
+        while p ** a <= 10 ** 6:
+            want = next(m for m in _monic_polys(p, a)
+                        if m[0] and _rabin_by_gcd(m, p))
+            assert minimal_polynomial(p, a) == want, (p, a)
+            a += 1
+
+
+def test_digit_codec_round_trip():
+    rng = random.Random(21)
+    for _ in range(500):
+        p = rng.choice((2, 3, 5, 7, 251, 65521))
+        count = rng.randrange(0, 20)
+        n = rng.randrange(p ** count * 3)
+        ds = digits(n, p, count)
+        assert len(ds) == count and all(0 <= d < p for d in ds)
+        assert ds == [n // p ** i % p for i in range(count)]
+        assert from_digits(ds, p) == n % p ** count
+    assert from_digits([], 5) == 0 and digits(7, 5, 0) == []
 
 
 def _sieve_mobius(limit):
@@ -299,6 +389,32 @@ def test_frobenius_fixes_prime_subfield_and_has_order_a():
         assert sigma_x == _powmod(x.coeffs, 3, ctx.modulus, 3)
     y = ctx.from_int(7)
     assert y.frobenius().same_value(y)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_frobenius_is_evaluation_at_the_lifted_root(p):
+    """sigma(c_0 + c_1 x + ...) = c_0 + c_1 s + ... with s = sigma(x), the
+    Hensel root of m lifting x^p, evaluated here by `_mulmod` at the
+    element's precision."""
+    rng = random.Random(200 + p)
+    for a in (2, 3):
+        ctx = QqContext(p, a, prec=20)
+        s = ctx.from_vector([0, 1] + [0] * (a - 2)).frobenius()
+        assert s.val == 0 and s.rel == 20
+        assert [c % p for c in s.coeffs] == _powmod([0, 1], p, ctx.modulus, p)
+        for _ in range(10):
+            rel = rng.randrange(1, 21)
+            x = padics.QqElement(ctx, "n", rng.randrange(-3, 4), tuple(
+                rng.randrange(p ** rel) for _ in range(a)), rel, 0)
+            if not any(c % p for c in x.coeffs):
+                continue
+            cap = p ** rel
+            want, power = [0] * a, [1] + [0] * (a - 1)
+            for c in x.coeffs:
+                want = [(w + c * u) % cap for w, u in zip(want, power)]
+                power = _mulmod(power, list(s.coeffs), ctx.modulus, cap)
+            y = x.frobenius()
+            assert (y.val, y.rel, list(y.coeffs)) == (x.val, rel, want)
 
 
 def test_frobenius_is_a_ring_map():
