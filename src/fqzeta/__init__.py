@@ -26,7 +26,7 @@ from .errors import (
 from .padics import DEFAULT_PRECISION, FiniteField, QqContext, QqElement
 from .plinalg import smith_normal_form
 from .isocrystals import Isocrystal, newton_slopes_exact, purity_check
-from .gauges import FGaugeWindow, VirtualCrystal, hodge, slope_gauge_check
+from .gauges import FGaugeWindow, hodge, slope_gauge_check
 from .gammamodules import (
     GammaModule,
     TorsionComponent,
@@ -78,7 +78,6 @@ __all__ = [
     "ValidationError",
     "VarietySpec",
     "VerificationReport",
-    "VirtualCrystal",
     "abs_valuation_inverse",
     "assemble",
     "chi_from_zf",

@@ -21,7 +21,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .gammamodules import invariants_coinvariants, z_of_f
-from .gauges import VirtualCrystal, hodge, slope_gauge_check
+from .gauges import hodge, slope_gauge_check
 from .geometry import DEFAULT_BUDGET, closed_points, corpus, package, point_counts
 from .lfun import (
     MAX_TRUNCATION,
@@ -88,10 +88,9 @@ def _emit(payload, report=None):
 
 
 def _cmd_slopes(args):
-    obj = parse_json(_read(args.input, "crystal"),
-                     expected={"isocrystal", "virtual_crystal"},
-                     prec=args.prec)
-    crystal = obj.crystal if hasattr(obj, "crystal") else obj
+    crystal = parse_json(_read(args.input, "crystal"),
+                         expected={"isocrystal", "virtual_crystal"},
+                         prec=args.prec)
     profile = crystal.slopes()
     _emit({
         "schema": SCHEMA, "type": "slope_profile",
@@ -102,16 +101,14 @@ def _cmd_slopes(args):
 
 
 def _cmd_gauge(args):
-    vc = parse_json(_read(args.input, "crystal"),
-                    expected={"virtual_crystal", "isocrystal"},
-                    prec=args.prec)
-    if not hasattr(vc, "crystal"):
-        vc = VirtualCrystal(vc)
-    window = hodge(vc)
-    comparison = slope_gauge_check(vc, window)
+    crystal = parse_json(_read(args.input, "crystal"),
+                         expected={"virtual_crystal", "isocrystal"},
+                         prec=args.prec)
+    window = hodge(crystal)
+    comparison = slope_gauge_check(crystal, window)
     _emit({
         "schema": SCHEMA, "type": "gauge_report",
-        "p": vc.ctx.p, "a": vc.ctx.a, "rank": vc.rank,
+        "p": crystal.ctx.p, "a": crystal.ctx.a, "rank": crystal.rank,
         "window": {"i_min": window.i_min, "i_max": window.i_max},
         "hodge_numbers": window.hodge_numbers,
         "det_valuation": window.det_val,

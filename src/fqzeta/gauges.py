@@ -1,11 +1,11 @@
-"""Hodge gauges of virtual crystals: filtrations M^i and Hodge numbers.
+"""Hodge gauges of crystals on the standard lattice: filtrations M^i and
+Hodge numbers.
 
-A virtual crystal is an isocrystal together with a lattice N in its ambient
-space.  The gauge functor computes M^i = F^{-1}(p^i N) ∩ N, and it depends
-only on Frobenius seen from N: for a basis B of N that is the matrix
+The gauge functor computes M^i = F^{-1}(p^i N) ∩ N for a lattice N, and it
+depends only on Frobenius seen from N: for a basis B of N that is the matrix
 Atilde = B^{-1} A sigma(B) on N = Z_q^n.  `serialize.decode_virtual_crystal`
 makes that change of basis once, where a document is read, so every crystal
-here is on the standard lattice and Atilde is `crystal.matrix` itself.
+here is on the standard lattice N = Z_q^n and Atilde is its `matrix`.
 
 The gauge is a closed form in the elementary divisors p^{e_k} of Atilde
 (B. Mazur, "Frobenius and the Hodge filtration", Bull. AMS 1972 and Ann. of
@@ -30,40 +30,13 @@ from .plinalg import (mat_identity, mat_inverse, mat_min_valuation, mat_mul,
                       mat_shift, mat_sigma, mat_vec, smith_normal_form)
 
 
-class VirtualCrystal:
-    """(U, F, N) in N-coordinates, the input to the gauge functor.
-
-    N is the standard lattice Z_q^n and F(v) = A sigma(v) with A the matrix
-    of `crystal`.  A crystal given on another lattice is first brought to
-    these coordinates (`serialize.decode_virtual_crystal`).
-    """
-
-    def __init__(self, crystal: Isocrystal):
-        self.crystal = crystal
-        self.ctx = crystal.ctx
-        self.rank = crystal.rank
-
-    @classmethod
-    def from_ints(cls, ctx, rows):
-        return cls(Isocrystal.from_ints(ctx, rows))
-
-    def direct_sum(self, other):
-        if self.ctx is not other.ctx:
-            raise ValidationError("direct sum across contexts")
-        n, m = self.rank, other.rank
-        z = self.ctx.zero()
-        A = [[self.crystal.matrix[i][j] if i < n and j < n else
-              (other.crystal.matrix[i - n][j - n] if i >= n and j >= n else z)
-              for j in range(n + m)] for i in range(n + m)]
-        return VirtualCrystal(Isocrystal(self.ctx, A))
-
-
 class FGaugeWindow:
-    """The computed gauge: window bounds, lattices M^i, Hodge numbers.
+    """The computed gauge of a crystal on the standard lattice N = Z_q^n:
+    window bounds, lattices M^i, Hodge numbers.
 
-    Everything is read off the Smith form of Frobenius in N-coordinates:
-    its elementary divisors p^{e_k} and, once `lattice_at` asks for it, the
-    basis W = sigma^{-1}(V^{-1}) of N adapted to them (see `hodge`).
+    Everything is read off the Smith form of Frobenius on N: its elementary
+    divisors p^{e_k} and, once `lattice_at` asks for it, the basis
+    W = sigma^{-1}(V^{-1}) of N adapted to them (see `hodge`).
     `lattice_at` builds M^i = W diag(p^{max(0, i - e_k)}) in N-coordinates.
     """
 
@@ -87,8 +60,9 @@ class FGaugeWindow:
         return newton_polygon_vertices(sorted(self.hodge_numbers.items()))
 
 
-def hodge(vc: VirtualCrystal) -> FGaugeWindow:
-    """The gauge M^i = F^{-1}(p^i N) ∩ N of a crystal, from one Smith form.
+def hodge(E: Isocrystal) -> FGaugeWindow:
+    """The gauge M^i = F^{-1}(p^i N) ∩ N of a crystal on the standard lattice
+    N = Z_q^n, from one Smith form.
 
     Write Atilde = U diag(p^{e_k}) V with U, V in GL_n(Z_q).  As U is
     invertible over Z_q and N is sigma-stable, F(x) = Atilde sigma(x) lies
@@ -99,12 +73,12 @@ def hodge(vc: VirtualCrystal) -> FGaugeWindow:
     Frobenius.
     """
     try:
-        snf = smith_normal_form(vc.crystal.matrix)
+        snf = smith_normal_form(E.matrix)
     except ValidationError as exc:
         raise DegenerateCrystal(str(exc)) from exc
     if any(e is None for e in snf.divisors):
         raise DegenerateCrystal("Frobenius is singular at working precision")
-    return FGaugeWindow(vc.ctx, snf)
+    return FGaugeWindow(E.ctx, snf)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +94,7 @@ def newton_polygon_vertices(profile):
     return verts
 
 
-def slope_gauge_check(vc: VirtualCrystal, g: FGaugeWindow):
+def slope_gauge_check(E: Isocrystal, g: FGaugeWindow):
     """Compare Newton and Hodge data of one crystal.
 
     Returns a report dict: both vertex lists, whether Newton lies on or above
@@ -128,7 +102,7 @@ def slope_gauge_check(vc: VirtualCrystal, g: FGaugeWindow):
     comparison of slope multiplicities in [i, i+1) against h^i, which
     coincide exactly in the ordinary case.
     """
-    profile = vc.crystal.slopes()
+    profile = E.slopes()
     newton = newton_polygon_vertices(profile)
     hodgev = g.hodge_polygon()
     if newton[-1][0] != hodgev[-1][0]:
@@ -139,7 +113,7 @@ def slope_gauge_check(vc: VirtualCrystal, g: FGaugeWindow):
         for x in range(newton[-1][0] + 1))
     window_counts = {}
     for s, m in profile:
-        i = s.numerator // s.denominator if isinstance(s, Fraction) else int(s)
+        i = s.numerator // s.denominator
         window_counts[i] = window_counts.get(i, 0) + m
     windows_match = window_counts == dict(g.hodge_numbers)
     return {
@@ -157,7 +131,7 @@ def slope_gauge_check(vc: VirtualCrystal, g: FGaugeWindow):
 # Raynaud relations for elementary Type I desk models
 
 
-def check_raynaud_relations(vc: VirtualCrystal):
+def check_raynaud_relations(E: Isocrystal):
     """Verify FV = p = VF, the semilinearity relations, and that V = pF^{-1}
     is topologically nilpotent; d = 0 so the d-relations hold vacuously.
 
@@ -167,11 +141,11 @@ def check_raynaud_relations(vc: VirtualCrystal):
     numerically by the growth of the minimal valuation of the first
     2 n a + 4 powers of V.  A slope >= 1 raises NotTypeI.
     """
-    ctx = vc.ctx
-    At = vc.crystal.matrix
+    ctx = E.ctx
+    At = E.matrix
     if (mat_min_valuation(At) or 0) < 0:
         raise ValidationError("Type I model needs F integral on the lattice")
-    profile = vc.crystal.slopes()
+    profile = E.slopes()
     if any(s >= 1 for s, _ in profile):
         raise NotTypeI(f"slope {max(s for s, _ in profile)} >= 1: "
                        "V = pF^{-1} is not topologically nilpotent")

@@ -31,7 +31,6 @@ from .errors import (
     GeneralConeError,
     ValidationError,
 )
-from .gauges import VirtualCrystal
 from .isocrystals import Isocrystal, purity_check
 from .lfun import assemble
 from .padics import (
@@ -463,8 +462,8 @@ def _tate(ctx, i, mult=1):
     return PackageDegree(
         poly=[Fraction(math.comb(mult, k) * (-num) ** k, den ** k)
               for k in range(mult + 1)],
-        weight=2 * i, u=0, semisimple=True, crystal=VirtualCrystal(
-            Isocrystal(ctx, mat_shift(mat_identity(ctx, mult), i))))
+        weight=2 * i, u=0, semisimple=True,
+        crystal=Isocrystal(ctx, mat_shift(mat_identity(ctx, mult), i)))
 
 
 def _twist_degree(ctx, twist):
@@ -480,8 +479,8 @@ def _twist_degree(ctx, twist):
     return PackageDegree(
         poly=poly,
         weight=None, u=0, semisimple=len(rows) == 1,
-        crystal=VirtualCrystal(Isocrystal(
-            ctx, [[ctx.from_fraction(x) for x in row] for row in rows])))
+        crystal=Isocrystal(
+            ctx, [[ctx.from_fraction(x) for x in row] for row in rows]))
 
 
 def _leaf_package(spec, ctx, n1):
@@ -499,7 +498,7 @@ def _leaf_package(spec, ctx, n1):
         a_q = q + 1 - n1[spec]
         frob = None
         if spec.a == 1:         # det(1 - t C) = 1 - a_q t + q t^2
-            frob = VirtualCrystal.from_ints(ctx, [[0, -q], [1, a_q]])
+            frob = Isocrystal.from_ints(ctx, [[0, -q], [1, a_q]])
         return {0: _tate(ctx, 0),
                 1: PackageDegree([Fraction(c) for c in (1, -a_q, q)],
                                  weight=1, u=0, semisimple=True, crystal=frob),
@@ -539,8 +538,7 @@ def _kunneth(deg1, deg2):
                 u=d1.u or d2.u,
                 semisimple=d1.semisimple and d2.semisimple,
                 crystal=None if c1 is None or c2 is None
-                else VirtualCrystal(Isocrystal(c1.ctx, kron(
-                    c1.crystal.matrix, c2.crystal.matrix))))
+                else Isocrystal(c1.ctx, kron(c1.matrix, c2.matrix)))
             j = j1 + j2
             out[j] = piece if j not in out else _merge_degree(out[j], piece)
     return out

@@ -9,6 +9,7 @@ kernel ranks, deflated evaluations.  No root extraction, no splitting fields.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DegenerateCrystal, PrecisionExhausted, ValidationError
@@ -32,6 +33,14 @@ class Isocrystal:
     @classmethod
     def from_ints(cls, ctx, rows):
         return cls(ctx, mat_from_ints(ctx, rows))
+
+    def direct_sum(self, other):
+        if self.ctx is not other.ctx:
+            raise ValidationError("direct sum across contexts")
+        z = self.ctx.zero()
+        return Isocrystal(self.ctx,
+                          [row + [z] * other.rank for row in self.matrix]
+                          + [[z] * self.rank + row for row in other.matrix])
 
     def linearize(self):
         """M(F^a) = A sigma(A) ... sigma^{a-1}(A); equals A when a = 1."""
@@ -148,24 +157,10 @@ def semisimple_at(E, r, m):
                         for i, row in enumerate(E.linearize())]) == m
 
 
-class EigenProduct:
-    """Valuation data for the product over inverse roots distinct from q^r.
-
-    m: multiplicity of q^r as an inverse root of P.
-    value: the deflated polynomial evaluated at q^{-r} (exact Fraction).
-    slope_sum: sum over ord_q-slopes < r of (r - slope) * multiplicity.
-    """
-
-    __slots__ = ("m", "value", "slope_sum")
-
-    def __init__(self, m, value, slope_sum):
-        self.m = m
-        self.value = value
-        self.slope_sum = slope_sum
-
-    def __repr__(self):
-        return (f"EigenProduct(m={self.m}, value={self.value}, "
-                f"slope_sum={self.slope_sum})")
+EigenProduct = namedtuple("EigenProduct", "m value slope_sum")
+# m: multiplicity of q^r as an inverse root of P; value: the deflated
+# polynomial at q^{-r} (exact Fraction); slope_sum: sum over ord_q-slopes
+# s < r of (r - s) * multiplicity.
 
 
 def eigenproduct_excluding(P, p, a, r, profile):

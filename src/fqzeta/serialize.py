@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .errors import DegenerateCrystal, PrecisionExhausted, ValidationError
 from .gammamodules import GammaModule, TorsionComponent
-from .gauges import VirtualCrystal
 from .geometry import MAX_RANK, CohomologyPackage, PackageDegree, VarietySpec
 from .isocrystals import Isocrystal, lower_hull, polygon_value
 from .padics import (DEFAULT_PRECISION, QqElement, check_field, context,
@@ -142,22 +141,24 @@ def decode_isocrystal(data, prec=None):
     return E
 
 
-def encode_virtual_crystal(vc: VirtualCrystal):
-    return {**encode_isocrystal(vc.crystal), "type": "virtual_crystal"}
+def encode_virtual_crystal(E: Isocrystal):
+    return {**encode_isocrystal(E), "type": "virtual_crystal"}
 
 
 def decode_virtual_crystal(data, prec=None):
-    """A virtual crystal in the coordinates of its lattice N.
+    """The Isocrystal of a virtual-crystal document, on the standard lattice.
 
-    A `lattice` key gives a basis B of N (columns), and Frobenius seen from
-    N is Atilde = B^{-1} A sigma(B): the change of basis is made here, once,
-    and the crystal returned has matrix Atilde on N = Z_q^n.  No lattice is
-    kept, so none is written back.  A basis that is not rank x rank raises
-    ValidationError, a singular one DegenerateCrystal (both exit 2).
+    A `lattice` key gives a basis B of a lattice N (columns), and Frobenius
+    seen from N is Atilde = B^{-1} A sigma(B): the change of basis is made
+    here, once, and the Isocrystal returned has matrix Atilde, so N becomes
+    Z_q^n.  Without a lattice it is the document's crystal as it stands.  No
+    lattice is kept, so none is written back.  A basis that is not
+    rank x rank raises ValidationError, a singular one DegenerateCrystal
+    (both exit 2).
     """
     crystal, lattice = decode_isocrystal(data, prec), data.get("lattice")
     if lattice is None:
-        return VirtualCrystal(crystal)
+        return crystal
     B = _decode_matrix(lattice, crystal.ctx, "lattice")
     if len(B) != crystal.rank or any(len(row) != crystal.rank for row in B):
         raise ValidationError("lattice basis must be rank x rank")
@@ -166,7 +167,7 @@ def decode_virtual_crystal(data, prec=None):
     except ValidationError as exc:
         raise DegenerateCrystal(f"lattice basis singular: {exc}") from exc
     At = mat_mul(Binv, mat_mul(crystal.matrix, mat_sigma(B)))
-    return VirtualCrystal(Isocrystal(crystal.ctx, At))
+    return Isocrystal(crystal.ctx, At)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +298,7 @@ def decode_package(data, prec=None):
     pkg = CohomologyPackage(p, a, dim, degrees)
     for j, d in pkg.degrees.items():
         if d.crystal is not None:
-            _check_realises(j, d.crystal.crystal, d.poly)
+            _check_realises(j, d.crystal, d.poly)
     return pkg
 
 

@@ -156,7 +156,7 @@ def _check_hypothesis(pkg, r, eigen):
         if m <= 1:
             verdicts[j] = "simple-or-absent"
         elif data.crystal is not None:
-            if not semisimple_at(data.crystal.crystal, r, m):
+            if not semisimple_at(data.crystal, r, m):
                 raise HypothesisFailed(
                     f"q^{r} is a multiple root in degree {j} and the crystal "
                     f"is not semisimple there", degree=j)

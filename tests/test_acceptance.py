@@ -14,7 +14,7 @@ import pytest
 from fqzeta.cli import main as cli_main
 from fqzeta.errors import DegenerateCrystal, MultipleRootError, ValidationError
 from fqzeta.gammamodules import GammaModule, TorsionComponent, z_of_f
-from fqzeta.gauges import VirtualCrystal, hodge, slope_gauge_check
+from fqzeta import Isocrystal, hodge, slope_gauge_check
 from fqzeta.geometry import VarietySpec, closed_points, corpus, package, \
     point_counts
 from fqzeta.lfun import euler_product_series, rational_series
@@ -123,7 +123,7 @@ def test_05_gauge_axioms_on_random_virtual_crystals():
                  for _ in range(n)] for _ in range(n)]
         vc = None
         try:
-            vc = VirtualCrystal.from_ints(ctx, rows)
+            vc = Isocrystal.from_ints(ctx, rows)
             g = hodge(vc)                 # verifies axioms (i)-(iii) itself
         except DegenerateCrystal:
             continue
@@ -133,12 +133,12 @@ def test_05_gauge_axioms_on_random_virtual_crystals():
         assert report["on_or_above"] and report["equal_endpoints"]
 
     ctx5 = contexts[5]
-    ordinary = VirtualCrystal.from_ints(ctx5, [[0, -5], [1, -3]])
+    ordinary = Isocrystal.from_ints(ctx5, [[0, -5], [1, -3]])
     assert hodge(ordinary).hodge_numbers == {0: 1, 1: 1}
-    assert ordinary.crystal.slopes() == [(Fraction(0), 1), (Fraction(1), 1)]
-    supersingular = VirtualCrystal.from_ints(ctx5, [[0, -5], [1, 0]])
+    assert ordinary.slopes() == [(Fraction(0), 1), (Fraction(1), 1)]
+    supersingular = Isocrystal.from_ints(ctx5, [[0, -5], [1, 0]])
     assert hodge(supersingular).hodge_numbers == {0: 1, 1: 1}
-    assert supersingular.crystal.slopes() == [(Fraction(1, 2), 2)]
+    assert supersingular.slopes() == [(Fraction(1, 2), 2)]
 
 
 def test_06_euler_product_matches_cohomological_zeta():

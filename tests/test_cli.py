@@ -9,9 +9,9 @@ import pytest
 
 from fqzeta.cli import main
 from fqzeta.errors import PrecisionExhausted, ValidationError
-from fqzeta.gauges import VirtualCrystal
 from fqzeta.geometry import (CohomologyPackage, PackageDegree, VarietySpec,
                              package)
+from fqzeta.isocrystals import Isocrystal
 from fqzeta.lfun import MAX_TRUNCATION
 from fqzeta.padics import MAX_DEGREE, MAX_PRECISION, MAX_PRIME, Zp
 from fqzeta.serialize import (
@@ -43,7 +43,7 @@ def elliptic_file(tmp_path):
 @pytest.fixture
 def crystal_file(tmp_path):
     ctx = Zp(5, prec=32)
-    vc = VirtualCrystal.from_ints(ctx, [[0, -5], [1, -3]])
+    vc = Isocrystal.from_ints(ctx, [[0, -5], [1, -3]])
     f = tmp_path / "crystal.json"
     f.write_text(dump_json(encode_virtual_crystal(vc)))
     return str(f)

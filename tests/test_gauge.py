@@ -9,7 +9,6 @@ import pytest
 from fqzeta.cli import main as cli_main
 from fqzeta.errors import DegenerateCrystal, NotTypeI
 from fqzeta.gauges import (
-    VirtualCrystal,
     check_raynaud_relations,
     hodge,
     newton_polygon_vertices,
@@ -22,7 +21,7 @@ from fqzeta.serialize import dump_json, encode_virtual_crystal, parse_json
 
 
 def _vc(ctx, rows):
-    return VirtualCrystal.from_ints(ctx, rows)
+    return Isocrystal.from_ints(ctx, rows)
 
 
 def test_ordinary_elliptic_window():
@@ -41,7 +40,7 @@ def test_supersingular_elliptic_window():
     vc = _vc(ctx, [[0, -5], [1, 0]])
     g = hodge(vc)
     assert g.hodge_numbers == {0: 1, 1: 1}
-    assert vc.crystal.slopes() == [(Fraction(1, 2), 2)]
+    assert vc.slopes() == [(Fraction(1, 2), 2)]
     report = slope_gauge_check(vc, g)
     assert report["on_or_above"] and report["equal_endpoints"]
     # both slopes 1/2 fall in window [0,1), h^0 is only 1: advisory mismatch
@@ -97,9 +96,9 @@ def test_gauge_bookkeeping_random_crystals():
 
 def test_gauge_in_extension_context():
     ctx = QqContext(3, 2, prec=24)
-    vc = VirtualCrystal(Isocrystal(ctx, [
+    vc = Isocrystal(ctx, [
         [ctx.from_vector((1, 1)), ctx.from_int(3)],
-        [ctx.from_int(0), ctx.from_int(3)]]))
+        [ctx.from_int(0), ctx.from_int(3)]])
     g = hodge(vc)
     assert sum(g.hodge_numbers.values()) == 2
     assert sum(i * h for i, h in g.hodge_numbers.items()) == g.det_val == 1
@@ -111,8 +110,7 @@ def test_tate_twist_shifts_the_window():
     v_p(det) drops by r*rank."""
     ctx = Zp(5, prec=32)
     vc = _vc(ctx, [[0, -5], [1, -3]])
-    twisted = VirtualCrystal(Isocrystal(ctx, mat_shift(vc.crystal.matrix,
-                                                       -1)))
+    twisted = Isocrystal(ctx, mat_shift(vc.matrix, -1))
     g, twisted = hodge(vc), hodge(twisted)
     assert g.hodge_numbers == {0: 1, 1: 1}
     assert twisted.hodge_numbers == {i - 1: h
@@ -159,8 +157,8 @@ def test_wide_window_is_not_refused(tmp_path, capsys):
     """Hodge numbers spread wider than |v_p(det)| + 3 are valid input."""
     ctx = Zp(5, prec=32)
     one, zero = ctx.one(), ctx.zero()
-    vc = VirtualCrystal(Isocrystal(ctx, [[one.shift(-2), zero],
-                                         [zero, one.shift(3)]]))
+    vc = Isocrystal(ctx, [[one.shift(-2), zero],
+                          [zero, one.shift(3)]])
     g = hodge(vc)
     assert g.hodge_numbers == {-2: 1, 3: 1}
     assert (g.i_min, g.i_max, g.det_val) == (-2, 3, 1)
@@ -186,5 +184,5 @@ def test_raynaud_relations_on_type_one_models():
 
 def test_raynaud_relations_in_extension_context():
     ctx = QqContext(3, 2, prec=24)
-    vc = VirtualCrystal(Isocrystal(ctx, [[ctx.from_vector((1, 1))]]))
+    vc = Isocrystal(ctx, [[ctx.from_vector((1, 1))]])
     assert check_raynaud_relations(vc)

@@ -18,7 +18,7 @@ import random
 import pytest
 
 from fqzeta.errors import DegenerateCrystal
-from fqzeta.gauges import VirtualCrystal, hodge
+from fqzeta.gauges import hodge
 from fqzeta.isocrystals import Isocrystal
 from fqzeta.padics import QqContext
 from fqzeta.plinalg import (lattice_contains, lattice_equal,
@@ -117,7 +117,7 @@ def _random_crystal(rng, ctx):
     n = rng.randrange(1, 4)
     crystal = Isocrystal(ctx, _random_matrix(rng, ctx, n, (-1, 0, 1, 2)))
     if rng.random() < 0.5:
-        return VirtualCrystal(crystal)
+        return crystal
     return parse_json(lattice_document(
         crystal, _random_matrix(rng, ctx, n, (0, 0, 1))))
 
@@ -133,7 +133,7 @@ def test_closed_form_matches_window_scan(p):
             vc = _random_crystal(rng, ctx)
         except DegenerateCrystal:
             continue                      # singular lattice basis, redraw
-        At = vc.crystal.matrix
+        At = vc.matrix
         try:
             g = hodge(vc)
         except DegenerateCrystal:
@@ -182,15 +182,14 @@ def test_decoded_lattice_document_is_the_change_of_basis(p):
                             expected={"virtual_crystal"})
             assert vc.rank == n
             assert all(x.same_value(y) for got, want in zip(
-                vc.crystal.matrix, At) for x, y in zip(got, want))
+                vc.matrix, At) for x, y in zip(got, want))
             try:
-                want, want_data = _gauge_data(VirtualCrystal(
-                    Isocrystal(ctx, At)))
+                want, want_data = _gauge_data(Isocrystal(ctx, At))
             except DegenerateCrystal:
                 with pytest.raises(DegenerateCrystal):
                     hodge(vc)
                 continue
-            assert vc.crystal.slopes() == A.slopes()
+            assert vc.slopes() == A.slopes()
             got, got_data = _gauge_data(vc)
             assert got_data == want_data
             for i in range(want.i_min - 1, want.i_max + 2):

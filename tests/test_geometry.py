@@ -206,8 +206,8 @@ def test_package_shapes_for_projective_line():
     assert pkg.degrees[0].poly == [1, -1]
     assert pkg.degrees[2].poly == [1, -5]
     assert pkg.degrees[0].weight == 0 and pkg.degrees[2].weight == 2
-    assert pkg.degrees[0].crystal.crystal.slopes() == [(Fraction(0), 1)]
-    assert pkg.degrees[2].crystal.crystal.slopes() == [(Fraction(1), 1)]
+    assert pkg.degrees[0].crystal.slopes() == [(Fraction(0), 1)]
+    assert pkg.degrees[2].crystal.slopes() == [(Fraction(1), 1)]
     assert pkg.dim == 1 and pkg.q == 5
 
 
@@ -216,11 +216,11 @@ def test_package_shapes_for_elliptic_curve():
     assert sorted(pkg.degrees) == [0, 1, 2]
     assert pkg.degrees[1].poly == [1, 3, 5]
     assert pkg.degrees[1].weight == 1
-    assert pkg.degrees[1].crystal.crystal.slopes() == \
+    assert pkg.degrees[1].crystal.slopes() == \
         [(Fraction(0), 1), (Fraction(1), 1)]
     ss = package(SUPERSINGULAR, budget=BUDGET)
     assert ss.degrees[1].poly == [1, 0, 5]
-    assert ss.degrees[1].crystal.crystal.slopes() == [(Fraction(1, 2), 2)]
+    assert ss.degrees[1].crystal.slopes() == [(Fraction(1, 2), 2)]
 
 
 def test_package_zeta_equals_euler_product():
@@ -324,7 +324,7 @@ def test_tate_twist_scales_zeta_and_weights():
     tw = pkg.tate_twist(1)
     assert tw.degrees[1].poly == [1, Fraction(3, 5), Fraction(5, 25)]
     assert tw.degrees[1].weight == -1
-    assert tw.degrees[1].crystal.crystal.slopes() == \
+    assert tw.degrees[1].crystal.slopes() == \
         [(Fraction(-1), 1), (Fraction(0), 1)]
 
 

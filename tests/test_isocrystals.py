@@ -98,6 +98,27 @@ def test_slopes_in_extension_context():
     assert unit.slopes() == [(Fraction(0), 1)]
 
 
+def test_direct_sum_is_block_diagonal_in_one_context():
+    """Over W(F_25) the sum's det(1 - tM) is the product of the factors';
+    crystals over different contexts do not sum."""
+    ctx = QqContext(5, 2, prec=24)
+    u = ctx.from_vector((1, 1))
+    first = Isocrystal(ctx, [[u, ctx.from_int(5)], [ctx.one(), ctx.zero()]])
+    second = Isocrystal(ctx, [[ctx.from_vector((2, 3)).shift(1)]])
+    total = first.direct_sum(second)
+    assert total.rank == 3
+    f, g = first.charpoly(), second.charpoly()
+    product = [sum((f[i] * g[k - i] for i in range(len(f))
+                    if 0 <= k - i < len(g)), ctx.zero())
+               for k in range(len(f) + len(g) - 1)]
+    got = total.charpoly()
+    assert len(got) == len(product)
+    assert all(x.same_value(y, digits=ctx.guard)
+               for x, y in zip(got, product))
+    with pytest.raises(ValidationError, match="direct sum across contexts"):
+        first.direct_sum(Isocrystal.from_ints(Zp(5, prec=24), [[5]]))
+
+
 def test_semisimple_at_diagonal_vs_jordan():
     ctx = Zp(5, prec=32)
     diag = Isocrystal.from_ints(ctx, [[5, 0], [0, 5]])

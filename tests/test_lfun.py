@@ -432,7 +432,7 @@ def test_package_crystals_realise_their_factors():
         pkg = _random_package(rng)
         for j, data in pkg.degrees.items():
             if data.crystal is not None:
-                _check_realises(j, data.crystal.crystal, data.poly)
+                _check_realises(j, data.crystal, data.poly)
                 checked += 1
 
 

@@ -7,7 +7,8 @@ import pytest
 
 from fqzeta import gauges, plinalg
 from fqzeta.errors import PrecisionExhausted, ValidationError
-from fqzeta.gauges import VirtualCrystal, hodge
+from fqzeta.gauges import hodge
+from fqzeta.isocrystals import Isocrystal
 from fqzeta.padics import QqContext, Zp, context
 from matrix_oracles import (eager_smith_normal_form, mat_det_valuation,
                             mat_equal)
@@ -313,7 +314,7 @@ def test_divisor_only_callers_build_no_transform(monkeypatch):
     monkeypatch.setattr(plinalg, "smith_normal_form", recording)
     monkeypatch.setattr(gauges, "smith_normal_form", recording)
     ctx = QqContext(5, 2, prec=24)
-    window = hodge(VirtualCrystal.from_ints(ctx, [[0, -5], [1, -3]]))
+    window = hodge(Isocrystal.from_ints(ctx, [[0, -5], [1, -3]]))
     assert window.hodge_numbers == {0: 1, 1: 1}
     assert kernel_rank(mat_from_ints(ctx, [[1, 2, 3], [2, 4, 6]])) == 2
     assert len(results) == 2

@@ -61,12 +61,12 @@ def test_virtual_crystal_round_trip_with_lattice():
     # A B = [[0, -25], [1, -13]] and B^{-1} = [[1, -2/5], [0, 1/5]]
     At = [[ctx.from_fraction(Fraction(x, 5)) for x in row]
           for row in ([-2, -99], [1, -13])]
-    assert all(x.same_value(y) for got, want in zip(vc.crystal.matrix, At)
+    assert all(x.same_value(y) for got, want in zip(vc.matrix, At)
                for x, y in zip(got, want))
-    assert vc.crystal.slopes() == [(0, 1), (1, 1)]
+    assert vc.slopes() == [(0, 1), (1, 1)]
     again = encode_virtual_crystal(vc)
     assert "lattice" not in again
-    assert parse_json(dump_json(again)).crystal.matrix == vc.crystal.matrix
+    assert parse_json(dump_json(again)).matrix == vc.matrix
 
 
 def test_gamma_module_round_trip():
@@ -112,8 +112,8 @@ def test_package_round_trip_preserves_zeta_and_crystals():
     pkg2 = parse_json(text, expected={"package"})
     assert pkg2.zeta() == pkg.zeta()
     assert pkg2.degrees[1].weight == 1
-    assert pkg2.degrees[1].crystal.crystal.slopes() == \
-        pkg.degrees[1].crystal.crystal.slopes()
+    assert pkg2.degrees[1].crystal.slopes() == \
+        pkg.degrees[1].crystal.slopes()
     # precision override re-homes the crystals
     pkg3 = parse_json(text, expected={"package"}, prec=16)
     assert pkg3.degrees[1].crystal.ctx.prec == 16

@@ -7,7 +7,6 @@ import pytest
 
 from fqzeta.cli import main
 from fqzeta.errors import HypothesisFailed, ValidationError
-from fqzeta.gauges import VirtualCrystal
 from fqzeta.geometry import (
     CohomologyPackage,
     PackageDegree,
@@ -15,6 +14,7 @@ from fqzeta.geometry import (
     corpus,
     package,
 )
+from fqzeta.isocrystals import Isocrystal
 from fqzeta.padics import Zp
 from fqzeta.serialize import dump_json, encode_package, parse_json
 from fqzeta.specialvalues import (
@@ -287,7 +287,7 @@ def test_non_semisimple_crystal_fails_the_hypothesis(tmp_path, capsys):
                          semisimple=False, crystal=None),
         2: PackageDegree(poly=[Fraction(1), Fraction(-10), Fraction(25)],
                          weight=2, u=0, semisimple=False,
-                         crystal=VirtualCrystal.from_ints(
+                         crystal=Isocrystal.from_ints(
                              ctx, [[5, 1], [0, 5]])),
     }
     pkg = CohomologyPackage(5, 1, 1, degrees)
