@@ -402,7 +402,7 @@ class CohomologyPackage:
         self.dim = dim
         self.degrees = dict(degrees)
         for j, data in self.degrees.items():
-            poly = poly_trim([Fraction(c) for c in data.poly])
+            poly = poly_trim(data.poly)
             if not poly or poly[0] != 1:
                 raise ValidationError(
                     f"degree-{j} factor must have constant term 1")
@@ -458,10 +458,9 @@ def _tate(ctx, i, mult=1):
     """mult copies of the Tate piece Q_p(-i): factor (1 - q^i t)^mult,
     weight 2i, and p^i times the identity as crystal (any integer i)."""
     q = ctx.p ** ctx.a
-    num, den = (q ** i, 1) if i >= 0 else (1, q ** -i)
+    q_i = q ** i if i >= 0 else Fraction(1, q ** -i)
     return PackageDegree(
-        poly=[Fraction(math.comb(mult, k) * (-num) ** k, den ** k)
-              for k in range(mult + 1)],
+        poly=[math.comb(mult, k) * (-q_i) ** k for k in range(mult + 1)],
         weight=2 * i, u=0, semisimple=True,
         crystal=Isocrystal(ctx, mat_shift(mat_identity(ctx, mult), i)))
 
@@ -500,7 +499,7 @@ def _leaf_package(spec, ctx, n1):
         if spec.a == 1:         # det(1 - t C) = 1 - a_q t + q t^2
             frob = Isocrystal.from_ints(ctx, [[0, -q], [1, a_q]])
         return {0: _tate(ctx, 0),
-                1: PackageDegree([Fraction(c) for c in (1, -a_q, q)],
+                1: PackageDegree([1, -a_q, q],
                                  weight=1, u=0, semisimple=True, crystal=frob),
                 2: _tate(ctx, 1)}
     raise ValidationError(f"no package rule for kind {spec.kind!r}")
@@ -556,7 +555,7 @@ def _cone_degrees(ctx, ambient_degrees, k):
     if k < 1:
         return dict(ambient_degrees)
     zero = ambient_degrees.get(0)
-    if zero is None or poly_trim(list(zero.poly)) != [Fraction(1), Fraction(-1)]:
+    if zero is None or poly_trim(zero.poly) != [1, -1]:
         raise GeneralConeError(
             "cone rule needs a connected ambient with degree-0 factor 1-t")
     out = {j: d for j, d in ambient_degrees.items() if j != 0}

@@ -16,7 +16,7 @@ from .errors import DegenerateCrystal, PrecisionExhausted, ValidationError
 from .padics import rational_valuation
 from .plinalg import (certified_zero, kernel_rank, mat_copy, mat_from_ints,
                       mat_mul, mat_sigma)
-from .polys import poly_eval, poly_trim, rev_charpoly, root_multiplicity
+from .polys import poly_trim, rev_charpoly, root_multiplicity
 
 
 class Isocrystal:
@@ -159,21 +159,25 @@ def semisimple_at(E, r, m):
 
 EigenProduct = namedtuple("EigenProduct", "m value slope_sum")
 # m: multiplicity of q^r as an inverse root of P; value: the deflated
-# polynomial at q^{-r} (exact Fraction); slope_sum: sum over ord_q-slopes
+# polynomial at q^{-r}, one Fraction; slope_sum: sum over ord_q-slopes
 # s < r of (r - s) * multiplicity.
 
 
 def eigenproduct_excluding(P, p, a, r, profile):
     """Product data for prod_{alpha != q^r} (1 - alpha/q^r) and the slope term.
 
-    P is the exact zeta factor det(1 - t F^a) with Fraction/int coefficients;
-    the first product is evaluated by deflating (1 - q^r t)^m out of P and
-    evaluating at q^{-r}; the second is read off the Newton polygon.  A
-    repeated q^r needs semisimplicity, which the verifier checks first.
+    P is the exact zeta factor det(1 - t F^a), its coefficients int where
+    integral and Fraction otherwise; the first product is evaluated by
+    deflating (1 - q^r t)^m out of P, leaving D of degree n, and taking
+    D(u/v) at q^{-r} = u/v as the one quotient sum_k d_k u^k v^(n-k) / v^n;
+    the second is read off the Newton polygon.  A repeated q^r needs
+    semisimplicity, which the verifier checks first.
     """
-    q_r = Fraction(p) ** (a * r)
+    q_r = p ** (a * r) if r >= 0 else Fraction(1, p ** (-a * r))
     m, cur = root_multiplicity(P, q_r)
-    value = poly_eval(cur, 1 / q_r)
+    u, v, n = q_r.denominator, q_r.numerator, len(cur) - 1
+    value = Fraction(sum(c * u ** k * v ** (n - k) for k, c in enumerate(cur)),
+                     v ** n)
     if value == 0:
         raise ValidationError("deflation failed to remove all q^r roots")
     slope_sum = sum((Fraction(r) - s) * mult for s, mult in profile if s < r)
@@ -203,7 +207,7 @@ def purity_check(P, w, q):
     """Necessary pairing condition for weight w: inverse roots stable under
     alpha -> q^w/alpha, as the coefficient identity c_j c_n = c_{n-j} q^{wj}.
     """
-    coeffs = poly_trim(Fraction(c) for c in P)
+    coeffs = poly_trim(P)
     n = len(coeffs) - 1
     if n <= 0:
         return PurityResult(coeffs == [1])

@@ -65,9 +65,6 @@ def int_valuation(n: int, p: int) -> int:
 
 def rational_valuation(x, p: int) -> int:
     """v_p of a nonzero int or Fraction."""
-    if isinstance(x, int):
-        return int_valuation(x, p)
-    x = Fraction(x)
     return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
 
 
@@ -172,16 +169,41 @@ def check_field(p, a, max_degree=MAX_DEGREE):
             f"extension degree a must be in [1, {max_degree}], got {a}")
 
 
+def _irreducible_binomials(p, a):
+    """The c in [1, p), increasing, with x^a + c irreducible over F_p (a >= 2).
+
+    Lidl-Niederreiter, Finite Fields, Thm 3.75: x^a - b is irreducible iff
+    every prime l | a divides e = ord(b) but not (p - 1)/e, and p = 1 mod 4
+    when 4 | a.  So there is none unless every such l divides p - 1; here
+    b = -c, and e is found by dividing p - 1 by each of its primes while
+    b^(e/l) = 1.  No Rabin test runs.
+    """
+    primes, ells = prime_divisors(a), prime_divisors(p - 1)
+    if a % 4 == 0 and p % 4 == 3 or not set(primes) <= set(ells):
+        return
+    for c in range(1, p):
+        e = p - 1
+        for ell in ells:
+            while e % ell == 0 and pow(p - c, e // ell, p) == 1:
+                e //= ell
+        if all(e % ell == 0 and (p - 1) // e % ell for ell in primes):
+            yield c
+
+
 def minimal_polynomial(p: int, a: int):
     """The first monic irreducible of degree a over F_p by sum c_i p^i.
 
     Coefficient tuples (c_0, ..., c_{a-1}) are compared right to left; the
     returned list is [c_0, ..., c_{a-1}, 1].  Deterministic, so contexts built
-    anywhere agree on the model of F_{p^a} and W(F_{p^a}).
+    anywhere agree on the model of F_{p^a} and W(F_{p^a}).  The codes below
+    p are the binomials x^a + c, decided in closed form
+    (`_irreducible_binomials`); Rabin's test decides the codes from p on.
     """
     if a == 1:
         return [0, 1]  # x itself: Z_q = Z_p, residue field F_p
-    for code in range(p ** a):
+    for c in _irreducible_binomials(p, a):
+        return [c] + [0] * (a - 1) + [1]
+    for code in range(p, p ** a):
         m = digits(code, p, a) + [1]
         if m[0] != 0 and _is_irreducible(m, p):
             return m

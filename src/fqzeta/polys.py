@@ -1,9 +1,11 @@
 """Polynomial and small-matrix utilities shared across the library.
 
-Polynomials are dense coefficient lists, constant term first.  Most callers
-work over Fraction; `rev_charpoly`, the one characteristic polynomial, is
-O(n^3) and generic, so it serves crystals over Z_q and Gamma-modules,
-closed points and twists over Fractions alike.  The Kunneth
+Polynomials are dense coefficient lists, constant term first.  A zeta
+factor's coefficients are `int` where integral and `Fraction` otherwise
+(rational twists, Tate pieces Q_p(-i) with i < 0): one code path serves
+both, by Python's numeric tower.  `rev_charpoly`, the one characteristic
+polynomial, is O(n^3) and generic, so it serves crystals over Z_q and
+Gamma-modules, closed points and twists over Fractions alike.  The Kunneth
 product `tensor_poly` needs no matrix: it multiplies power sums
 (Bostan-Flajolet-Salvy-Schost), and `from_power_sums` is the one way back
 from power sums to coefficients, for it and for the Euler product
@@ -48,19 +50,12 @@ def poly_trim(f):
 def poly_mul(f, g):
     if not f or not g:
         return []
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g):
                 out[i + j] += a * b
     return out
-
-
-def poly_eval(f, x):
-    acc = Fraction(0)
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
 
 
 def deflate_once(coeffs, c):
@@ -69,16 +64,16 @@ def deflate_once(coeffs, c):
     Synthetic: b_i = a_i + c b_{i-1}; the remainder is the overflow b_n, and
     P(t) = (1 - c t) B(t) + b_n t^n.
     """
-    b, prev = [], Fraction(0)
+    b, prev = [], 0
     for a in coeffs:
-        prev = Fraction(a) + c * prev
+        prev = a + c * prev
         b.append(prev)
     return b[:-1], b[-1]
 
 
 def root_multiplicity(coeffs, c):
     """Multiplicity of c as an inverse root (i.e. of (1 - c t) as a factor)."""
-    cur = poly_trim(Fraction(x) for x in coeffs)
+    cur = poly_trim(coeffs)
     m = 0
     while len(cur) > 1:
         quo, rem = deflate_once(cur, c)
@@ -154,8 +149,8 @@ def rev_charpoly_fractions(rows):
 
 
 def _unit_constant(P):
-    """P as trimmed Fractions; ValidationError unless P(0) = 1."""
-    P = poly_trim([Fraction(c) for c in P])
+    """P trimmed; ValidationError unless P(0) = 1."""
+    P = poly_trim(P)
     if not P or P[0] != 1:
         raise ValidationError("expected constant term 1")
     return P
@@ -218,6 +213,12 @@ def from_power_sums(sums):
     return out
 
 
+def _exact_quotient(n, d):
+    """n/d for ints n and d > 0: an int when d divides n, else a Fraction."""
+    quo, rem = divmod(n, d)
+    return Fraction(n, d) if rem else quo
+
+
 def integral_scaling(P):
     """(d, P(d t)) with d the lcm of the denominators of P, so that P(d t),
     whose inverse roots are d alpha, has integer coefficients."""
@@ -238,13 +239,14 @@ def tensor_poly(P, Q):
     resultants", J. Symbolic Comput. 2006).  The result is exact: scaling t
     by d and e makes both factors integral, so every step runs over the
     integers (the division by k is exact), and dividing the coefficient of
-    t^k by (de)^k undoes the scaling.
+    t^k by (de)^k undoes the scaling: an int when it divides exactly, so
+    integral factors give integral products.
     """
     d, P = integral_scaling(_unit_constant(P))
     e, Q = integral_scaling(_unit_constant(Q))
     n = (len(P) - 1) * (len(Q) - 1)
     sums = [x * y for x, y in zip(power_sums(P, n), power_sums(Q, n))]
-    return [Fraction(c, (d * e) ** k)
+    return [_exact_quotient(c, (d * e) ** k)
             for k, c in enumerate(from_power_sums(sums))]
 
 

@@ -40,7 +40,6 @@ def _require(data, key, what):
 
 
 def encode_rational(x):
-    x = Fraction(x)
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -48,7 +47,7 @@ def decode_rational(data):
     if isinstance(data, bool) or isinstance(data, float):
         raise ValidationError(f"expected an exact rational, got {data!r}")
     if isinstance(data, int):
-        return Fraction(data)
+        return data
     if isinstance(data, str):
         try:
             return Fraction(data)

@@ -138,7 +138,7 @@ def compatibility_check(pkg):
     """
     for data in pkg.degrees.values():
         for c in data.poly:
-            if Fraction(c).denominator != 1:
+            if c.denominator != 1:
                 return False
     return True
 

@@ -35,7 +35,6 @@ from fqzeta.lfun import (
 )
 from fqzeta.polys import (
     mat_pow_fractions,
-    poly_eval,
     poly_mul,
     poly_trim,
     power,
@@ -48,6 +47,7 @@ from fqzeta.specialvalues import (
     verify_elladic,
     verify_padic,
 )
+from fraction_oracles import poly_eval
 
 P1_FACTORS = {0: [1, -1], 2: [1, -5]}
 ELLIPTIC_FACTORS = {0: [1, -1], 1: [1, 3, 5], 2: [1, -5]}

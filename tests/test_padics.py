@@ -14,6 +14,7 @@ from fqzeta.padics import (
     FiniteField,
     QqContext,
     Zp,
+    _irreducible_binomials,
     _is_irreducible,
     _mulmod,
     _powmod,
@@ -182,6 +183,33 @@ def test_minimal_polynomial_is_the_first_irreducible_of_the_oracle():
                         if m[0] and _rabin_by_gcd(m, p))
             assert minimal_polynomial(p, a) == want, (p, a)
             a += 1
+
+
+def test_binomial_classifier_matches_rabin_on_every_binomial():
+    """Thm 3.75 of Lidl-Niederreiter against Rabin's test on each x^a + c,
+    0 < c < p, for the primes below 45 and 2 <= a <= 16: 4 005 binomials,
+    815 of them irreducible."""
+    irreducible = 0
+    for p in (n for n in range(2, 45) if prime_divisors(n) == [n]):
+        for a in range(2, 17):
+            want = [c for c in range(1, p)
+                    if _is_irreducible([c] + [0] * (a - 1) + [1], p)]
+            assert list(_irreducible_binomials(p, a)) == want, (p, a)
+            irreducible += len(want)
+    assert irreducible == 815
+
+
+def test_large_moduli_skip_the_binomials_none_of_which_is_irreducible():
+    """For p = 3 mod 4 and 4 | a, or a prime of a not dividing p - 1, no
+    binomial is irreducible, and the search starts at x^a + x + c.  These
+    moduli are those of the search that ran Rabin's test on every binomial
+    (that search took 13 s for (65519, 4) and about a minute for
+    (65519, 12) on a 2-core x86-64 box)."""
+    for (p, a), c in {(65519, 4): 13, (65447, 8): 11, (65519, 8): 4,
+                      (65447, 6): 3, (65519, 12): 19}.items():
+        assert list(_irreducible_binomials(p, a)) == []
+        assert minimal_polynomial(p, a) == [c, 1] + [0] * (a - 2) + [1]
+    assert minimal_polynomial(65521, 8) == [17] + [0] * 7 + [1]
 
 
 def test_digit_codec_round_trip():
