@@ -5,7 +5,8 @@ field (varieties may omit it — a bare {"kind": ...} record parses too, as in
 the documented examples).  p-adic scalars carry their base-p digits, low
 first (`padics.digits`, the one codec), and precision explicitly so every
 report is self-describing; exact rationals travel as ints or "num/den"
-strings.  Encoding is deterministic: one call site, `dump_json`, fixes key
+strings, and every integer field is read by `_int`, which refuses floats
+and booleans.  Encoding is deterministic: one call site, `dump_json`, fixes key
 order and separators.
 """
 
@@ -56,6 +57,23 @@ def decode_rational(data):
     raise ValidationError(f"expected an exact rational, got {data!r}")
 
 
+def _int(data, what):
+    """An integer field: a JSON int, or a rational literal that is integral.
+
+    Floats and booleans are refused (ValidationError, exit 2), so
+    {"n": 1.7} is not read as n = 1.
+    """
+    if type(data) is int:
+        return data
+    try:
+        x = decode_rational(data)
+    except ValidationError:
+        x = None
+    if x is None or x.denominator != 1:
+        raise ValidationError(f"{what} must be an integer, got {data!r}")
+    return int(x)
+
+
 # ---------------------------------------------------------------------------
 # p-adic scalars
 
@@ -82,15 +100,25 @@ def encode_padic(x: QqElement):
 
 
 def decode_padic(data, ctx):
+    """The element p^val * sum_i d_i p^i + O(p^(val + prec)).
+
+    The digits fix the element to absolute precision val + prec, so a
+    digit vector divisible by p^w keeps prec - w relative digits (at most
+    the context's), and an all-zero one is indistinguishable from zero
+    below p^(val + prec).  A prec below 1 is refused.
+    """
     if not isinstance(data, dict):
         # plain scalars are welcome anywhere an element is expected
         return ctx.from_fraction(decode_rational(data))
     if data.get("zero"):
         return ctx.zero()
     if data.get("ifz"):
-        return ctx.ifz(int(_require(data, "abs_prec", "ifz element")))
-    val = int(_require(data, "val", "p-adic element"))
-    rel = min(int(data.get("prec", ctx.prec)), ctx.prec)
+        return ctx.ifz(_int(_require(data, "abs_prec", "ifz element"),
+                            "element abs_prec"))
+    val = _int(_require(data, "val", "p-adic element"), "element val")
+    prec = _int(data.get("prec", ctx.prec), "element prec")
+    if prec < 1:
+        raise ValidationError(f"element precision must be >= 1, got {prec}")
     if "digits" in data:
         vectors = [data["digits"]]
     else:
@@ -98,8 +126,15 @@ def decode_padic(data, ctx):
     if len(vectors) != ctx.a:
         raise ValidationError(
             f"element has {len(vectors)} coordinates, context needs {ctx.a}")
-    return ctx.from_vector([from_digits([int(d) for d in vec[:rel]], ctx.p)
-                            for vec in vectors], val, rel)
+    coeffs = [from_digits([int(d) for d in vec[:prec]], ctx.p)
+              for vec in vectors]
+    if not any(coeffs):
+        return ctx.ifz(val + prec)
+    x = ctx.from_vector(coeffs, val, min(prec, ctx.prec))
+    w = x.val - val             # the p^w that from_vector pulled out
+    if w and prec - w < ctx.prec:
+        x = ctx.from_vector(coeffs, val, prec - w)
+    return x
 
 
 def _decode_matrix(rows, ctx, what):
@@ -117,10 +152,10 @@ def _encode_matrix(rows):
 
 
 def _context_of(data, prec=None):
-    p = int(_require(data, "p", "crystal"))
-    a = int(data.get("a", 1))
+    p = _int(_require(data, "p", "crystal"), "crystal p")
+    a = _int(data.get("a", 1), "crystal a")
     if prec is None:
-        prec = int(data.get("prec", DEFAULT_PRECISION))
+        prec = _int(data.get("prec", DEFAULT_PRECISION), "crystal prec")
     return context(p, a, prec)
 
 
@@ -134,7 +169,7 @@ def decode_isocrystal(data, prec=None):
     ctx = _context_of(data, prec)
     E = Isocrystal(ctx, _decode_matrix(_require(data, "matrix", "crystal"),
                                        ctx, "matrix"))
-    if "rank" in data and int(data["rank"]) != E.rank:
+    if "rank" in data and _int(data["rank"], "crystal rank") != E.rank:
         raise ValidationError(
             f"declared rank {data['rank']} but matrix has rank {E.rank}")
     return E
@@ -175,10 +210,12 @@ def decode_virtual_crystal(data, prec=None):
 
 def decode_gamma_module(data, prec=None):
     ring = _require(data, "ring", "gamma module")
-    prime = int(_require(data, "prime", "gamma module"))
+    prime = _int(_require(data, "prime", "gamma module"),
+                 "gamma module prime")
     gamma = [[decode_rational(x) for x in row]
              for row in _require(data, "gamma", "gamma module")]
-    torsion = [TorsionComponent(int(t["e"]), decode_rational(t["unit"]))
+    torsion = [TorsionComponent(_int(t["e"], "torsion exponent"),
+                                decode_rational(t["unit"]))
                for t in data.get("torsion", [])]
     kwargs = {} if prec is None else {"prec": prec}
     return GammaModule(ring, prime, gamma, torsion=torsion, **kwargs)
@@ -190,16 +227,20 @@ def decode_gamma_module(data, prec=None):
 
 def decode_variety(data):
     kind = _require(data, "kind", "variety")
-    p = int(_require(data, "p", "variety"))
-    a = int(data.get("a", 1))
+    p = _int(_require(data, "p", "variety"), "variety p")
+    a = _int(data.get("a", 1), "variety a")
     if kind == "projective":
-        return VarietySpec.projective(int(_require(data, "n", kind)), p, a)
+        return VarietySpec.projective(
+            _int(_require(data, "n", kind), "variety n"), p, a)
     if kind == "affine":
-        return VarietySpec.affine(int(_require(data, "n", kind)), p, a)
+        return VarietySpec.affine(
+            _int(_require(data, "n", kind), "variety n"), p, a)
     if kind == "torus":
         return VarietySpec.torus(p, a)
     if kind == "elliptic":
-        return VarietySpec.elliptic(_require(data, "coeffs", kind), p, a)
+        return VarietySpec.elliptic([_int(c, "curve coefficient")
+                                     for c in _require(data, "coeffs", kind)],
+                                    p, a)
     if kind == "product":
         return VarietySpec.product(
             [decode_variety(f) for f in _require(data, "factors", kind)])
@@ -208,7 +249,8 @@ def decode_variety(data):
             decode_variety(_require(data, "ambient", kind)),
             decode_variety(_require(data, "closed", kind)))
     if kind == "points":
-        return VarietySpec.points(int(_require(data, "count", kind)), p, a)
+        return VarietySpec.points(
+            _int(_require(data, "count", kind), "point count"), p, a)
     raise ValidationError(f"unknown variety kind {kind!r}")
 
 
@@ -264,16 +306,16 @@ def decode_package(data, prec=None):
     raises PrecisionExhausted, exit 4, when it cannot tell): the verifier
     reads slopes off the factor and Hodge numbers off the crystal.
     """
-    p = int(_require(data, "p", "package"))
-    a = int(data.get("a", 1))
+    p = _int(_require(data, "p", "package"), "package p")
+    a = _int(data.get("a", 1), "package a")
     check_field(p, a)           # before p ** a
-    if "q" in data and int(data["q"]) != p ** a:
+    if "q" in data and _int(data["q"], "package q") != p ** a:
         raise ValidationError(f"q = {data['q']} does not equal p^a = {p**a}")
-    dim = int(data.get("dim", 0))
+    dim = _int(data.get("dim", 0), "package dim")
     degrees = {}
     max_j = 0
     for entry in _require(data, "degrees", "package"):
-        j = int(_require(entry, "j", "package degree"))
+        j = _int(_require(entry, "j", "package degree"), "degree j")
         if j in degrees:
             raise ValidationError(f"degree {j} appears twice")
         max_j = max(max_j, j)
@@ -287,8 +329,8 @@ def decode_package(data, prec=None):
         degrees[j] = PackageDegree(
             poly=[decode_rational(c) for c in poly],
             weight=None if entry.get("weight") is None
-            else int(entry["weight"]),
-            u=int(entry.get("u", 0)),
+            else _int(entry["weight"], "degree weight"),
+            u=_int(entry.get("u", 0), "degree u"),
             semisimple=bool(entry.get("semisimple", False)),
             crystal=None if crystal is None
             else decode_virtual_crystal(crystal, prec))

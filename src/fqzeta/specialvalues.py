@@ -1,20 +1,24 @@
 """Two-sided verification of the special-value identity at t = q^{-r}.
 
-Each factor P_j = det(1 - t F | H^j) is deflated once
-(`eigenproduct_excluding`): m_j is the multiplicity of q^r, and what is
-left is evaluated at q^{-r}.  Side A is analytic: Z(t) = prod_j
-P_j^{(-1)^{j+1}} has pole order rho = sum_j (-1)^j m_j at q^{-r}, and its
-leading coefficient is the same alternating product of the deflated
-values, an exact rational number; then its inverse absolute value at the
-chosen prime.  Side B is cohomological: Ext ranks from the m_j, the
-deflated values as eigenvalue products, slope sums, unipotent exponents,
-and (p-adically, when lattice data is present) gauge Hodge numbers.  The
-two sides are compared as exact prime powers; a report never rounds and
-never asserts an identity it cannot witness.
+Both routes share one prefix (`_common`).  It deflates each factor
+P_j = det(1 - t F | H^j) once (`eigenproduct_excluding`): m_j is the
+multiplicity of q^r, and what is left is evaluated at q^{-r}.  It checks
+the semisimplicity hypothesis, then reads the analytic side off the
+deflations: Z(t) = prod_j P_j^{(-1)^{j+1}} has pole order
+rho = sum_j (-1)^j m_j, and its leading coefficient c, an exact rational,
+is the same alternating product of the deflated values; |c|^{-1} is taken
+at the route's prime, and the Ext ranks give the cohomological rho.  The
+p-adic tail (`verify_padic`) adds z_j from eigenvalue products, slope sums
+and unipotent exponents, plus gauge Hodge numbers when every degree has a
+crystal, and asserts |c|_p^{-1} = chi q^{tilde chi}.  The l-adic tail
+(`verify_elladic`) takes z_j as |eigenvalue product|_l alone and asserts
+|c|_l^{-1} = chi.  Both sides are compared as exact prime powers; a report
+never rounds and never asserts an identity it cannot witness.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import HypothesisFailed, ValidationError
@@ -26,7 +30,7 @@ from .isocrystals import (
     semisimple_at,
 )
 from .lfun import abs_valuation_inverse
-from .padics import check_field, rational_valuation
+from .padics import GUARD_DIGITS, check_field, rational_valuation
 
 # Largest |r| of a twist: q^r enters every deflation and leading
 # coefficient, so the exact rationals grow with |r| log q.
@@ -58,7 +62,12 @@ class Identity:
         return f"Identity({self.lhs} {op} {self.rhs})"
 
 
-class VerificationReport:
+_FIELDS = ("route prime r p a hypothesis multiplicities ranks rho_analytic "
+           "rho_cohomological leading abs_inverse z chi chi_tilde chi_hodge "
+           "synthetic identities observations precision_audit")
+
+
+class VerificationReport(namedtuple("VerificationReport", _FIELDS)):
     """Everything both sides computed, plus the per-identity verdicts.
 
     Exact rationals stay exact; `identities` holds the asserted equalities
@@ -66,31 +75,11 @@ class VerificationReport:
     cross-checks (the Hodge/slope comparison on synthetic inputs).
     """
 
-    def __init__(self, *, route, prime, r, p, a, hypothesis, multiplicities,
-                 ranks, rho_analytic, rho_cohomological, leading, abs_inverse,
-                 z, chi, chi_tilde, chi_hodge, synthetic, identities,
-                 observations, precision_audit):
-        self.route = route
-        self.prime = prime
-        self.r = r
-        self.p = p
-        self.a = a
-        self.q = p ** a
-        self.hypothesis = hypothesis
-        self.multiplicities = multiplicities
-        self.ranks = ranks
-        self.rho_analytic = rho_analytic
-        self.rho_cohomological = rho_cohomological
-        self.leading = leading
-        self.abs_inverse = abs_inverse
-        self.z = z
-        self.chi = chi
-        self.chi_tilde = chi_tilde
-        self.chi_hodge = chi_hodge
-        self.synthetic = synthetic
-        self.identities = identities
-        self.observations = observations
-        self.precision_audit = precision_audit
+    __slots__ = ()
+
+    @property
+    def q(self):
+        return self.p ** self.a
 
     @property
     def passed(self):
@@ -136,11 +125,8 @@ def compatibility_check(pkg):
     once (coefficient field Omega = Q); packages failing this are p-adic
     only, and the l-adic verifier refuses them.
     """
-    for data in pkg.degrees.values():
-        for c in data.poly:
-            if c.denominator != 1:
-                return False
-    return True
+    return all(c.denominator == 1
+               for data in pkg.degrees.values() for c in data.poly)
 
 
 def _check_hypothesis(pkg, r, eigen):
@@ -150,9 +136,9 @@ def _check_hypothesis(pkg, r, eigen):
     checked on the crystal when present, and otherwise accepted only from an
     explicit semisimplicity tag.  The multiplicities m_j come from `eigen`.
     """
-    verdicts, mults = {}, {}
+    verdicts = {}
     for j, data in sorted(pkg.degrees.items()):
-        m = mults[j] = eigen[j].m
+        m = eigen[j].m
         if m <= 1:
             verdicts[j] = "simple-or-absent"
         elif data.crystal is not None:
@@ -167,30 +153,42 @@ def _check_hypothesis(pkg, r, eigen):
             raise HypothesisFailed(
                 f"q^{r} has multiplicity {m} in degree {j} and no "
                 f"semisimplicity certificate is available", degree=j)
-    return verdicts, mults
+    return verdicts
 
 
-def _analytic_side(eigen, prime):
-    """Pole order, leading coefficient and |c|^{-1} of Z(t) at q^{-r}.
+def _common(pkg, r, prime, with_slopes):
+    """The prefix both routes share, up to their own z, chi and identities.
 
-    Odd degrees are the numerator: rho = sum_j (-1)^j m_j and
-    c = prod_j value_j^{(-1)^{j+1}}, from the per-degree deflations.
+    Deflates each factor once (slope profiles only when `with_slopes`),
+    checks the hypothesis, and reads off the pole order
+    rho = sum_j (-1)^j m_j, the leading coefficient
+    c = prod_j value_j^{(-1)^{j+1}} (odd degrees are the numerator), |c|^{-1}
+    at `prime` and the Ext ranks.  Returns the per-degree EigenProducts and
+    the shared report fields, `identities` holding rho_match.
     """
-    rho = sum((-1) ** j * e.m for j, e in eigen.items())
-    lead = Fraction(1)
-    for j, e in eigen.items():
-        lead = lead * e.value if j % 2 else lead / e.value
-    return rho, lead, abs_valuation_inverse(lead, prime)
-
-
-def _eigen_data(pkg, r, with_slopes=True):
     check_twist(r)
-    out = {}
+    eigen = {}
     for j, data in sorted(pkg.degrees.items()):
         profile = (newton_slopes_exact(data.poly, pkg.p, pkg.a)
                    if with_slopes else [])
-        out[j] = eigenproduct_excluding(data.poly, pkg.p, pkg.a, r, profile)
-    return out
+        eigen[j] = eigenproduct_excluding(data.poly, pkg.p, pkg.a, r, profile)
+    hypothesis = _check_hypothesis(pkg, r, eigen)
+    mults = {j: e.m for j, e in eigen.items()}
+    rho = sum((-1) ** j * m for j, m in mults.items())
+    lead = Fraction(1)
+    for j, e in eigen.items():
+        lead = lead * e.value if j % 2 else lead / e.value
+    abs_inverse = abs_valuation_inverse(lead, prime)
+    ranks = ext_ranks(mults)
+    rho_b = rho_from_ranks(ranks)
+    return eigen, {
+        "prime": prime, "r": r, "p": pkg.p, "a": pkg.a,
+        "hypothesis": hypothesis, "multiplicities": mults, "ranks": ranks,
+        "rho_analytic": rho, "rho_cohomological": rho_b, "leading": lead,
+        "abs_inverse": abs_inverse,
+        "synthetic": any(data.u for data in pkg.degrees.values()),
+        "identities": {"rho_match": Identity(rho, rho_b)},
+    }
 
 
 def _as_integer(x, what):
@@ -227,68 +225,42 @@ def verify_padic(pkg, r):
     |c|_p^{-1} = chi * q^chi(P,r) with the Hodge exponent, plus the
     Hodge-equals-slopes comparison.
     """
-    eigen = _eigen_data(pkg, r)
-    verdicts, mults = _check_hypothesis(pkg, r, eigen)
-    rho_a, lead, abs_inv = _analytic_side(eigen, pkg.p)
-    ranks = ext_ranks(mults)
-    rho_b = rho_from_ranks(ranks)
-    a = pkg.a
-
-    z = {}
-    for j, data in sorted(pkg.degrees.items()):
-        exponent = _as_integer(
-            -rational_valuation(eigen[j].value, pkg.p)
+    eigen, shared = _common(pkg, r, pkg.p, with_slopes=True)
+    p, a, abs_inv = pkg.p, pkg.a, shared["abs_inverse"]
+    z = {j: Fraction(p) ** _as_integer(
+            -rational_valuation(eigen[j].value, p)
             - a * eigen[j].slope_sum + a * data.u,
             f"z exponent in degree {j}")
-        z[j] = Fraction(pkg.p) ** exponent
+         for j, data in sorted(pkg.degrees.items())}
     chi = chi_from_zf(z)
-
-    slope_term = sum(Fraction((-1) ** j) * eigen[j].slope_sum
-                     for j in pkg.degrees)
-    unipotent_term = sum((-1) ** (j + 1) * data.u
-                         for j, data in pkg.degrees.items())
-    chi_tilde = unipotent_term + slope_term
-    synthetic = any(data.u for data in pkg.degrees.values())
-
+    chi_tilde = sum((-1) ** j * (eigen[j].slope_sum - data.u)
+                    for j, data in pkg.degrees.items())
     chi_hodge, hodge_numbers = _hodge_exponent(pkg, r)
 
-    identities = {
-        "rho_match": Identity(rho_a, rho_b),
-        "leading_vs_slopes": Identity(
-            abs_inv,
-            chi * Fraction(pkg.p) ** _as_integer(a * chi_tilde,
-                                                 "a * tilde-chi")),
-    }
+    identities = shared["identities"]
+    identities["leading_vs_slopes"] = Identity(
+        abs_inv, chi * Fraction(p) ** _as_integer(a * chi_tilde,
+                                                  "a * tilde-chi"))
     observations = {}
     if chi_hodge is not None:
-        hodge_cmp = Identity(Fraction(chi_hodge), Fraction(chi_tilde))
-        lead_hodge = Identity(abs_inv, chi * Fraction(pkg.q) ** chi_hodge)
-        if synthetic:
-            observations["hodge_equals_slopes"] = hodge_cmp
-            observations["leading_vs_hodge"] = lead_hodge
-        else:
-            identities["hodge_equals_slopes"] = hodge_cmp
-            identities["leading_vs_hodge"] = lead_hodge
+        (observations if shared["synthetic"] else identities).update(
+            hodge_equals_slopes=Identity(Fraction(chi_hodge),
+                                         Fraction(chi_tilde)),
+            leading_vs_hodge=Identity(abs_inv,
+                                      chi * Fraction(pkg.q) ** chi_hodge))
 
-    precs = {d.crystal.ctx.prec for d in pkg.degrees.values()
-             if d.crystal is not None}
-    guards = {d.crystal.ctx.guard for d in pkg.degrees.values()
-              if d.crystal is not None}
+    crystals = [d.crystal for d in pkg.degrees.values()
+                if d.crystal is not None]
     audit = {
-        "precision": max(precs) if precs else None,
-        "guard": max(guards) if guards else None,
+        "precision": max((c.ctx.prec for c in crystals), default=None),
+        "guard": GUARD_DIGITS if crystals else None,
         "hodge_route": chi_hodge is not None,
         "hodge_numbers": {str(n): {str(i): h for i, h in sorted(hs.items())}
                           for n, hs in sorted(hodge_numbers.items())},
     }
-
     return VerificationReport(
-        route="p-adic", prime=pkg.p, r=r, p=pkg.p, a=pkg.a,
-        hypothesis=verdicts, multiplicities=mults, ranks=ranks,
-        rho_analytic=rho_a, rho_cohomological=rho_b, leading=lead,
-        abs_inverse=abs_inv, z=z, chi=chi, chi_tilde=chi_tilde,
-        chi_hodge=chi_hodge, synthetic=synthetic, identities=identities,
-        observations=observations, precision_audit=audit)
+        route="p-adic", z=z, chi=chi, chi_tilde=chi_tilde, chi_hodge=chi_hodge,
+        observations=observations, precision_audit=audit, **shared)
 
 
 def verify_elladic(pkg, r, ell):
@@ -307,27 +279,15 @@ def verify_elladic(pkg, r, ell):
         raise ValidationError(
             "l-adic verification needs integer coefficients "
             "(compatibility_check failed)")
-    eigen = _eigen_data(pkg, r, with_slopes=False)
-    verdicts, mults = _check_hypothesis(pkg, r, eigen)
-    rho_a, lead, abs_inv = _analytic_side(eigen, ell)
-    ranks = ext_ranks(mults)
-    rho_b = rho_from_ranks(ranks)
-
-    z = {j: Fraction(ell) ** (-rational_valuation(eigen[j].value, ell))
-         for j in sorted(pkg.degrees)}
+    eigen, shared = _common(pkg, r, ell, with_slopes=False)
+    z = {j: Fraction(ell) ** -rational_valuation(e.value, ell)
+         for j, e in eigen.items()}
     chi = chi_from_zf(z)
-
-    identities = {
-        "rho_match": Identity(rho_a, rho_b),
-        "leading_vs_chi": Identity(abs_inv, chi),
-    }
-
+    shared["identities"]["leading_vs_chi"] = Identity(shared["abs_inverse"],
+                                                      chi)
     return VerificationReport(
-        route="l-adic", prime=ell, r=r, p=pkg.p, a=pkg.a,
-        hypothesis=verdicts, multiplicities=mults, ranks=ranks,
-        rho_analytic=rho_a, rho_cohomological=rho_b, leading=lead,
-        abs_inverse=abs_inv, z=z, chi=chi, chi_tilde=None, chi_hodge=None,
-        synthetic=any(data.u for data in pkg.degrees.values()),
-        identities=identities, observations={},
-        precision_audit={"precision": None, "guard": None,
-                         "hodge_route": False, "hodge_numbers": {}})
+        route="l-adic", z=z, chi=chi, chi_tilde=None, chi_hodge=None,
+        observations={}, precision_audit={"precision": None, "guard": None,
+                                          "hodge_route": False,
+                                          "hodge_numbers": {}},
+        **shared)

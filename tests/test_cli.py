@@ -190,6 +190,19 @@ def test_package_with_a_foreign_crystal_exits_2(capsys, tmp_path, donor, j,
     assert captured.out == ""
 
 
+def test_gauge_counts_leading_zero_digits_against_the_guard(capsys,
+                                                            tmp_path):
+    """781 * 5^5 + O(5^10), written with five leading zero digits and
+    prec 10 or with val 5 and prec 5, has 5 relative digits against a
+    guard of 8: either way gauge exits 4."""
+    for entry in ('{"val":0,"digits":[0,0,0,0,0,1,1,1,1,1],"prec":10}',
+                  '{"val":5,"digits":[1,1,1,1,1],"prec":5}'):
+        f = tmp_path / "crystal.json"
+        f.write_text(f'{{"type":"isocrystal","p":5,"matrix":[[{entry}]]}}')
+        code, doc = run(capsys, ["gauge", "--input", str(f)])
+        assert (code, doc) == (4, None)
+
+
 def test_verify_starved_precision_exits_4(capsys, elliptic_file):
     code, _ = run(capsys, ["verify", "--variety", elliptic_file,
                            "--r", "1", "--prec", "4", "--budget", "100000"])
@@ -404,6 +417,25 @@ MALFORMED = [
      '"gamma":[[2]]}'),
     ("verify", "--package",
      f'{{"type":"package","p":5,"a":{10 ** 21},"degrees":[]}}'),
+    # integer fields refuse floats and booleans, and element precision < 1
+    *[(command, "--variety", doc) for command in ("package", "zeta", "verify")
+      for doc in ('{"kind":"projective","n":1.7,"p":5}',
+                  '{"kind":"projective","n":1,"p":5.9}',
+                  '{"kind":"points","count":2.9,"p":5}',
+                  '{"kind":"projective","n":true,"p":5}')],
+    ("zf", "--gamma",
+     '{"type":"gamma_module","ring":"Zp","prime":5.0,"gamma":[[2]]}'),
+    ("slopes", "--input",
+     '{"type":"isocrystal","p":5,"rank":1.0,"matrix":[[1]]}'),
+    ("verify", "--package",
+     '{"type":"package","p":5,"degrees":[{"j":0,"u":0.5,"poly":[1,-1]}]}'),
+    ("verify", "--package",
+     '{"type":"package","p":5,"degrees":[{"j":0.0,"poly":[1,-1]}]}'),
+    ("zeta", "--variety", '{"kind":"elliptic","coeffs":[0,0,0,1.0,1],"p":5}'),
+    ("gauge", "--input",
+     '{"type":"isocrystal","p":5,"matrix":[[{"val":0.5,"digits":[1]}]]}'),
+    *[("slopes", "--input", '{"type":"isocrystal","p":5,"matrix":'
+       f'[[{{"val":0,"digits":[1],"prec":{prec}}}]]}}') for prec in (0, -3)],
 ]
 
 

@@ -436,6 +436,31 @@ def test_package_crystals_realise_their_factors():
                 checked += 1
 
 
+def test_twisted_zeta_is_the_twisted_euler_product():
+    """The zeta function with coefficients in the constant isocrystal of a
+    rational T is prod_x det(1 - t^{deg x} (T^a)^{deg x})^{-1} over the
+    closed points x of X: the package twisted by T (a Kunneth product)
+    against `euler_product_series` with frobenius T^a, through t^8, on
+    random varieties over F_{p^a}, p in {2,3,5,7}, a in {1,2,3}.  A
+    singular T has no isocrystal and is refused."""
+    rng = random.Random(23)
+    checked = refused = 0
+    for _ in range(50):
+        p, a = rng.choice((2, 3, 5, 7)), rng.choice((1, 2, 3))
+        spec, T = _random_spec(rng, p, a), _random_frobenius(rng)
+        if len(poly_trim(rev_charpoly_fractions(T))) <= len(T):
+            with pytest.raises(ValidationError, match="invertible"):
+                package(spec, twist=T)
+            refused += 1
+            continue
+        want = euler_product_series(closed_points(point_counts(spec, 8)), 8,
+                                    frobenius=mat_pow_fractions(T, a))
+        assert rational_series(package(spec, twist=T).zeta(), 8) == want, \
+            (spec, T)
+        checked += 1
+    assert checked >= 40 and refused
+
+
 def test_verifier_special_value_matches_the_whole_zeta_oracle():
     """rho and the leading coefficient of every report equal those of the
     assembled zeta function, on random products, complements, twists and

@@ -10,6 +10,7 @@ from fqzeta.geometry import VarietySpec, corpus, package
 from fqzeta.isocrystals import Isocrystal
 from fqzeta.padics import QqContext, Zp, context
 from fqzeta.serialize import (
+    _int,
     decode_padic,
     dump_json,
     encode_isocrystal,
@@ -185,3 +186,45 @@ def test_rationals_reject_floats():
     with pytest.raises(ValidationError):
         parse_json('{"type": "gamma_module", "ring": "Zp", "prime": 5,'
                    ' "gamma": [[1.5]]}')
+
+
+def test_padic_digits_fix_the_element_to_val_plus_prec():
+    """Leading zero digits are digits: [0]*5 + [1]*5 at prec 10 is
+    781 * 5^5 + O(5^10), the element written with val 5 and prec 5, not
+    + O(5^15).  An all-zero list is indistinguishable from zero below
+    p^(val + prec); over W(F_9) the least valuation of the coordinates is
+    pulled out."""
+    ctx = Zp(5, prec=20)
+    padded = decode_padic({"val": 0, "digits": [0] * 5 + [1] * 5,
+                           "prec": 10}, ctx)
+    shifted = decode_padic({"val": 5, "digits": [1] * 5, "prec": 5}, ctx)
+    assert padded == shifted
+    assert (padded.val, padded.rel, padded.coeffs) == (5, 5, (781,))
+    zero = decode_padic({"val": 2, "digits": [0, 0, 0], "prec": 3}, ctx)
+    assert zero.is_ifz() and zero.abs == 5
+    ctx9 = QqContext(3, 2, prec=16)
+    y = decode_padic({"val": 1, "coeffs": [[0, 0, 2, 1], [0, 1, 1, 1]],
+                      "prec": 4}, ctx9)
+    assert (y.val, y.rel, y.coeffs) == (2, 3, (15, 13))
+    # a primitive list keeps min(prec, context precision) digits
+    long = decode_padic({"val": 0, "digits": [1] * 30, "prec": 30}, ctx)
+    assert (long.val, long.rel) == (0, 20)
+
+
+@pytest.mark.parametrize("prec", [0, -3])
+def test_padic_precision_below_one_is_refused(prec):
+    with pytest.raises(ValidationError, match="precision must be >= 1"):
+        decode_padic({"val": 0, "digits": [1], "prec": prec}, Zp(5))
+
+
+@pytest.mark.parametrize("value", [1.7, 5.0, True, False, "3/2", "x", None,
+                                   [1]])
+def test_integer_fields_refuse_floats_booleans_and_fractions(value):
+    with pytest.raises(ValidationError, match="n must be an integer"):
+        _int(value, "variety n")
+
+
+def test_integer_fields_accept_ints_and_integral_literals():
+    assert [_int(x, "n") for x in (7, -4, "-4", "10/2")] == [7, -4, -4, 5]
+    assert type(_int("10/2", "n")) is int
+
