@@ -2,27 +2,35 @@
 
 A zeta function is stored as a reduced fraction num/den with rational
 coefficients (constant terms 1), assembled from the per-degree factors
-det(1 - t F | H^j).  `fqzeta zeta` prints it and compares its Taylor series
-with the Euler product over closed points; the verifier reads the pole
-order and leading coefficient at t = q^{-r} off the factors instead
-(`specialvalues`).  The Taylor series is one series quotient,
-s_n = num_n - sum_i den_i s_{n-i} (`rational_series`).  The Euler product
-is another algorithm, one power-sum recurrence: its logarithm sums
-tr(F^e) t^e / e over the closed points, and Newton's identities
-n g_n = sum_{k=1..n} s_k g_{n-k} turn those power sums s_e into the
-coefficients g_n in O(T^2) operations through t^T (A. Bostan, P. Flajolet,
-B. Salvy, E. Schost, "Fast computation of special resultants", J. Symbolic
-Comput. 2006).  So the two sides of the `euler_match` of `fqzeta zeta`
-share no series code.  Both series stop at MAX_TRUNCATION.  There is no
-floating point anywhere in this module.
+det(1 - t F | H^j), multiplied as they are (int where integral).  num/den
+are reduced in Z[t] by the modular gcd (`_gcd_z`; von zur Gathen-Gerhard,
+Modern Computer Algebra, 6.4-6.5): Euclid's algorithm in F_ell[t], first
+for Mersenne primes ell, images of equal degree joined by the Chinese
+remainder theorem, and a candidate accepted on exact division over Z.
+Euclid's algorithm over Q, whose coefficients blow up with the degree, is
+its test oracle (tests/fraction_oracles.py).  `fqzeta zeta` prints it and
+compares its Taylor series with the Euler product over closed points; the
+verifier reads the pole order and leading coefficient at t = q^{-r} off
+the factors instead (`specialvalues`).  The Taylor series is one series
+quotient, s_n = num_n - sum_i den_i s_{n-i} (`rational_series`).  The
+Euler product is another algorithm, one power-sum recurrence: its
+logarithm sums tr(F^e) t^e / e over the closed points, and Newton's
+identities n g_n = sum_{k=1..n} s_k g_{n-k} turn those power sums s_e into
+the coefficients g_n in O(T^2) operations through t^T (A. Bostan,
+P. Flajolet, B. Salvy, E. Schost, "Fast computation of special
+resultants", J. Symbolic Comput. 2006).  So the two sides of the
+`euler_match` of `fqzeta zeta` share no series code.  Both series stop at
+MAX_TRUNCATION.  There is no floating point arithmetic anywhere in this
+module: a float coefficient is read exactly by `Fraction`.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import ValidationError
-from .padics import rational_valuation
+from .padics import prime_divisors, rational_valuation
 from .polys import (
     from_power_sums,
     integral_scaling,
@@ -48,57 +56,150 @@ def check_truncation(truncation):
     return order
 
 
-def _poly_divmod(f, g):
-    """Quotient and remainder over Fractions (g nonzero)."""
-    f = [Fraction(c) for c in f]
-    g = poly_trim([Fraction(c) for c in g])
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(f) - len(g) + 1, 1)
-    lead = g[-1]
-    while len(poly_trim(f)) >= len(g):
-        f = poly_trim(f)
-        shift = len(f) - len(g)
-        c = f[-1] / lead
-        q[shift] = c
-        for i, gc in enumerate(g):
-            f[shift + i] -= c * gc
-    return poly_trim(q), poly_trim(f)
+# The first moduli of the modular gcd (`_gcd_z`), tried in this order: the
+# Mersenne primes 2^k - 1 for these k, known primes, so none is tested.
+_GCD_PRIMES = tuple(2 ** k - 1 for k in (
+    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689,
+    9941, 11213, 19937))
 
 
-def _poly_gcd(f, g):
-    """Monic-at-constant gcd (constant term scaled to 1 when possible)."""
-    a, b = poly_trim(list(f)), poly_trim(list(g))
+def _moduli():
+    """`_GCD_PRIMES`, then the primes below 2^31 downwards, found by trial
+    division (`prime_divisors`): a supply no gcd over Z exhausts.  The
+    tail is reached only past the product of `_GCD_PRIMES`, about 2^69948."""
+    yield from _GCD_PRIMES
+    yield from (n for n in range(2 ** 31 - 1, 2 ** 30, -2)
+                if prime_divisors(n) == [n])
+
+
+def _rational(c):
+    """c as it is when an int or a Fraction, else Fraction(c) (floats,
+    Decimals, strings such as "1/2")."""
+    return c if type(c) in (int, Fraction) else Fraction(c)
+
+
+def _primitive(f):
+    """(c, F) with f = c F, c a Fraction and F a primitive list of ints
+    (f nonzero; ints and Fractions alike carry numerator/denominator)."""
+    lcm = math.lcm(*(c.denominator for c in f))
+    F = [c.numerator * (lcm // c.denominator) for c in f]
+    content = math.gcd(*F)
+    return Fraction(content, lcm), [c // content for c in F]
+
+
+def _z_quotient(F, h):
+    """F / h in Z[t], or None unless h divides F there; h[0] != 0.
+
+    Synthetic division from the constant end, so the first coefficient
+    that h[0] does not divide, or a nonzero top, refutes h | F.
+    """
+    n = len(F) - len(h)
+    if n < 0:
+        return None
+    rem, quotient = list(F), []
+    for i in range(n + 1):
+        c, r = divmod(rem[i], h[0])
+        if r:
+            return None
+        quotient.append(c)
+        if c:
+            for j in range(1, len(h)):
+                rem[i + j] -= c * h[j]
+    return quotient if not any(rem[n + 1:]) else None
+
+
+def _gcd_mod(a, b, ell):
+    """Monic gcd in F_ell[s] of two trimmed lists of residues (b nonzero),
+    by Euclid's algorithm."""
     while b:
-        b = [c / b[-1] for c in b]
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a and a[0] != 0:
-        a = [c / a[0] for c in a]
-    elif a:
-        a = [c / a[-1] for c in a]
-    return a
+        inv = pow(b[-1], -1, ell)
+        deg = len(b) - 1
+        a = list(a)
+        for k in range(len(a) - 1 - deg, -1, -1):
+            c = a[k + deg] * inv % ell
+            if c:
+                a[k:k + deg] = [(x - c * y) % ell
+                                for x, y in zip(a[k:k + deg], b)]
+        a, b = b, poly_trim(a[:deg])
+    inv = pow(a[-1], -1, ell)
+    return [c * inv % ell for c in a]
+
+
+def _gcd_z(F, G):
+    """(h, F / h, G / h) for the primitive gcd h in Z[t] of primitive F, G
+    with F(0), G(0) != 0.
+
+    The modular gcd (von zur Gathen-Gerhard, Modern Computer Algebra, 6.4
+    and 6.5; W. S. Brown 1971), read from the constant end.  h(0) divides
+    b = gcd(F(0), G(0)), and reversed, h(0) is the leading coefficient.
+    So for a prime ell dividing neither b nor both leading coefficients,
+    h mod ell keeps its degree and divides the gcd of F, G in F_ell[t]
+    (Euclid on the reversed lists, `_gcd_mod`): a gcd of degree 0 there
+    proves F, G coprime, and its degree is never below deg h.  Scaled to
+    constant term b, the gcds of the moduli of least degree so far are
+    images of one polynomial (b / h(0)) h when that degree is deg h, and
+    are joined by the Chinese remainder theorem; a modulus of larger
+    degree is skipped, and one of smaller degree starts over.  Each
+    joined image, lifted to symmetric residues and made primitive, has
+    degree >= deg h (its top is a unit mod every joined modulus); if it
+    divides F and G in Z[t] it is h.  Once the joined moduli exceed twice
+    the coefficients of (b / h(0)) h, it does, so `_moduli` never runs
+    out.  The division is tried on the first image of a degree and then
+    only when joining one more modulus left the lift unchanged.
+    """
+    b, top = math.gcd(F[0], G[0]), math.gcd(F[-1], G[-1])
+    image = None
+    for ell in _moduli():
+        if b % ell == 0 or top % ell == 0:
+            continue
+        rev = _gcd_mod(poly_trim(c % ell for c in reversed(F)),
+                       poly_trim(c % ell for c in reversed(G)), ell)
+        if len(rev) == 1:
+            return [1], F, G
+        residues = [c * b % ell for c in reversed(rev)]
+        if image is None or len(residues) < len(image):
+            image, modulus, last = residues, ell, None
+        elif len(residues) > len(image):
+            continue
+        else:
+            u = pow(modulus, -1, ell)
+            image = [x + modulus * ((y - x) * u % ell)
+                     for x, y in zip(image, residues)]
+            modulus *= ell
+        h = _primitive([c - modulus if 2 * c > modulus else c
+                        for c in image])[1]
+        if last is None or h == last:
+            F_h = _z_quotient(F, h)
+            G_h = _z_quotient(G, h) if F_h is not None else None
+            if G_h is not None:
+                return h, F_h, G_h
+        last = h
 
 
 class RationalFunction:
-    """Reduced fraction of polynomials in t with rational coefficients."""
+    """Reduced fraction of polynomials in t with rational coefficients,
+    stored as Fraction lists with den[0] = 1.
+
+    Coefficients may be ints, Fractions or anything `Fraction` reads.
+    num and den are reduced in Z[t]: each is a rational times a primitive
+    integer polynomial, and both are divided exactly by their primitive
+    gcd (`_gcd_z`) there.
+    """
 
     def __init__(self, num, den):
-        num = poly_trim([Fraction(c) for c in num])
-        den = poly_trim([Fraction(c) for c in den])
+        num = poly_trim(_rational(c) for c in num)
+        den = poly_trim(_rational(c) for c in den)
         if not num:
             raise ValidationError("zero rational function is not a zeta function")
         if not den or den[0] == 0:
             raise ValidationError("denominator needs a nonzero constant term")
-        scale = den[0]
-        num = [c / scale for c in num]
-        den = [c / scale for c in den]
-        g = _poly_gcd(num, den)
-        if len(g) > 1:
-            num, _ = _poly_divmod(num, g)
-            den, _ = _poly_divmod(den, g)
-        self.num = num
-        self.den = den
+        (c_num, N), (c_den, D) = _primitive(num), _primitive(den)
+        v = next(i for i, c in enumerate(N) if c)
+        _, N, D = _gcd_z(N[v:], D)
+        N = [0] * v + N
+        scale = c_num / (c_den * D[0])
+        self.num = [scale * c for c in N]
+        self.den = [Fraction(c, D[0]) for c in D]
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
@@ -117,10 +218,13 @@ def assemble(factors_by_degree):
 
     Every factor must have constant term 1; odd j go to the numerator, even
     j to the denominator.  An empty dict gives the constant function 1.
+    The factors are multiplied as they are: int where integral, Fraction
+    only where a coefficient is not (other coefficients, such as floats
+    or strings, are read by `Fraction`).
     """
-    num, den = [Fraction(1)], [Fraction(1)]
+    num, den = [1], [1]
     for j in sorted(factors_by_degree):
-        coeffs = poly_trim([Fraction(c) for c in factors_by_degree[j]])
+        coeffs = poly_trim(_rational(c) for c in factors_by_degree[j])
         if not coeffs or coeffs[0] != 1:
             raise ValidationError(
                 f"factor in degree {j} must have constant term 1")

@@ -6,8 +6,10 @@ the documented examples).  p-adic scalars carry their base-p digits, low
 first (`padics.digits`, the one codec), and precision explicitly so every
 report is self-describing; exact rationals travel as ints or "num/den"
 strings, and every integer field is read by `_int`, which refuses floats
-and booleans.  Encoding is deterministic: one call site, `dump_json`, fixes key
-order and separators.
+and booleans.  Every list field is read by `_list`, which refuses strings
+(Python would iterate them character by character), and every flag by
+`_flag`, which accepts only JSON booleans.  Encoding is deterministic:
+one call site, `dump_json`, fixes key order and separators.
 """
 
 from __future__ import annotations
@@ -74,6 +76,27 @@ def _int(data, what):
     return int(x)
 
 
+def _list(data, what):
+    """A list field: a JSON array, returned as it is.
+
+    Anything else is refused (ValidationError, exit 2), strings included,
+    so {"coeffs": "00011"} is not read as [0, 0, 0, 1, 1].
+    """
+    if not isinstance(data, list):
+        raise ValidationError(
+            f"{what} must be a list, got {type(data).__name__}")
+    return data
+
+
+def _flag(data, key, what):
+    """A boolean field, False when absent: a JSON true or false only, so
+    the string "false" is not read as true."""
+    value = data.get(key, False)
+    if not isinstance(value, bool):
+        raise ValidationError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # p-adic scalars
 
@@ -110,9 +133,9 @@ def decode_padic(data, ctx):
     if not isinstance(data, dict):
         # plain scalars are welcome anywhere an element is expected
         return ctx.from_fraction(decode_rational(data))
-    if data.get("zero"):
+    if _flag(data, "zero", "element zero"):
         return ctx.zero()
-    if data.get("ifz"):
+    if _flag(data, "ifz", "element ifz"):
         return ctx.ifz(_int(_require(data, "abs_prec", "ifz element"),
                             "element abs_prec"))
     val = _int(_require(data, "val", "p-adic element"), "element val")
@@ -122,11 +145,13 @@ def decode_padic(data, ctx):
     if "digits" in data:
         vectors = [data["digits"]]
     else:
-        vectors = _require(data, "coeffs", "p-adic element")
+        vectors = _list(_require(data, "coeffs", "p-adic element"),
+                        "element coeffs")
     if len(vectors) != ctx.a:
         raise ValidationError(
             f"element has {len(vectors)} coordinates, context needs {ctx.a}")
-    coeffs = [from_digits([int(d) for d in vec[:prec]], ctx.p)
+    coeffs = [from_digits([int(d) for d in
+                           _list(vec, "element digits")[:prec]], ctx.p)
               for vec in vectors]
     if not any(coeffs):
         return ctx.ifz(val + prec)
@@ -138,9 +163,10 @@ def decode_padic(data, ctx):
 
 
 def _decode_matrix(rows, ctx, what):
-    if not isinstance(rows, list) or not rows:
+    if not _list(rows, what):
         raise ValidationError(f"{what} must be a non-empty matrix")
-    return [[decode_padic(x, ctx) for x in row] for row in rows]
+    return [[decode_padic(x, ctx) for x in _list(row, f"{what} row")]
+            for row in rows]
 
 
 def _encode_matrix(rows):
@@ -212,11 +238,12 @@ def decode_gamma_module(data, prec=None):
     ring = _require(data, "ring", "gamma module")
     prime = _int(_require(data, "prime", "gamma module"),
                  "gamma module prime")
-    gamma = [[decode_rational(x) for x in row]
-             for row in _require(data, "gamma", "gamma module")]
+    gamma = [[decode_rational(x) for x in _list(row, "gamma row")]
+             for row in _list(_require(data, "gamma", "gamma module"),
+                              "gamma")]
     torsion = [TorsionComponent(_int(t["e"], "torsion exponent"),
                                 decode_rational(t["unit"]))
-               for t in data.get("torsion", [])]
+               for t in _list(data.get("torsion", []), "torsion")]
     kwargs = {} if prec is None else {"prec": prec}
     return GammaModule(ring, prime, gamma, torsion=torsion, **kwargs)
 
@@ -238,12 +265,14 @@ def decode_variety(data):
     if kind == "torus":
         return VarietySpec.torus(p, a)
     if kind == "elliptic":
-        return VarietySpec.elliptic([_int(c, "curve coefficient")
-                                     for c in _require(data, "coeffs", kind)],
-                                    p, a)
+        return VarietySpec.elliptic(
+            [_int(c, "curve coefficient")
+             for c in _list(_require(data, "coeffs", kind), "curve coeffs")],
+            p, a)
     if kind == "product":
         return VarietySpec.product(
-            [decode_variety(f) for f in _require(data, "factors", kind)])
+            [decode_variety(f) for f in
+             _list(_require(data, "factors", kind), "product factors")])
     if kind == "complement":
         return VarietySpec.complement(
             decode_variety(_require(data, "ambient", kind)),
@@ -314,12 +343,13 @@ def decode_package(data, prec=None):
     dim = _int(data.get("dim", 0), "package dim")
     degrees = {}
     max_j = 0
-    for entry in _require(data, "degrees", "package"):
+    for entry in _list(_require(data, "degrees", "package"),
+                       "package degrees"):
         j = _int(_require(entry, "j", "package degree"), "degree j")
         if j in degrees:
             raise ValidationError(f"degree {j} appears twice")
         max_j = max(max_j, j)
-        poly = _require(entry, "poly", "package degree")
+        poly = _list(_require(entry, "poly", "package degree"), "degree poly")
         crystal = entry.get("crystal")
         rows = ([] if crystal is None
                 else _require(crystal, "matrix", "crystal"))
@@ -331,7 +361,7 @@ def decode_package(data, prec=None):
             weight=None if entry.get("weight") is None
             else _int(entry["weight"], "degree weight"),
             u=_int(entry.get("u", 0), "degree u"),
-            semisimple=bool(entry.get("semisimple", False)),
+            semisimple=_flag(entry, "semisimple", "degree semisimple"),
             crystal=None if crystal is None
             else decode_virtual_crystal(crystal, prec))
     if "dim" not in data:

@@ -436,6 +436,14 @@ MALFORMED = [
      '{"type":"isocrystal","p":5,"matrix":[[{"val":0.5,"digits":[1]}]]}'),
     *[("slopes", "--input", '{"type":"isocrystal","p":5,"matrix":'
        f'[[{{"val":0,"digits":[1],"prec":{prec}}}]]}}') for prec in (0, -3)],
+    # flags are JSON booleans and list fields JSON arrays: the string
+    # "false" certified semisimplicity, and a string was read as the list
+    # of its characters (y^2 = x^3 + x + 1; the matrix [[0, 1], [5, 3]])
+    ("verify", "--package",
+     '{"type":"package","p":5,"a":1,"dim":0,"degrees":[{"j":0,'
+     '"poly":[1,-2,1],"semisimple":"false"}]}'),
+    ("zeta", "--variety", '{"kind":"elliptic","coeffs":"00011","p":5}'),
+    ("slopes", "--input", '{"type":"isocrystal","p":5,"matrix":["01","53"]}'),
 ]
 
 

@@ -9,7 +9,10 @@ multiplies the local factors out, raising each inverse factor to its
 closed-point count by square-and-multiply.
 """
 
+import itertools
+import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -25,9 +28,10 @@ from fqzeta.geometry import (
 )
 from fqzeta.lfun import (
     MAX_TRUNCATION,
+    _GCD_PRIMES,
     RationalFunction,
-    _poly_divmod,
-    _poly_gcd,
+    _gcd_z,
+    _primitive,
     abs_valuation_inverse,
     assemble,
     euler_product_series,
@@ -47,7 +51,7 @@ from fqzeta.specialvalues import (
     verify_elladic,
     verify_padic,
 )
-from fraction_oracles import poly_eval
+from fraction_oracles import euclid_gcd, poly_divmod, poly_eval
 
 P1_FACTORS = {0: [1, -1], 2: [1, -5]}
 ELLIPTIC_FACTORS = {0: [1, -1], 1: [1, 3, 5], 2: [1, -5]}
@@ -63,18 +67,32 @@ def _whole_zeta_value(zeta, q, r):
     return m_den - m_num, poly_eval(num, 1 / c) / poly_eval(den, 1 / c)
 
 
-def _euclid_gcd(f, g):
-    """Plain Euclid on non-monic divisors, normalised like _poly_gcd: the
-    oracle for the monic-divisor version."""
-    a, b = poly_trim(list(f)), poly_trim(list(g))
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a and a[0] != 0:
-        a = [c / a[0] for c in a]
-    elif a:
-        a = [c / a[-1] for c in a]
-    return a
+@pytest.fixture(autouse=True)
+def _bounded_moduli(monkeypatch):
+    """Every gcd in these tests is found within the Mersenne moduli and
+    ten primes past them, so the supply is cut there: a gcd that never
+    settles returns None and fails its test instead of running on."""
+    moduli = fqzeta.lfun._moduli
+    monkeypatch.setattr(fqzeta.lfun, "_moduli", lambda: itertools.islice(
+        moduli(), len(_GCD_PRIMES) + 10))
+
+
+def _modular_gcd(f, g):
+    """`lfun._gcd_z` on any two lists of rationals, normalised like the
+    oracle `euclid_gcd`: the common power of t restored, constant term 1,
+    or leading coefficient 1 when t divides the gcd; [] for two zeros."""
+    f, g = poly_trim(f), poly_trim(g)
+    if not f or not g:
+        h = f or g
+    else:
+        vf = next(i for i, c in enumerate(f) if c)
+        vg = next(i for i, c in enumerate(g) if c)
+        h = [0] * min(vf, vg) + _gcd_z(_primitive(f[vf:])[1],
+                                       _primitive(g[vg:])[1])[0]
+    if not h:
+        return []
+    lead = Fraction(h[0] or h[-1])
+    return [c / lead for c in h]
 
 
 def poly_truncate(f, order):
@@ -350,21 +368,110 @@ def test_twisted_package_zeta_is_the_euler_product_with_coefficients(p):
 
 
 def test_gcd_matches_plain_euclid_oracle():
+    """The modular gcd equals the Euclid gcd over Q on random pairs:
+    rational coefficients, a common power of t on a quarter of them, and
+    planted factors whose coefficients reach 2^200, past the first four
+    moduli, on a fifth."""
     rng = random.Random(21)
 
-    def poly(degree):
-        coeffs = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
+    def poly(degree, size=9):
+        coeffs = [Fraction(rng.randrange(-size, size + 1), rng.randrange(1, 4))
                   for _ in range(degree)]
         return coeffs + [Fraction(rng.choice([-3, -1, 1, 2, 5]))]
 
-    for _ in range(60):
-        common = poly(rng.randrange(0, 4))
+    nontrivial = 0
+    for i in range(400):
+        common = poly(rng.randrange(0, 4), 2 ** 200 if i % 5 == 0 else 9)
+        if i % 4 == 0:
+            common = [0] * rng.randrange(1, 3) + common
         f = poly_mul(common, poly(rng.randrange(0, 5)))
         g = poly_mul(common, poly(rng.randrange(0, 5)))
-        got = _poly_gcd(f, g)
-        assert got == _euclid_gcd(f, g)
+        got = _modular_gcd(f, g)
+        assert got == euclid_gcd(f, g), (f, g)
+        assert all(type(c) is Fraction for c in got)
         # the planted factor divides the gcd
-        assert _poly_divmod(got, common)[1] == []
+        assert poly_divmod(got, common)[1] == []
+        nontrivial += len(got) > 1
+    assert nontrivial > 200
+
+
+def _euclid_reduction(factors):
+    """num/den of the zeta function as the library reduced it before the
+    modular gcd: Fraction products, den scaled to den_0 = 1, both divided
+    by the Euclid gcd."""
+    num, den = [Fraction(1)], [Fraction(1)]
+    for j, poly in factors.items():
+        if j % 2:
+            num = poly_mul(num, [Fraction(c) for c in poly])
+        else:
+            den = poly_mul(den, [Fraction(c) for c in poly])
+    g = euclid_gcd(num, den)
+    return poly_divmod(num, g)[0], poly_divmod(den, g)[0], len(g) > 1
+
+
+def test_reduced_zeta_matches_the_euclid_reduction():
+    """`assemble` reduces the zeta function of random products,
+    complements, twists and Tate twists over F_{p^a}, p in {2,3,5,7},
+    a in {1,2,3}, to the num/den that the Euclid gcd gave, as Fractions;
+    num and den share a factor in 3 of the 100."""
+    rng = random.Random(25)
+    cancelled = 0
+    for _ in range(100):
+        pkg = _random_package(rng)
+        factors = {j: d.poly for j, d in pkg.degrees.items()}
+        zeta = assemble(factors)
+        num, den, reduced = _euclid_reduction(factors)
+        assert (zeta.num, zeta.den) == (num, den), pkg
+        assert all(type(c) is Fraction for c in zeta.num + zeta.den)
+        cancelled += reduced
+    assert cancelled >= 2
+
+
+def test_modular_gcd_survives_an_unlucky_prime():
+    """1 - t and 1 - 2^61 t are coprime over Q but congruent mod the first
+    modulus 2^61 - 1, so the gcd there fails the division check and the
+    next modulus decides; with a common factor 1 + 2t the same holds.  A
+    pair congruent mod every Mersenne modulus is decided past them."""
+    f, g = [1, -1], [1, -2 ** 61]
+    assert [c % _GCD_PRIMES[0] for c in g] == [c % _GCD_PRIMES[0] for c in f]
+    assert _modular_gcd(f, g) == euclid_gcd(f, g) == [1]
+    common = [1, 2]
+    assert (_modular_gcd(poly_mul(f, common), poly_mul(g, common))
+            == euclid_gcd(poly_mul(f, common), poly_mul(g, common)) == [1, 2])
+    assert (RationalFunction(poly_mul(f, common), poly_mul(g, common))
+            == RationalFunction(f, g))
+    g = [1, -1 - math.prod(_GCD_PRIMES)]
+    assert _modular_gcd(f, g) == euclid_gcd(f, g) == [1]
+    assert _modular_gcd(poly_mul(f, common), poly_mul(g, common)) == [1, 2]
+
+
+def test_modular_gcd_joins_moduli_past_any_one_prime():
+    """A gcd whose coefficients outgrow one modulus is found by joining
+    the images of several: 3^50 > 2^61 needs two moduli, and the second
+    modulus 2^89 - 1, unlucky for 1 - t against 1 - 2^89 t, is skipped;
+    2^20000 is past the largest Mersenne modulus 2^19937 - 1; 3^44200 is
+    past the product of all of them, so primes below 2^31 join in."""
+    pairs = [([1, -1], [1, -2 ** 89], [1, 3 ** 50])]
+    for c in (2 ** 20000, 3 ** 44200):
+        pairs.append(([1, 1], [1, -1], [1, -c]))
+        pairs.append(([2, 1, 1], [1, 0, 5], [c, 7]))
+    assert math.prod(_GCD_PRIMES) < 3 ** 44200
+    for f, g, common in pairs:
+        F, G = poly_mul(f, common), poly_mul(g, common)
+        want = euclid_gcd(F, G)
+        assert _modular_gcd(F, G) == want
+        assert want == [Fraction(c, common[0]) for c in common]
+        assert RationalFunction(F, G) == RationalFunction(f, g)
+
+
+def test_rational_function_reads_any_rational_coefficient():
+    """Coefficients that are not ints or Fractions go through `Fraction`,
+    as before the int path: floats, Decimals and strings."""
+    want = RationalFunction([1, Fraction(1, 2)], [1, -1])
+    assert RationalFunction([1.0, 0.5], ["1", Decimal(-1)]) == want
+    assert RationalFunction(["1", "1/2"], [1, -1]) == want
+    assert (assemble({0: ["1", "-1/2"], 1: [1.0, 0.25]})
+            == RationalFunction([1, Fraction(1, 4)], [1, Fraction(-1, 2)]))
 
 
 # ---------------------------------------------------------------------------

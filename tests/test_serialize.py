@@ -10,6 +10,7 @@ from fqzeta.geometry import VarietySpec, corpus, package
 from fqzeta.isocrystals import Isocrystal
 from fqzeta.padics import QqContext, Zp, context
 from fqzeta.serialize import (
+    _flag,
     _int,
     decode_padic,
     dump_json,
@@ -228,3 +229,43 @@ def test_integer_fields_accept_ints_and_integral_literals():
     assert [_int(x, "n") for x in (7, -4, "-4", "10/2")] == [7, -4, -4, 5]
     assert type(_int("10/2", "n")) is int
 
+
+
+_P = '"type": "package", "p": 5'
+_ISO = '"type": "isocrystal", "p": 5'
+_GAMMA = '"type": "gamma_module", "ring": "Zp", "prime": 5'
+
+
+@pytest.mark.parametrize("doc", [
+    '{"kind": "elliptic", "coeffs": "00011", "p": 5}',
+    '{"kind": "product", "p": 5, "factors": "xy"}',
+    '{%s, "degrees": "01"}' % _P,
+    '{%s, "degrees": [{"j": 0, "poly": "1"}]}' % _P,
+    '{%s, "matrix": ["01", "53"]}' % _ISO,
+    '{%s, "matrix": "1"}' % _ISO,
+    '{%s, "matrix": [[{"val": 0, "digits": "11", "prec": 2}]]}' % _ISO,
+    '{%s, "a": 2, "matrix": [[{"val": 0, "coeffs": ["1", "0"]}]]}' % _ISO,
+    '{"type": "virtual_crystal", "p": 5, "matrix": [[1, 0], [0, 1]],'
+    ' "lattice": ["10", "01"]}',
+    '{%s, "gamma": ["2"]}' % _GAMMA,
+    '{%s, "gamma": "2"}' % _GAMMA,
+    '{%s, "gamma": [[2]], "torsion": "e"}' % _GAMMA,
+])
+def test_list_fields_refuse_strings(doc):
+    """Every list field is a JSON array: a string is not read as the list
+    of its characters."""
+    with pytest.raises(ValidationError, match="must be a list"):
+        parse_json(doc)
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [True]])
+def test_flags_are_json_booleans(value):
+    with pytest.raises(ValidationError, match="must be true or false"):
+        _flag({"semisimple": value}, "semisimple", "degree semisimple")
+    with pytest.raises(ValidationError, match="must be true or false"):
+        decode_padic({"zero": value}, Zp(5))
+
+
+def test_flags_accept_booleans_and_default_to_false():
+    assert [_flag({"x": v}, "x", "x") for v in (True, False)] == [True, False]
+    assert _flag({}, "x", "x") is False
