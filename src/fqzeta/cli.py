@@ -22,7 +22,7 @@ from .errors import (
 )
 from .gammamodules import invariants_coinvariants, z_of_f
 from .gauges import hodge, slope_gauge_check
-from .geometry import DEFAULT_BUDGET, closed_points, corpus, package, point_counts
+from .geometry import DEFAULT_BUDGET, _counts, closed_points, corpus, package
 from .lfun import (
     MAX_TRUNCATION,
     check_truncation,
@@ -122,7 +122,7 @@ def _cmd_zeta(args):
     spec = parse_json(_read(args.variety, "variety"), expected={"variety"})
     pkg = package(spec, prec=args.prec, budget=args.budget)
     zeta = pkg.zeta()
-    counts = point_counts(spec, args.truncation, budget=args.budget)
+    counts = _counts(spec, args.truncation, pkg.n1)    # no second count
     euler = euler_product_series(closed_points(counts),
                                  truncation=args.truncation)
     series = rational_series(zeta, truncation=args.truncation)

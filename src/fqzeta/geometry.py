@@ -4,13 +4,13 @@ Varieties here are the ones whose Frobenius data can be written down in full:
 projective and affine spaces, the torus, Weierstrass curves, products, and
 complements of rational points.  Point counts enumerate only what the
 closed forms need: #E(F_p) of each distinct curve (its coefficients lie in
-F_p), in one pass over x with Zech log tables.  N_1 over F_q and every
-other N_e come from the Weil recurrence or the exact counts of P^n, A^n and
-G_m.  The budget bills three passes over each field enumerated, 3p for
-N_1 of a curve, and what N_1 leaves of it pays for one cross-check per
-curve: N_2, enumerated over F_{q^2} (billed 3 q^2) and compared with the
-recurrence.  Mobius inversion to closed points reads mu off the one trial
-division of the library, `padics.prime_divisors`.
+F_p), over one x per Frobenius orbit with Zech log tables.  N_1 over F_q
+and every other N_e come from the Weil recurrence or the exact counts of
+P^n, A^n and G_m.  The budget bills three passes over each field
+enumerated, 3p for N_1 of a curve, and what N_1 leaves of it pays for one
+cross-check per curve: N_2, enumerated over F_{q^2} (billed 3 q^2) and
+compared with the recurrence.  Mobius inversion to closed points reads mu
+off the one trial division of the library, `padics.prime_divisors`.
 
 Packages carry exact zeta factors and the corresponding p-adic crystals,
 built from Tate pieces Q_p(-i) (`_tate`) and one elliptic H^1, whose
@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from itertools import compress
 
 from .errors import (
     BudgetExceeded,
@@ -212,14 +213,17 @@ def _mobius(n):
 def _enumerate_elliptic(field, coeffs):
     """#E(F) for y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
 
-    F is F_p, or F_{q^2} for the N_2 cross-check (`_curve_n1`).  One pass
-    over x in Zech-log form (`FiniteField.log_tables`).  With
-    c = a1 x + a3 and r the right-hand side, the y over x number
-    #{y : y^2 = r} when c = 0, and #{t : t^2 + t = r/c^2} when c != 0
-    (set y = c t).  Both counts are tabulated, by the log of the value,
-    once per field (`squares` and `traces` of the log tables).
+    F is F_p, or F_{q^2} for the N_2 cross-check (`_curve_n1`).  The
+    coefficients lie in F_p, so Frobenius (x, y) -> (x^p, y^p) maps the
+    points over x onto those over x^p: x runs, in Zech-log form
+    (`FiniteField.log_tables`), over the least log of each Frobenius
+    orbit, and its count is weighted by the orbit's size (`orbits`; over
+    F_p every size is 1).  With c = a1 x + a3 and r the right-hand side,
+    the y over x number #{y : y^2 = r} when c = 0, and #{t : t^2 + t =
+    r/c^2} when c != 0 (set y = c t).  Both counts are tabulated, by the
+    log of the value, once per field (`squares` and `traces`).
     """
-    _, log, zech, squares, traces = field.log_tables()
+    _, log, zech, squares, traces, orbits = field.log_tables()
     p, q = field.p, field.order
     n = q - 1                   # log of zero
 
@@ -236,13 +240,13 @@ def _enumerate_elliptic(field, coeffs):
 
     a1, a2, a3, a4, a6 = (log[c % p] for c in coeffs)
     total = 1                   # the point at infinity
-    for x in range(q):
+    for x in compress(range(q), orbits):
         rhs = add(mul(add(mul(add(x, a2), x), a4), x), a6)
         c = add(mul(a1, x), a3)
         if c == n:
-            total += squares[rhs]
+            total += orbits[x] * squares[rhs]
         else:
-            total += traces[mul(rhs, -2 * c % n)]
+            total += orbits[x] * traces[mul(rhs, -2 * c % n)]
     return total
 
 
@@ -316,11 +320,12 @@ def _curve_n1(spec, budget):
 
     `budget` is billed 3 |F| for each field F enumerated, the three passes
     over it (log tables, squares and traces, the x loop): 3p for N_1 of
-    each curve.  BudgetExceeded is raised, before any field is built,
-    exactly when the N_1 bills exceed `budget`.  What they leave pays for
-    one cross-check per curve: N_2 is enumerated over F_{q^2}, billed
-    3 q^2, when it fits, and must equal the recurrence or ValidationError
-    is raised.
+    each curve.  The x loop visits one x per Frobenius orbit, so 3 |F| is
+    an upper bound; it is kept, so no budget decision moves.
+    BudgetExceeded is raised, before any field is built, exactly when the
+    N_1 bills exceed `budget`.  What they leave pays for one cross-check
+    per curve: N_2 is enumerated over F_{q^2}, billed 3 q^2, when it fits,
+    and must equal the recurrence or ValidationError is raised.
     """
     curves = _curves(spec)
     spent = sum(3 * c.p for c in curves)
@@ -345,10 +350,10 @@ def _curve_n1(spec, budget):
 def point_counts(spec, degrees, budget=DEFAULT_BUDGET):
     """(N_1, ..., N_B): points of spec over F_{q^e} for e = 1..degrees.
 
-    Only #E(F_p) of each distinct elliptic curve is enumerated, in one pass
-    over x with Zech log tables, under `budget` (`_curve_n1`); N_1 over F_q
-    and every other N_e come from a closed form (P^n, A^n, G_m, point sets)
-    or from the curve's Weil recurrence.
+    Only #E(F_p) of each distinct elliptic curve is enumerated, over one x
+    per Frobenius orbit with Zech log tables, under `budget` (`_curve_n1`);
+    N_1 over F_q and every other N_e come from a closed form (P^n, A^n, G_m,
+    point sets) or from the curve's Weil recurrence.
     """
     if degrees < 1:
         return ()
@@ -392,15 +397,20 @@ class CohomologyPackage:
     crystal, which must realise the degree, det(1 - t M) = P_j: the
     semisimplicity test relies on it.  Only (p, a) and the rank are checked
     here; `package()` builds crystals so, and `decode_package` checks them.
+    n1 maps each distinct elliptic curve of the variety to its N_1 over
+    F_q when `package()` counted them (`_curve_n1`), so the point counts
+    of the variety follow without counting again (`_counts`); it is None
+    for a package read from a document.
     """
 
-    def __init__(self, p, a, dim, degrees):
+    def __init__(self, p, a, dim, degrees, n1=None):
         self.p = int(p)
         self.a = int(a)
         check_field(self.p, self.a)
         self.q = self.p ** self.a
         self.dim = dim
         self.degrees = dict(degrees)
+        self.n1 = n1
         for j, data in self.degrees.items():
             poly = poly_trim(data.poly)
             if not poly or poly[0] != 1:
@@ -576,13 +586,15 @@ def package(spec, twist=None, prec=DEFAULT_PRECISION,
     (`_twist_degree`): every factor is tensored with det(1 - t F^a) of the
     twist and every crystal with the twist crystal, and weight tags are
     dropped since the twist's weights are not known.  Each distinct elliptic
-    curve is counted once, under `budget` exactly as in `point_counts`.
+    curve is counted once, under `budget` exactly as in `point_counts`, and
+    its N_1 is kept on the package (`CohomologyPackage.n1`).
     """
     ctx = context(spec.p, spec.a, prec)
-    degrees = _package_degrees(spec, ctx, _curve_n1(spec, budget))
+    n1 = _curve_n1(spec, budget)
+    degrees = _package_degrees(spec, ctx, n1)
     if twist is not None:
         degrees = _kunneth(degrees, {0: _twist_degree(ctx, twist)})
-    return CohomologyPackage(spec.p, spec.a, spec.dim, degrees)
+    return CohomologyPackage(spec.p, spec.a, spec.dim, degrees, n1)
 
 
 def _package_degrees(spec, ctx, n1):

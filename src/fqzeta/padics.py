@@ -239,7 +239,7 @@ class FiniteField:
 
     def log_tables(self):
         """Zech log/antilog and curve tables (exp, log, zech, squares,
-        traces), built once per field.
+        traces, orbits), built once per field.
 
         An element (c_0, ..., c_{k-1}) has index sum c_i p^i, its place in
         `elements()`.  g is the first element in that order of order
@@ -250,7 +250,12 @@ class FiniteField:
         Zech's logarithms", IEEE Trans. Inf. Theory 36, 1990).  The tables
         are `array` machine ints.  For point counting on curves,
         squares[l] = #{y : log y^2 = l} and traces[l] = #{t : log(t^2 + t)
-        = l} (l = n for zero), as `bytearray`s made in one pass.
+        = l} (l = n for zero), as `bytearray`s made in one pass.  The
+        Frobenius x -> x^p maps log l to l p mod n, and the conjugates of x
+        are its p-power images (Lidl-Niederreiter, Finite Fields, Ch. 2):
+        orbits[l] is the size of the orbit {l p^j mod n} when l is its
+        least log, and 0 otherwise (zero is its own orbit), a `bytearray`
+        whose nonzero entries sum to q.
         """
         if self._log_tables is None:
             p, m, n = self.p, self.modulus, self.order - 1
@@ -276,7 +281,18 @@ class FiniteField:
                 squares[2 * i % n] += 1
                 z = zech[i]
                 traces[n if z == n else (i + z) % n] += 1
-            self._log_tables = (exp, log, zech, squares, traces)
+            orbits = bytearray(self.order)
+            orbits[n] = 1
+            for i in range(n):
+                if orbits[i]:               # marked from its least log
+                    orbits[i] = 0
+                    continue
+                j, size = i * p % n, 1
+                while j != i:
+                    orbits[j] = 1
+                    j, size = j * p % n, size + 1
+                orbits[i] = size
+            self._log_tables = (exp, log, zech, squares, traces, orbits)
         return self._log_tables
 
 

@@ -1,14 +1,15 @@
 """Point counts against exhaustive enumeration on the tuple kernel.
 
-`_enumerate_elliptic` counts #E(F) in one pass over x with Zech log
-tables.  The oracles below are the loops it replaced: a Counter of squares
-when a1 = a3 = 0, and every (x, y) pair otherwise.  `point_counts`
-enumerates only #E(F_p) of a curve over F_q, q = p^a (and N_2 over F_{q^2}
-as a runtime cross-check), and takes N_1 and the rest from the Weil
-recurrence; N_1 is checked here against a count over F_q itself.  It
-counts P^n, A^n and G_m by closed forms; the brute-force enumerators it
-used to run for those live here too, so every degree it returns is
-checked against a full count.
+`_enumerate_elliptic` counts #E(F) with Zech log tables over one x per
+Frobenius orbit, weighted by the orbit's size.  The oracles below are the
+loops it replaced: the same Zech-log count over every x (`_all_x_count`),
+a Counter of squares when a1 = a3 = 0, and every (x, y) pair otherwise.
+`point_counts` enumerates only #E(F_p) of a curve over F_q, q = p^a (and
+N_2 over F_{q^2} as a runtime cross-check), and takes N_1 and the rest
+from the Weil recurrence; N_1 is checked here against a count over F_q
+itself.  It counts P^n, A^n and G_m by closed forms; the brute-force
+enumerators it used to run for those live here too, so every degree it
+returns is checked against a full count.
 """
 
 import itertools
@@ -26,11 +27,78 @@ from fqzeta.geometry import (
 from fqzeta.padics import FiniteField
 
 FIELDS = [(p, k) for p in (2, 3, 5, 7) for k in (1, 2, 3)]
+# F_{q^2} for q = p^a, a = 1, 2, 3: the fields of the N_2 cross-check
+ORBIT_FIELDS = [(p, k) for p in (2, 3, 5, 7) for k in range(1, 7)]
 
 
 def ff_add(field, u, v):
     """The sum of raw tuples of F_{p^k}: the tuple kernel's addition."""
     return tuple((a + b) % field.p for a, b in zip(u, v))
+
+
+def _all_x_count(field, coeffs):
+    """#E(F) by the Zech-log evaluation at every x in F, not one x per
+    Frobenius orbit."""
+    _, log, zech, squares, traces, _ = field.log_tables()
+    p, q = field.p, field.order
+    n = q - 1                   # log of zero
+
+    def add(u, v):              # log(g^u + g^v)
+        if u == n:
+            return v
+        if v == n:
+            return u
+        z = zech[(v - u) % n]
+        return n if z == n else (u + z) % n
+
+    def mul(u, v):              # log(g^u g^v)
+        return n if u == n or v == n else (u + v) % n
+
+    a1, a2, a3, a4, a6 = (log[c % p] for c in coeffs)
+    total = 1                   # the point at infinity
+    for x in range(q):
+        rhs = add(mul(add(mul(add(x, a2), x), a4), x), a6)
+        c = add(mul(a1, x), a3)
+        if c == n:
+            total += squares[rhs]
+        else:
+            total += traces[mul(rhs, -2 * c % n)]
+    return total
+
+
+@pytest.mark.parametrize("p,k", ORBIT_FIELDS)
+def test_orbit_count_matches_the_all_x_loop(p, k):
+    """One x per Frobenius orbit gives the count of every x, on random
+    nonsingular curves with a1 = a3 = 0 (the `squares` path, p odd) and
+    with a1, a3 != 0 (the `traces` path)."""
+    rng = random.Random(1000 * p + k)
+    F = FiniteField(p, k)
+    for cross in ((True,) if p == 2 else (False, True)):
+        for _ in range(3):
+            coeffs = _random_curve(rng, p, cross)
+            if cross:
+                while not coeffs[0] or not coeffs[2]:
+                    coeffs = _random_curve(rng, p, cross)
+            assert _enumerate_elliptic(F, coeffs) == _all_x_count(F, coeffs)
+
+
+@pytest.mark.parametrize("p,k", ORBIT_FIELDS)
+def test_orbit_table_marks_each_orbit_at_its_least_log(p, k):
+    """orbits[l] = #{l p^j mod n} at the least l of each orbit of
+    x -> x^p on logs, 0 elsewhere; zero (log n) is its own orbit."""
+    F = FiniteField(p, k)
+    orbits = F.log_tables()[5]
+    q, n = F.order, F.order - 1
+    want = bytearray(q)
+    want[n] = 1
+    for i in range(n):
+        orbit = {i * p ** j % n for j in range(k)}
+        want[min(orbit)] = len(orbit)
+    assert orbits == want
+    assert sum(orbits) == q
+    assert all(k % size == 0 for size in orbits if size)
+    if k == 1:
+        assert orbits == bytearray([1]) * q
 
 
 def _oracle_count(field, coeffs):
@@ -75,7 +143,7 @@ def _random_curve(rng, p, cross):
 
 
 def _counts(p, k, coeffs):
-    """(one-pass count, exhaustive count) of #E(F_{p^k})."""
+    """(orbit count, exhaustive count) of #E(F_{p^k})."""
     F = FiniteField(p, k)
     return _enumerate_elliptic(F, coeffs), _oracle_count(F, coeffs)
 
@@ -141,7 +209,7 @@ def _index(u, p):
 @pytest.mark.parametrize("p,k", FIELDS)
 def test_log_tables_are_inverse_bijections_from_a_generator(p, k):
     F = FiniteField(p, k)
-    exp, log, zech, _, _ = F.log_tables()
+    exp, log, zech, _, _, _ = F.log_tables()
     q, n = F.order, F.order - 1
     elements = list(F.elements())
     assert [_index(u, p) for u in elements] == list(range(q))
@@ -160,7 +228,7 @@ def test_log_tables_are_inverse_bijections_from_a_generator(p, k):
 @pytest.mark.parametrize("p,k", FIELDS)
 def test_zech_logs_match_tuple_addition(p, k):
     F = FiniteField(p, k)
-    exp, log, zech, _, _ = F.log_tables()
+    exp, log, zech, _, _, _ = F.log_tables()
     elements = list(F.elements())
     for i in range(F.order - 1):
         assert zech[i] == log[_index(ff_add(F, F.one, elements[exp[i]]), p)]
@@ -171,7 +239,7 @@ def test_curve_tables_count_squares_and_traces(p, k):
     """squares[l] = #{y : log y^2 = l}, traces[l] = #{t : log(t^2 + t) = l},
     counted through the tuple kernel."""
     F = FiniteField(p, k)
-    _, log, _, squares, traces = F.log_tables()
+    _, log, _, squares, traces, _ = F.log_tables()
     want_squares, want_traces = [0] * F.order, [0] * F.order
     for u in F.elements():
         u2 = F.mul(u, u)
@@ -182,8 +250,12 @@ def test_curve_tables_count_squares_and_traces(p, k):
 
 
 def test_building_the_tables_bills_no_operations():
+    """The tables, the orbit table among them, are built on first use and
+    once per field, never with the field; the budget bills 3q per field
+    enumerated whatever they visit (`test_budget_boundary_is_the_n1_cost`)."""
     for p, k in FIELDS:
         F = FiniteField(p, k)
+        assert F._log_tables is None
         assert F.log_tables() is F.log_tables()
 
 

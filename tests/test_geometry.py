@@ -157,6 +157,29 @@ def test_package_enumerates_each_curve_once_per_degree(monkeypatch):
     assert pkg.degrees[1].poly == poly_mul(poly_mul(h1, h1), h1)
 
 
+def test_zeta_command_enumerates_each_curve_once(monkeypatch, tmp_path,
+                                                capsys):
+    """`fqzeta zeta` on y^2 = x^3 + x + 1 over F_25 enumerates F_5 (N_1)
+    and F_{5^4} (the N_2 cross-check) once each: its point counts are read
+    from the N_1 that `package()` counted, not counted a second time."""
+    fields = []
+    enumerate_elliptic = geometry._enumerate_elliptic
+
+    def recorded(field, coeffs):
+        fields.append((field.p, field.k))
+        return enumerate_elliptic(field, coeffs)
+
+    monkeypatch.setattr(geometry, "_enumerate_elliptic", recorded)
+    doc = tmp_path / "e_f25.json"
+    doc.write_text(json.dumps({"kind": "elliptic", "coeffs": [1, 1],
+                               "p": 5, "a": 2}))
+    assert main(["zeta", "--variety", str(doc), "--truncation", "3"]) == 0
+    assert fields == [(5, 1), (5, 4)]
+    curve = VarietySpec.elliptic([1, 1], 5, 2)
+    report = json.loads(capsys.readouterr().out)
+    assert report["point_counts"] == list(point_counts(curve, 3))
+
+
 def test_curve_over_extension_enumerates_only_f_p_and_the_cross_check(
         monkeypatch):
     """E over F_125 enumerates F_5 for N_1 and, when 3p + 3q^2 fits,

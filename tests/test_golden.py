@@ -8,8 +8,12 @@ enumerating degrees past N_2, and `zeta_e_f5_9.out` while N_1 of a curve
 over F_{5^9} was still enumerated over F_{5^9}.  `zeta_e4_f5.out` (E^4
 over F_5) was recorded by `fqzeta zeta` at commit 09b4466, while num/den
 were still reduced by Euclid's algorithm over Q: 47-51 s on a 2-core
-x86-64 box, against 0.2-0.3 s with the modular gcd over Z.  A change
-that alters an answer or its formatting fails here.
+x86-64 box, against 0.2-0.3 s with the modular gcd over Z.
+`zeta_e_f3_4.out`, `zeta_e_f2_4.out` and `zeta_e_f5_4.out` (curves whose
+N_2 cross-check runs over F_{3^8}, F_{2^8} and F_{5^8}, where Frobenius
+orbits of sizes 1, 2, 4 and 8 occur) were recorded at commit 36b5465,
+while the x loop still visited every x of the field.  A change that
+alters an answer or its formatting fails here.
 """
 
 from pathlib import Path
@@ -31,6 +35,10 @@ CASES = {
     "zeta_eee_f5": ["zeta", "--variety", "eee_f5.json"],
     "zeta_e4_f5": ["zeta", "--variety", "e4_f5.json"],
     "zeta_e_f5_9": ["zeta", "--variety", "elliptic_f5_9.json",
+                    "--truncation", "4"],
+    "zeta_e_f3_4": ["zeta", "--variety", "elliptic_f3_4.json"],
+    "zeta_e_f2_4": ["zeta", "--variety", "elliptic_f2_4.json"],
+    "zeta_e_f5_4": ["zeta", "--variety", "elliptic_f5_4.json",
                     "--truncation", "4"],
     "gauge_f25": ["gauge", "--input", "crystal_f25.json"],
     "slopes_f25": ["slopes", "--input", "crystal_f25.json"],
