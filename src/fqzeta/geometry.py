@@ -16,8 +16,9 @@ Packages carry exact zeta factors and the corresponding p-adic crystals,
 built from Tate pieces Q_p(-i) (`_tate`) and one elliptic H^1, whose
 crystal over F_p is the closed form [[0, -p], [1, a_p]] with
 det(1 - t C) = 1 - a_p t + p t^2, by two operations: the Kunneth product
-(`_kunneth`) and the direct sum of pieces in one degree (`_merge_degree`).
-A coefficient twist and the Tate twist are Kunneth factors on the point.
+(`_kunneth`) and the direct sum of pieces in one degree (`_merge_degree`),
+which build crystals when read and combine Hodge numbers (`_hodge`).  A
+coefficient twist and the Tate twist are Kunneth factors on the point.
 """
 
 from __future__ import annotations
@@ -385,7 +386,8 @@ def closed_points(counts):
 
 
 PackageDegree = namedtuple("PackageDegree",
-                           "poly weight u semisimple crystal")
+                           "poly weight u semisimple crystal hodge",
+                           defaults=(None,))
 
 
 class CohomologyPackage:
@@ -393,10 +395,12 @@ class CohomologyPackage:
 
     degrees maps j to a PackageDegree: the exact integer/rational polynomial
     P_j = det(1 - t F^a | H^j_c), a weight tag (None = mixed or unknown), the
-    unipotent exponent u_j, a semisimplicity tag, and optionally a p-adic
+    unipotent exponent u_j, a semisimplicity tag, optionally a p-adic
     crystal, which must realise the degree, det(1 - t M) = P_j: the
-    semisimplicity test relies on it.  Only (p, a) and the rank are checked
-    here; `package()` builds crystals so, and `decode_package` checks them.
+    semisimplicity test relies on it, and optionally its Hodge numbers
+    {i: h^i}, which must be the crystal's (None: read off its Smith form).
+    Only (p, a) and the rank are checked here; `package()` builds both so,
+    and `decode_package` checks crystals and carries no Hodge numbers.
     n1 maps each distinct elliptic curve of the variety to its N_1 over
     F_q when `package()` counted them (`_curve_n1`), so the point counts
     of the variety follow without counting again (`_counts`); it is None
@@ -465,14 +469,15 @@ class CohomologyPackage:
 
 
 def _tate(ctx, i, mult=1):
-    """mult copies of the Tate piece Q_p(-i): factor (1 - q^i t)^mult,
-    weight 2i, and p^i times the identity as crystal (any integer i)."""
+    """mult copies of the Tate piece Q_p(-i), any integer i: factor
+    (1 - q^i t)^mult, weight 2i, crystal p^i I and Hodge numbers {i: mult}."""
     q = ctx.p ** ctx.a
     q_i = q ** i if i >= 0 else Fraction(1, q ** -i)
     return PackageDegree(
         poly=[math.comb(mult, k) * (-q_i) ** k for k in range(mult + 1)],
         weight=2 * i, u=0, semisimple=True,
-        crystal=Isocrystal(ctx, mat_shift(mat_identity(ctx, mult), i)))
+        crystal=Isocrystal(ctx, mat_shift(mat_identity(ctx, mult), i)),
+        hodge={i: mult})
 
 
 def _twist_degree(ctx, twist):
@@ -505,12 +510,13 @@ def _leaf_package(spec, ctx, n1):
     if kind == "elliptic":
         q = spec.q
         a_q = q + 1 - n1[spec]
-        frob = None
-        if spec.a == 1:         # det(1 - t C) = 1 - a_q t + q t^2
+        frob = hodge = None
+        if spec.a == 1:         # det(1 - t C) = 1 - a_q t + q t^2, det C = p
             frob = Isocrystal.from_ints(ctx, [[0, -q], [1, a_q]])
+            hodge = {0: 1, 1: 1}
         return {0: _tate(ctx, 0),
-                1: PackageDegree([1, -a_q, q],
-                                 weight=1, u=0, semisimple=True, crystal=frob),
+                1: PackageDegree([1, -a_q, q], weight=1, u=0,
+                                 semisimple=True, crystal=frob, hodge=hodge),
                 2: _tate(ctx, 1)}
     raise ValidationError(f"no package rule for kind {spec.kind!r}")
 
@@ -521,13 +527,27 @@ def _merge_degree(first, second):
     weight = first.weight if first.weight == second.weight else None
     if first.u or second.u:
         raise ValidationError("unipotent exponents do not combine")
-    if first.crystal is not None and second.crystal is not None:
-        crystal = first.crystal.direct_sum(second.crystal)
-    else:
-        crystal = None
+    crystal = (None if first.crystal is None or second.crystal is None
+               else first.crystal.direct_sum(second.crystal))
     return PackageDegree(poly=poly, weight=weight, u=0,
                          semisimple=first.semisimple and second.semisimple,
-                         crystal=crystal)
+                         crystal=crystal,
+                         hodge=_hodge(first.hodge, second.hodge, False))
+
+
+def _hodge(h1, h2, tensor):
+    """Hodge numbers of a tensor product (`tensor`) or direct sum, None if
+    either's are unknown.  They are the elementary divisors (`gauges.hodge`),
+    and A (x) B = (U (x) U')(D (x) D')(V (x) V') for Smith forms A = U D V,
+    B = U' D' V': they convolve under (x) and add under a direct sum."""
+    if h1 is None or h2 is None:
+        return None
+    pairs = ([(i + k, g * h) for i, g in h1.items() for k, h in h2.items()]
+             if tensor else [*h1.items(), *h2.items()])
+    out = {}
+    for i, h in sorted(pairs):
+        out[i] = out.get(i, 0) + h
+    return out
 
 
 def _kunneth(deg1, deg2):
@@ -547,7 +567,10 @@ def _kunneth(deg1, deg2):
                 u=d1.u or d2.u,
                 semisimple=d1.semisimple and d2.semisimple,
                 crystal=None if c1 is None or c2 is None
-                else Isocrystal(c1.ctx, kron(c1.matrix, c2.matrix)))
+                else Isocrystal(c1.ctx, rank=c1.rank * c2.rank,
+                                build=lambda c1=c1, c2=c2:
+                                kron(c1.matrix, c2.matrix)),
+                hodge=_hodge(d1.hodge, d2.hodge, True))
             j = j1 + j2
             out[j] = piece if j not in out else _merge_degree(out[j], piece)
     return out

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DegenerateCrystal, PrecisionExhausted, ValidationError
 from .padics import rational_valuation
@@ -20,15 +21,26 @@ from .polys import poly_trim, rev_charpoly, root_multiplicity
 
 
 class Isocrystal:
-    """(Q_q^n, v -> A sigma(v)) at the precision of the context."""
+    """(Q_q^n, v -> A sigma(v)) at the precision of the context.
 
-    def __init__(self, ctx, matrix):
+    Given its rank and `build` in place of A (direct sums, Kronecker
+    products), it builds A when `matrix` is first read, then drops `build`.
+    """
+
+    def __init__(self, ctx, matrix=None, *, rank=None, build=None):
+        self.ctx = ctx
+        if build is not None:
+            self.rank, self._build = rank, build
+            return
         n = len(matrix)
         if any(len(r) != n for r in matrix):
             raise ValidationError("Frobenius matrix must be square")
-        self.ctx = ctx
         self.matrix = [list(r) for r in matrix]
         self.rank = n
+
+    @cached_property
+    def matrix(self):
+        return vars(self).pop("_build")()
 
     @classmethod
     def from_ints(cls, ctx, rows):
@@ -38,9 +50,10 @@ class Isocrystal:
         if self.ctx is not other.ctx:
             raise ValidationError("direct sum across contexts")
         z = self.ctx.zero()
-        return Isocrystal(self.ctx,
-                          [row + [z] * other.rank for row in self.matrix]
-                          + [[z] * self.rank + row for row in other.matrix])
+        return Isocrystal(
+            self.ctx, rank=self.rank + other.rank, build=lambda: (
+                [row + [z] * other.rank for row in self.matrix]
+                + [[z] * self.rank + row for row in other.matrix]))
 
     def linearize(self):
         """M(F^a) = A sigma(A) ... sigma^{a-1}(A); equals A when a = 1."""

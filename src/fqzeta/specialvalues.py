@@ -202,18 +202,21 @@ def _hodge_exponent(pkg, r):
     """Sum over degrees n of (-1)^n * sum_{i<=r} (r-i) h^i of the gauge.
 
     Needs a crystal in every degree; reports None otherwise.  The inner
-    sum reads the Hodge numbers of the gauge window of the degree-n crystal.
+    sum reads the Hodge numbers the degree carries, once the context keeps
+    the guard digits a Smith form needs, else the crystal's (`gauges.hodge`).
     """
     if any(d.crystal is None for d in pkg.degrees.values()):
         return None, {}
     total = 0
     numbers = {}
     for n, data in sorted(pkg.degrees.items()):
-        window = hodge(data.crystal)
-        numbers[n] = dict(window.hodge_numbers)
-        contribution = sum((r - i) * h
-                           for i, h in window.hodge_numbers.items() if i <= r)
-        total += (-1) ** n * contribution
+        if data.hodge is None:
+            numbers[n] = dict(hodge(data.crystal).hodge_numbers)
+        else:
+            data.crystal.ctx.certify(data.crystal.ctx.one(), "Hodge numbers")
+            numbers[n] = dict(data.hodge)
+        total += (-1) ** n * sum((r - i) * h
+                                 for i, h in numbers[n].items() if i <= r)
     return total, numbers
 
 

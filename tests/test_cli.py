@@ -209,6 +209,25 @@ def test_verify_starved_precision_exits_4(capsys, elliptic_file):
     assert code == 4
 
 
+@pytest.mark.parametrize("factors", (
+    [ELLIPTIC], [ELLIPTIC, ELLIPTIC],
+    ['{"kind": "projective", "n": 2, "p": 5}', ELLIPTIC],
+    ['{"kind": "torus", "p": 5}']))
+def test_verify_variety_precision_boundary_is_the_guard(
+        capsys, tmp_path, factors):
+    """A built package carries its Hodge numbers, and verify certifies its
+    context once for them: it is starved exactly where the Smith forms it
+    replaces were, one digit below the 8 guard digits."""
+    f = tmp_path / "variety.json"
+    f.write_text(factors[0] if len(factors) == 1 else
+                 '{"kind": "product", "p": 5, "factors": [%s]}'
+                 % ", ".join(factors))
+    for prec, want in (("7", 4), ("8", 0)):
+        code, _ = run(capsys, ["verify", "--variety", str(f), "--r", "1",
+                               "--prec", prec, "--budget", "100000"])
+        assert code == want, prec
+
+
 def test_verify_package_starved_precision_exits_4(capsys, tmp_path):
     """Too few digits to tell whether a crystal realises its factor is a
     precision failure, never a malformed document or a pass."""
