@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from functools import cache
 
 from .errors import (
@@ -34,7 +33,6 @@ from .serialize import (
     SCHEMA,
     dump_json,
     encode_package,
-    encode_rational,
     parse_json,
 )
 from .specialvalues import (
@@ -43,20 +41,6 @@ from .specialvalues import (
     verify_elladic,
     verify_padic,
 )
-
-
-def _plain(x):
-    """Recursively turn report values into JSON-serializable primitives."""
-    if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
-        return x
-    if isinstance(x, Fraction):
-        return encode_rational(x)
-    if isinstance(x, dict):
-        return {str(k): _plain(v) for k, v in sorted(x.items(),
-                                                     key=lambda kv: str(kv[0]))}
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    return str(x)
 
 
 def _read(path, what):
@@ -77,7 +61,7 @@ def _emit(payload, report=None):
     try:
         if report is not None:
             payload = {**payload, **report.to_dict()}
-        text = dump_json(_plain(payload))
+        text = dump_json(payload)
     except ValueError as exc:
         raise FqzetaError(f"output too large to print: {exc}") from exc
     sys.stdout.write(text)

@@ -2,14 +2,15 @@
 
 All payloads are versioned with {"schema": "sv/1"} and dispatch on a "type"
 field (varieties may omit it — a bare {"kind": ...} record parses too, as in
-the documented examples).  p-adic scalars carry their base-p digits, low
-first (`padics.digits`, the one codec), and precision explicitly so every
-report is self-describing; exact rationals travel as ints or "num/den"
-strings, and every integer field is read by `_int`, which refuses floats
-and booleans.  Every list field is read by `_list`, which refuses strings
-(Python would iterate them character by character), and every flag by
-`_flag`, which accepts only JSON booleans.  Encoding is deterministic:
-one call site, `dump_json`, fixes key order and separators.
+the documented examples).  A p-adic scalar carries one int per coordinate
+and its precision, so every report is self-describing, and an exact zero
+is the int 0; base-p digit lists, low first, are still read.  Exact
+rationals travel as ints or "num/den" strings, and every integer field is
+read by `_int`, which refuses floats and booleans.  Every list field is
+read by `_list`, which refuses strings (Python would iterate them
+character by character), and every flag by `_flag`, which accepts only
+JSON booleans.  Encoding is deterministic: one call site, `dump_json`,
+writes every document in one pass and fixes key order and separators.
 """
 
 from __future__ import annotations
@@ -21,15 +22,46 @@ from .errors import DegenerateCrystal, PrecisionExhausted, ValidationError
 from .gammamodules import GammaModule, TorsionComponent
 from .geometry import MAX_RANK, CohomologyPackage, PackageDegree, VarietySpec
 from .isocrystals import Isocrystal, lower_hull, polygon_value
-from .padics import (DEFAULT_PRECISION, QqElement, check_field, context,
-                     digits, from_digits, rational_valuation)
+from .padics import (DEFAULT_PRECISION, MAX_PRECISION, QqElement,
+                     check_field, context, from_digits, rational_valuation)
 from .plinalg import mat_inverse, mat_mul, mat_sigma
 
 SCHEMA = "sv/1"
 
 
 def dump_json(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(obj, sort_keys=True, indent=2) + "\n"` in one pass, where
+    indent=2 runs the pure-Python encoder: keys become str, sorted, and a
+    Fraction is written by `encode_rational`, a tuple as a list, any other
+    object as its str.  Ints go through `int.__repr__`, which raises
+    ValueError above the int-to-str limit; strings through the C escaper."""
+    return _text(obj, "\n") + "\n"
+
+
+def _text(x, nl):
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None or isinstance(x, bool):
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, Fraction):
+        return _text(encode_rational(x), nl)
+    if not isinstance(x, (dict, list, tuple)):
+        return _quote(str(x))
+    if not x:
+        return "{}" if isinstance(x, dict) else "[]"
+    inner = nl + "  "
+    if isinstance(x, dict):
+        keys = {str(k): k for k in x}   # the last of equal str(k) wins
+        return "{" + inner + ("," + inner).join(
+            [f"{_quote(s)}: {_text(x[keys[s]], inner)}"
+             for s in sorted(keys)]) + nl + "}"
+    return "[" + inner + ("," + inner).join(
+        [_text(v, inner) for v in x]) + nl + "]"
+
+
+_quote = json.encoder.encode_basestring_ascii
 
 
 def _require(data, key, what):
@@ -102,33 +134,22 @@ def _flag(data, key, what):
 
 
 def encode_padic(x: QqElement):
-    ctx = x.ctx
-    out = {"p": ctx.p}
-    if ctx.a != 1:
-        out["a"] = ctx.a
     if x.kind == "z":
-        out["zero"] = True
-        return out
+        return 0
     if x.kind == "i":
-        out["ifz"] = True
-        out["abs_prec"] = x.abs
-        return out
-    out["val"] = x.val
-    out["prec"] = x.rel
-    if ctx.a == 1:
-        out["digits"] = digits(x.coeffs[0], ctx.p, x.rel)
-    else:
-        out["coeffs"] = [digits(c, ctx.p, x.rel) for c in x.coeffs]
-    return out
+        return {"ifz": True, "abs_prec": x.abs}
+    return {"val": x.val, "prec": x.rel, "coords": list(x.coeffs)}
 
 
 def decode_padic(data, ctx):
-    """The element p^val * sum_i d_i p^i + O(p^(val + prec)).
+    """The element p^val * sum_i c_i x^i + O(p^(val + prec)).
 
-    The digits fix the element to absolute precision val + prec, so a
-    digit vector divisible by p^w keeps prec - w relative digits (at most
-    the context's), and an all-zero one is indistinguishable from zero
-    below p^(val + prec).  A prec below 1 is refused.
+    c_i is an int of "coords" in [0, p^prec), or is read from base-p digit
+    lists, low first ("digits" if a = 1, else "coeffs"; digits past prec
+    are ignored).  The c_i fix the element to absolute precision val + prec:
+    divisible by p^w they keep prec - w relative digits (at most the
+    context's), and all zero they are indistinguishable from zero below
+    p^(val + prec).  A prec below 1 is refused.
     """
     if not isinstance(data, dict):
         # plain scalars are welcome anywhere an element is expected
@@ -139,20 +160,32 @@ def decode_padic(data, ctx):
         return ctx.ifz(_int(_require(data, "abs_prec", "ifz element"),
                             "element abs_prec"))
     val = _int(_require(data, "val", "p-adic element"), "element val")
+    if abs(val) > MAX_PRECISION:    # p^val would be formed in arithmetic
+        raise ValidationError(f"element val {val} beyond {MAX_PRECISION}")
     prec = _int(data.get("prec", ctx.prec), "element prec")
     if prec < 1:
         raise ValidationError(f"element precision must be >= 1, got {prec}")
-    if "digits" in data:
-        vectors = [data["digits"]]
+    p = ctx.p
+    if "coords" in data:
+        coeffs = [_int(c, "element coordinate")
+                  for c in _list(data["coords"], "element coords")]
+        # p^prec >= 2^prec exceeds any c of at most prec bits
+        if any(c < 0 or c.bit_length() > prec and c >= p ** prec
+               for c in coeffs):
+            raise ValidationError("element coordinate outside [0, p^prec)")
     else:
-        vectors = _list(_require(data, "coeffs", "p-adic element"),
-                        "element coeffs")
-    if len(vectors) != ctx.a:
+        vectors = ([data["digits"]] if "digits" in data else
+                   _list(_require(data, "coeffs", "p-adic element"),
+                         "element coeffs"))
+        digit_lists = [[_int(d, "element digit")
+                        for d in _list(vec, "element digits")[:prec]]
+                       for vec in vectors]
+        if any(not 0 <= d < p for ds in digit_lists for d in ds):
+            raise ValidationError(f"element digit outside [0, {p})")
+        coeffs = [from_digits(ds, p) for ds in digit_lists]
+    if len(coeffs) != ctx.a:
         raise ValidationError(
-            f"element has {len(vectors)} coordinates, context needs {ctx.a}")
-    coeffs = [from_digits([int(d) for d in
-                           _list(vec, "element digits")[:prec]], ctx.p)
-              for vec in vectors]
+            f"element has {len(coeffs)} coordinates, context needs {ctx.a}")
     if not any(coeffs):
         return ctx.ifz(val + prec)
     x = ctx.from_vector(coeffs, val, min(prec, ctx.prec))
@@ -402,8 +435,9 @@ def parse_json(text, expected=None, prec=None):
     if "schema" in data and data["schema"] != SCHEMA:
         raise ValidationError(f"unsupported schema {data['schema']!r}")
     kind = data.get("type", "variety" if "kind" in data else None)
-    if kind is None:
-        raise ValidationError("record has neither 'type' nor 'kind'")
+    if not isinstance(kind, str):
+        raise ValidationError(
+            f"record needs a string 'type' (or a 'kind'), got {kind!r}")
     if expected and kind not in expected:
         raise ValidationError(
             f"expected one of {sorted(expected)}, got {kind!r}")

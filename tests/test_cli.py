@@ -193,10 +193,13 @@ def test_package_with_a_foreign_crystal_exits_2(capsys, tmp_path, donor, j,
 def test_gauge_counts_leading_zero_digits_against_the_guard(capsys,
                                                             tmp_path):
     """781 * 5^5 + O(5^10), written with five leading zero digits and
-    prec 10 or with val 5 and prec 5, has 5 relative digits against a
-    guard of 8: either way gauge exits 4."""
+    prec 10, as the coordinate 781 * 5^5 at prec 10, or with val 5 and
+    prec 5, has 5 relative digits against a guard of 8: every way gauge
+    exits 4."""
     for entry in ('{"val":0,"digits":[0,0,0,0,0,1,1,1,1,1],"prec":10}',
-                  '{"val":5,"digits":[1,1,1,1,1],"prec":5}'):
+                  '{"val":0,"coords":[2440625],"prec":10}',
+                  '{"val":5,"digits":[1,1,1,1,1],"prec":5}',
+                  '{"val":5,"coords":[781],"prec":5}'):
         f = tmp_path / "crystal.json"
         f.write_text(f'{{"type":"isocrystal","p":5,"matrix":[[{entry}]]}}')
         code, doc = run(capsys, ["gauge", "--input", str(f)])
@@ -463,6 +466,24 @@ MALFORMED = [
      '"poly":[1,-2,1],"semisimple":"false"}]}'),
     ("zeta", "--variety", '{"kind":"elliptic","coeffs":"00011","p":5}'),
     ("slopes", "--input", '{"type":"isocrystal","p":5,"matrix":["01","53"]}'),
+    # a digit is an int in [0, p), and a coordinate one of exactly a ints
+    # in [0, p^prec): [1.7], [true, "3", 9] and [-1] ran as other numbers
+    *[("slopes", "--input", '{"type":"isocrystal","p":5,"a":%d,"matrix":'
+       '[[{"val":0,%s}]]}' % entry) for entry in (
+           (1, '"digits":[1.7]'), (1, '"digits":[true,"3",9]'),
+           (1, '"digits":[-1]'), (1, '"digits":[5]'),
+           (2, '"coeffs":[[1],[2.5]]'), (1, '"coords":[1.5]'),
+           (1, '"coords":[true]'), (1, '"coords":["x"]'),
+           (1, '"coords":"1"'), (1, '"coords":[-1]'),
+           (1, '"coords":[3125],"prec":5'), (1, '"coords":[%d]' % 10 ** 3000),
+           (2, '"coords":[1]'), (2, '"coords":[1,0,0]'),
+           (1, '"coords":[1,0]'), (1, '"coords":[]'))],
+    # p^val is formed in arithmetic, and a type names a decoder: a val of
+    # 10^30 hung verify, and a list as the type raised TypeError
+    ("slopes", "--input", '{"type":"isocrystal","p":5,"matrix":'
+     '[[{"val":%d,"coords":[1]}]]}' % 10 ** 30),
+    ("zf", "--gamma", '{"type":["gamma_module"],"ring":"Zp","prime":5,'
+     '"gamma":[[2]]}'),
 ]
 
 

@@ -1,5 +1,6 @@
 """JSON encoding round-trips and rejection of malformed documents."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -210,6 +211,54 @@ def test_padic_digits_fix_the_element_to_val_plus_prec():
     # a primitive list keeps min(prec, context precision) digits
     long = decode_padic({"val": 0, "digits": [1] * 30, "prec": 30}, ctx)
     assert (long.val, long.rel) == (0, 20)
+
+
+def test_padic_entries_are_written_in_closed_form():
+    """Zero is the int 0, an IFZ entry its absolute precision, and any
+    other entry val, prec and one int per coordinate, with no p or a."""
+    ctx = QqContext(3, 2, prec=16)
+    y = ctx.from_vector((5, 7), val=-2, rel=10)
+    assert encode_padic(y) == {"val": -2, "prec": 10, "coords": [5, 7]}
+    assert encode_padic(ctx.zero()) == 0
+    assert encode_padic(ctx.ifz(6)) == {"ifz": True, "abs_prec": 6}
+
+
+def test_padic_coords_are_read_like_digit_lists():
+    """The cases of the test above, written with coordinates; a prec far
+    above the context's is read at once, and keeps the context's digits."""
+    ctx = Zp(5, prec=20)
+    padded = decode_padic({"val": 0, "coords": [781 * 5 ** 5], "prec": 10},
+                          ctx)
+    assert (padded.val, padded.rel, padded.coeffs) == (5, 5, (781,))
+    zero = decode_padic({"val": 2, "coords": [0], "prec": 3}, ctx)
+    assert zero.is_ifz() and zero.abs == 5
+    y = decode_padic({"val": 1, "coords": [45, 39], "prec": 4},
+                     QqContext(3, 2, prec=16))
+    assert (y.val, y.rel, y.coeffs) == (2, 3, (15, 13))
+    long = decode_padic({"val": 0, "coords": [(5 ** 30 - 1) // 4],
+                         "prec": 30}, ctx)
+    assert (long.val, long.rel) == (0, 20)
+    for c, val in ((1, 0), (5 ** 40, 40)):
+        t0 = time.monotonic()
+        x = decode_padic({"val": 0, "coords": [c], "prec": 10 ** 12}, ctx)
+        assert time.monotonic() - t0 < 1
+        assert (x.val, x.rel, x.coeffs) == (val, 20, (1,))
+
+
+@pytest.mark.parametrize("entry, match", [
+    ({"digits": [1.7]}, "digit must be an integer"),
+    ({"digits": [True, "3", 9]}, "digit must be an integer"),
+    ({"digits": [1, -1]}, r"digit outside \[0, 5\)"),
+    ({"coords": [1.0]}, "coordinate must be an integer"),
+    ({"coords": [-1]}, r"coordinate outside \[0, p\^prec\)"),
+    ({"coords": [25], "prec": 2}, r"coordinate outside \[0, p\^prec\)"),
+    ({"coords": [10 ** 500], "prec": 10}, r"outside \[0, p\^prec\)"),
+    ({"coords": [1], "val": -1025}, "val -1025 beyond 1024"),
+    ({"coords": [1, 2]}, "element has 2 coordinates, context needs 1"),
+])
+def test_padic_digits_and_coords_out_of_range_are_refused(entry, match):
+    with pytest.raises(ValidationError, match=match):
+        decode_padic({"val": 0, **entry}, Zp(5))
 
 
 @pytest.mark.parametrize("prec", [0, -3])
