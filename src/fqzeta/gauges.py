@@ -25,7 +25,7 @@ import random
 from fractions import Fraction
 
 from .errors import DegenerateCrystal, NotTypeI, ValidationError
-from .isocrystals import Isocrystal, polygon_value
+from .isocrystals import Isocrystal, polygon_value, tally
 from .plinalg import (mat_identity, mat_inverse, mat_min_valuation, mat_mul,
                       mat_shift, mat_sigma, mat_vec, smith_normal_form)
 
@@ -46,8 +46,7 @@ class FGaugeWindow:
         self._exponents = exponents = snf.divisors  # e_k, per column of W
         self.i_min = min(exponents)
         self.i_max = max(exponents)
-        self.hodge_numbers = {i: exponents.count(i)   # only nonzero entries
-                              for i in sorted(set(exponents))}
+        self.hodge_numbers = tally((e, 1) for e in sorted(exponents))
         self.det_val = sum(exponents)
 
     def lattice_at(self, i):
@@ -111,10 +110,8 @@ def slope_gauge_check(E: Isocrystal, g: FGaugeWindow):
     on_or_above = all(
         polygon_value(newton, x) >= polygon_value(hodgev, x)
         for x in range(newton[-1][0] + 1))
-    window_counts = {}
-    for s, m in profile:
-        i = s.numerator // s.denominator
-        window_counts[i] = window_counts.get(i, 0) + m
+    window_counts = tally((s.numerator // s.denominator, m)
+                          for s, m in profile)
     windows_match = window_counts == dict(g.hodge_numbers)
     return {
         "newton_vertices": newton,

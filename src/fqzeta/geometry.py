@@ -15,10 +15,10 @@ off the one trial division of the library, `padics.prime_divisors`.
 Packages carry exact zeta factors and the corresponding p-adic crystals,
 built from Tate pieces Q_p(-i) (`_tate`) and one elliptic H^1, whose
 crystal over F_p is the closed form [[0, -p], [1, a_p]] with
-det(1 - t C) = 1 - a_p t + p t^2, by two operations: the Kunneth product
-(`_kunneth`) and the direct sum of pieces in one degree (`_merge_degree`),
-which build crystals when read and combine Hodge numbers (`_hodge`).  A
-coefficient twist and the Tate twist are Kunneth factors on the point.
+det(1 - t C) = 1 - a_p t + p t^2 and Hodge numbers {0: 1, 1: 1}, by the
+Kunneth product (`_kunneth`, `Isocrystal.tensor`) and the direct sum in one
+degree (`_merge_degree`, `Isocrystal.direct_sum`).  A coefficient twist and
+the Tate twist are Kunneth factors on the point.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ from .padics import (
 )
 from .plinalg import mat_identity, mat_shift
 from .polys import (
-    kron,
     mat_pow_fractions,
     poly_mul,
     poly_trim,
+    power_sums,
     rev_charpoly_fractions,
     tensor_poly,
 )
@@ -252,18 +252,10 @@ def _enumerate_elliptic(field, coeffs):
 
 
 def _weil_counts(q, n1, degrees):
-    """N_1, ..., N_degrees of an elliptic curve over F_q from N_1.
-
-    N_e = q^e + 1 - s_e, where s_e = alpha^e + beta^e for the Frobenius
-    roots: s_0 = 2, s_1 = a_q = q + 1 - N_1, s_e = a_q s_{e-1} - q s_{e-2}.
-    """
-    a_q = q + 1 - n1
-    s_prev, s_cur = 2, a_q
-    out = []
-    for e in range(1, degrees + 1):
-        out.append(q ** e + 1 - s_cur)
-        s_prev, s_cur = s_cur, a_q * s_cur - q * s_prev
-    return out
+    """N_1, ..., N_degrees of an elliptic curve over F_q from N_1:
+    N_e = q^e + 1 - s_e, s_e the power sums of 1 - a_q t + q t^2."""
+    sums = power_sums([1, n1 - q - 1, q], degrees)
+    return [q ** e + 1 - s for e, s in enumerate(sums, 1)]
 
 
 def _leaf_counts(spec, degrees, n1):
@@ -386,8 +378,7 @@ def closed_points(counts):
 
 
 PackageDegree = namedtuple("PackageDegree",
-                           "poly weight u semisimple crystal hodge",
-                           defaults=(None,))
+                           "poly weight u semisimple crystal")
 
 
 class CohomologyPackage:
@@ -397,10 +388,9 @@ class CohomologyPackage:
     P_j = det(1 - t F^a | H^j_c), a weight tag (None = mixed or unknown), the
     unipotent exponent u_j, a semisimplicity tag, optionally a p-adic
     crystal, which must realise the degree, det(1 - t M) = P_j: the
-    semisimplicity test relies on it, and optionally its Hodge numbers
-    {i: h^i}, which must be the crystal's (None: read off its Smith form).
-    Only (p, a) and the rank are checked here; `package()` builds both so,
-    and `decode_package` checks crystals and carries no Hodge numbers.
+    semisimplicity test relies on it.  Only (p, a) and the rank are
+    checked here; `package()` builds crystals so, and `decode_package`
+    checks them.
     n1 maps each distinct elliptic curve of the variety to its N_1 over
     F_q when `package()` counted them (`_curve_n1`), so the point counts
     of the variety follow without counting again (`_counts`); it is None
@@ -476,8 +466,8 @@ def _tate(ctx, i, mult=1):
     return PackageDegree(
         poly=[math.comb(mult, k) * (-q_i) ** k for k in range(mult + 1)],
         weight=2 * i, u=0, semisimple=True,
-        crystal=Isocrystal(ctx, mat_shift(mat_identity(ctx, mult), i)),
-        hodge={i: mult})
+        crystal=Isocrystal(ctx, mat_shift(mat_identity(ctx, mult), i),
+                           hodge={i: mult}))
 
 
 def _twist_degree(ctx, twist):
@@ -510,13 +500,12 @@ def _leaf_package(spec, ctx, n1):
     if kind == "elliptic":
         q = spec.q
         a_q = q + 1 - n1[spec]
-        frob = hodge = None
-        if spec.a == 1:         # det(1 - t C) = 1 - a_q t + q t^2, det C = p
-            frob = Isocrystal.from_ints(ctx, [[0, -q], [1, a_q]])
-            hodge = {0: 1, 1: 1}
+        frob = (Isocrystal.from_ints(ctx, [[0, -q], [1, a_q]],
+                                     hodge={0: 1, 1: 1}) if spec.a == 1
+                else None)  # det(1 - t C) = 1 - a_q t + q t^2, det C = p
         return {0: _tate(ctx, 0),
                 1: PackageDegree([1, -a_q, q], weight=1, u=0,
-                                 semisimple=True, crystal=frob, hodge=hodge),
+                                 semisimple=True, crystal=frob),
                 2: _tate(ctx, 1)}
     raise ValidationError(f"no package rule for kind {spec.kind!r}")
 
@@ -531,23 +520,7 @@ def _merge_degree(first, second):
                else first.crystal.direct_sum(second.crystal))
     return PackageDegree(poly=poly, weight=weight, u=0,
                          semisimple=first.semisimple and second.semisimple,
-                         crystal=crystal,
-                         hodge=_hodge(first.hodge, second.hodge, False))
-
-
-def _hodge(h1, h2, tensor):
-    """Hodge numbers of a tensor product (`tensor`) or direct sum, None if
-    either's are unknown.  They are the elementary divisors (`gauges.hodge`),
-    and A (x) B = (U (x) U')(D (x) D')(V (x) V') for Smith forms A = U D V,
-    B = U' D' V': they convolve under (x) and add under a direct sum."""
-    if h1 is None or h2 is None:
-        return None
-    pairs = ([(i + k, g * h) for i, g in h1.items() for k, h in h2.items()]
-             if tensor else [*h1.items(), *h2.items()])
-    out = {}
-    for i, h in sorted(pairs):
-        out[i] = out.get(i, 0) + h
-    return out
+                         crystal=crystal)
 
 
 def _kunneth(deg1, deg2):
@@ -566,11 +539,7 @@ def _kunneth(deg1, deg2):
                         else d1.weight + d2.weight),
                 u=d1.u or d2.u,
                 semisimple=d1.semisimple and d2.semisimple,
-                crystal=None if c1 is None or c2 is None
-                else Isocrystal(c1.ctx, rank=c1.rank * c2.rank,
-                                build=lambda c1=c1, c2=c2:
-                                kron(c1.matrix, c2.matrix)),
-                hodge=_hodge(d1.hodge, d2.hodge, True))
+                crystal=None if c1 is None or c2 is None else c1.tensor(c2))
             j = j1 + j2
             out[j] = piece if j not in out else _merge_degree(out[j], piece)
     return out

@@ -17,18 +17,21 @@ from .errors import DegenerateCrystal, PrecisionExhausted, ValidationError
 from .padics import rational_valuation
 from .plinalg import (certified_zero, kernel_rank, mat_copy, mat_from_ints,
                       mat_mul, mat_sigma)
-from .polys import poly_trim, rev_charpoly, root_multiplicity
+from .polys import kron, poly_trim, rev_charpoly, root_multiplicity
 
 
 class Isocrystal:
     """(Q_q^n, v -> A sigma(v)) at the precision of the context.
 
-    Given its rank and `build` in place of A (direct sums, Kronecker
-    products), it builds A when `matrix` is first read, then drops `build`.
+    `matrix` is A, or `build()` when first read (direct sums, Kronecker
+    products).  `hodge_numbers` {i: #elementary divisors p^i of A} (Mazur)
+    are `hodge`, or `hodge()` when first read, else one Smith form
+    (`gauges.hodge`).  A function is dropped only once it has returned.
     """
 
-    def __init__(self, ctx, matrix=None, *, rank=None, build=None):
-        self.ctx = ctx
+    def __init__(self, ctx, matrix=None, *, rank=None, build=None,
+                 hodge=None):
+        self.ctx, self._hodge = ctx, hodge
         if build is not None:
             self.rank, self._build = rank, build
             return
@@ -40,20 +43,44 @@ class Isocrystal:
 
     @cached_property
     def matrix(self):
-        return vars(self).pop("_build")()
+        matrix = self._build()
+        del self._build
+        return matrix
+
+    @property
+    def hodge_numbers(self):
+        if self._hodge is None:
+            from .gauges import hodge       # gauges imports this module
+            self._hodge = hodge(self).hodge_numbers
+        elif callable(self._hodge):
+            self._hodge = self._hodge()
+        return self._hodge
 
     @classmethod
-    def from_ints(cls, ctx, rows):
-        return cls(ctx, mat_from_ints(ctx, rows))
+    def from_ints(cls, ctx, rows, hodge=None):
+        return cls(ctx, mat_from_ints(ctx, rows), hodge=hodge)
 
     def direct_sum(self, other):
+        """The block sum, built when read; Hodge numbers add."""
         if self.ctx is not other.ctx:
             raise ValidationError("direct sum across contexts")
         z = self.ctx.zero()
         return Isocrystal(
             self.ctx, rank=self.rank + other.rank, build=lambda: (
                 [row + [z] * other.rank for row in self.matrix]
-                + [[z] * self.rank + row for row in other.matrix]))
+                + [[z] * self.rank + row for row in other.matrix]),
+            hodge=lambda: tally([*self.hodge_numbers.items(),
+                                 *other.hodge_numbers.items()]))
+
+    def tensor(self, other):
+        """The Kronecker product, built when read; Hodge numbers convolve:
+        A (x) B = (U (x) U')(D (x) D')(V (x) V') for A = UDV, B = U'D'V'."""
+        return Isocrystal(
+            self.ctx, rank=self.rank * other.rank,
+            build=lambda: kron(self.matrix, other.matrix),
+            hodge=lambda: tally([(i + k, g * h)
+                                 for i, g in self.hodge_numbers.items()
+                                 for k, h in other.hodge_numbers.items()]))
 
     def linearize(self):
         """M(F^a) = A sigma(A) ... sigma^{a-1}(A); equals A when a = 1."""
@@ -72,6 +99,14 @@ class Isocrystal:
 
     def slopes(self):
         return newton_slopes_qq(self.charpoly(), self.ctx)
+
+
+def tally(pairs):
+    """{i: the sum of h over the pairs (i, h)}."""
+    out = {}
+    for i, h in pairs:
+        out[i] = out.get(i, 0) + h
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import DegenerateCrystal, PrecisionExhausted, ValidationError
+from .errors import DegenerateCrystal, ValidationError
 from .gammamodules import GammaModule, TorsionComponent
 from .geometry import MAX_RANK, CohomologyPackage, PackageDegree, VarietySpec
 from .isocrystals import Isocrystal, lower_hull, polygon_value
@@ -338,25 +338,27 @@ def encode_package(pkg: CohomologyPackage):
 
 
 def _check_realises(j, E, poly):
-    """det(1 - t M) of the crystal E against the exact factor of degree j.
-
-    ValidationError when a known digit differs; PrecisionExhausted when a
-    coefficient agrees to fewer than the guard digits beyond the Newton
-    polygon of the factor, the scale of that coefficient.
+    """E if det(1 - t M) of the crystal E is the exact factor of degree j;
+    ValidationError if a known digit of any coefficient differs; if one
+    agrees to fewer than the guard digits beyond the factor's Newton polygon
+    (its scale), a crystal of E's rank that raises PrecisionExhausted.
     """
     ctx = E.ctx
     hull = lower_hull([(k, rational_valuation(c, ctx.p))
                        for k, c in enumerate(poly) if c])
-    for k, (c, exact) in enumerate(zip(E.charpoly(), poly)):
-        d = c - ctx.from_fraction(exact)
+    diffs = [c - ctx.from_fraction(exact)
+             for c, exact in zip(E.charpoly(), poly)]
+    for k, d in enumerate(diffs):
         if not d.is_zeroish():
             raise ValidationError(
                 f"degree-{j} crystal does not realise its factor: the "
                 f"coefficients of t^{k} differ")
+    for k, d in enumerate(diffs):
         if d.is_ifz() and d.abs < polygon_value(hull, k) + ctx.guard:
-            raise PrecisionExhausted(
-                f"degree-{j} crystal matches its factor at t^{k} only to "
-                f"O(p^{d.abs})")
+            # certify raises on d, which is indistinguishable from zero
+            return Isocrystal(ctx, rank=E.rank, build=lambda: ctx.certify(
+                d, f"that degree {j}'s crystal realises its factor at t^{k}"))
+    return E
 
 
 def decode_package(data, prec=None):
@@ -364,9 +366,9 @@ def decode_package(data, prec=None):
 
     ValidationError (exit 2) for a degree given twice, a factor degree or
     crystal rank above MAX_RANK (before any entry is decoded), or a crystal
-    whose det(1 - t M) differs from its factor (`_check_realises`, which
-    raises PrecisionExhausted, exit 4, when it cannot tell): the verifier
-    reads slopes off the factor and Hodge numbers off the crystal.
+    whose det(1 - t M) differs from its factor (`_check_realises`, whose
+    crystal raises PrecisionExhausted, exit 4, when read if it cannot tell):
+    the p-adic verifier reads Hodge numbers off the crystals.
     """
     p = _int(_require(data, "p", "package"), "package p")
     a = _int(data.get("a", 1), "package a")
@@ -402,7 +404,8 @@ def decode_package(data, prec=None):
     pkg = CohomologyPackage(p, a, dim, degrees)
     for j, d in pkg.degrees.items():
         if d.crystal is not None:
-            _check_realises(j, d.crystal, d.poly)
+            pkg.degrees[j] = d._replace(
+                crystal=_check_realises(j, d.crystal, d.poly))
     return pkg
 
 

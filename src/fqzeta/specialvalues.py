@@ -23,7 +23,6 @@ from fractions import Fraction
 
 from .errors import HypothesisFailed, ValidationError
 from .gammamodules import chi_from_zf, ext_ranks, rho_from_ranks
-from .gauges import hodge
 from .isocrystals import (
     eigenproduct_excluding,
     newton_slopes_exact,
@@ -201,20 +200,15 @@ def _as_integer(x, what):
 def _hodge_exponent(pkg, r):
     """Sum over degrees n of (-1)^n * sum_{i<=r} (r-i) h^i of the gauge.
 
-    Needs a crystal in every degree; reports None otherwise.  The inner
-    sum reads the Hodge numbers the degree carries, once the context keeps
-    the guard digits a Smith form needs, else the crystal's (`gauges.hodge`).
+    Needs a crystal in every degree; reports None otherwise.  Reads each
+    `Isocrystal.hodge_numbers` once its context keeps the guard digits.
     """
     if any(d.crystal is None for d in pkg.degrees.values()):
         return None, {}
-    total = 0
-    numbers = {}
+    total, numbers = 0, {}
     for n, data in sorted(pkg.degrees.items()):
-        if data.hodge is None:
-            numbers[n] = dict(hodge(data.crystal).hodge_numbers)
-        else:
-            data.crystal.ctx.certify(data.crystal.ctx.one(), "Hodge numbers")
-            numbers[n] = dict(data.hodge)
+        data.crystal.ctx.certify(data.crystal.ctx.one(), "Hodge numbers")
+        numbers[n] = dict(data.crystal.hodge_numbers)
         total += (-1) ** n * sum((r - i) * h
                                  for i, h in numbers[n].items() if i <= r)
     return total, numbers

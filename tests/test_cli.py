@@ -233,11 +233,14 @@ def test_verify_variety_precision_boundary_is_the_guard(
 
 def test_verify_package_starved_precision_exits_4(capsys, tmp_path):
     """Too few digits to tell whether a crystal realises its factor is a
-    precision failure, never a malformed document or a pass."""
+    precision failure, never a malformed document or a pass: the document
+    parses, and the crystal raises when it is first read, on every read."""
     text = dump_json(encode_package(package(
         VarietySpec.elliptic([0, 0, 0, 1, 1], 5), budget=10 ** 5)))
-    with pytest.raises(PrecisionExhausted, match="matches its factor"):
-        parse_json(text, expected={"package"}, prec=6)
+    crystal = parse_json(text, expected={"package"}, prec=6).degrees[0].crystal
+    for _ in range(2):
+        with pytest.raises(PrecisionExhausted, match="realises its factor"):
+            crystal.matrix
     f = tmp_path / "pkg.json"
     f.write_text(text)
     for prec in (2, 4, 6):
@@ -245,6 +248,30 @@ def test_verify_package_starved_precision_exits_4(capsys, tmp_path):
             code, _ = run(capsys, ["verify", "--package", str(f), "--r",
                                    str(r), "--prec", str(prec)])
             assert code == 4
+
+
+@pytest.mark.parametrize("second", (ELLIPTIC, '{"kind": "torus", "p": 5}'))
+def test_verify_package_at_low_precision_matches_the_variety(
+        capsys, tmp_path, second):
+    """A document written at the default precision and read with --prec k
+    verifies as the variety built at --prec k does, on both routes: the
+    same exit code and the same output.  The l-adic route reads no crystal
+    of E x G_m at r = 1, so a crystal too short of digits to be checked
+    does not stop it."""
+    f = tmp_path / "variety.json"
+    f.write_text('{"kind": "product", "p": 5, "factors": [%s, %s]}'
+                 % (ELLIPTIC, second))
+    doc = tmp_path / "package.json"
+    assert main(["package", "--variety", str(f)]) == 0
+    doc.write_text(capsys.readouterr().out)
+    for prec in ("1", "2", "4", "6", "7", "8", "9", "12", "16"):
+        for route in ([], ["--ell", "3"]):
+            outcomes = []
+            for source in (["--variety", str(f)], ["--package", str(doc)]):
+                code = main(["verify", *source, "--r", "1", "--prec", prec,
+                             *route])
+                outcomes.append((code, capsys.readouterr().out))
+            assert outcomes[0] == outcomes[1], (prec, route)
 
 
 def _swapped_crystal_document():

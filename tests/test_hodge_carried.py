@@ -1,25 +1,27 @@
-"""Hodge numbers that built packages carry, against the Smith form route.
+"""Hodge numbers that crystals carry, against the Smith form route.
 
-`package()` carries each degree's Hodge numbers from its leaves: {i: mult}
-for a Tate piece, {0: 1, 1: 1} for the elliptic [[0, -p], [1, a_p]], the
-convolution under a Kunneth product and the sum under a direct sum
-(`geometry._hodge`).  The oracle is `gauges.hodge`, one Smith form of the
-degree's crystal: the route a coefficient twist, and a package read from a
-document, still take.  The crystals of Kunneth products and direct sums
-are built only when their matrix is read; here they are checked against
-the eager Kronecker product and block sum.
+A crystal of `package()` carries its Hodge numbers from its leaves:
+{i: mult} for a Tate piece, {0: 1, 1: 1} for the elliptic
+[[0, -p], [1, a_p]], the convolution under a Kronecker product
+(`Isocrystal.tensor`) and the sum under a direct sum.  Every other crystal,
+a coefficient twist or one read from a document, reads them off one Smith
+form.  The oracle is `gauges.hodge`, one Smith form of the degree's built
+matrix.  The crystals of Kunneth products and direct sums are built only
+when their matrix is read; here they are checked against the eager
+Kronecker product and block sum.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from fqzeta import gauges, specialvalues
+from fqzeta import gauges
 from fqzeta.geometry import (VarietySpec, _kunneth, _leaf_package,
                              _weierstrass_discriminant, package, point_counts)
 from fqzeta.isocrystals import Isocrystal
 from fqzeta.padics import QqContext
-from fqzeta.polys import kron
+from fqzeta.polys import kron, rev_charpoly_fractions
 from fqzeta.serialize import decode_package, encode_package
 from fqzeta.specialvalues import verify_padic
 
@@ -62,10 +64,10 @@ def _random_spec(rng, p, a):
 
 def _assert_carries_smith_hodge_numbers(pkg):
     for j, d in pkg.degrees.items():
-        assert (d.hodge is None) == (d.crystal is None), j
         if d.crystal is not None:
+            got = d.crystal.hodge_numbers
             want = gauges.hodge(d.crystal).hodge_numbers
-            assert ({i: h for i, h in d.hodge.items() if h}
+            assert ({i: h for i, h in got.items() if h}
                     == {i: h for i, h in want.items() if h}), j
 
 
@@ -83,25 +85,44 @@ def test_carried_hodge_numbers_equal_the_smith_form_route(p, a):
 
 def test_a_curve_over_an_extension_carries_none_in_degree_1():
     """Over F_{p^a}, a > 1, H^1 of a curve has no crystal, so neither it
-    nor a Kunneth piece through it carries Hodge numbers."""
+    nor a Kunneth piece through it has Hodge numbers."""
     curve = VarietySpec.elliptic([0, 0, 0, 1, 1], 5, 2)
     line = VarietySpec.projective(1, 5, 2)
     pkg = package(VarietySpec.product([curve, line]), prec=12, budget=BUDGET)
-    assert pkg.degrees[1].hodge is None and pkg.degrees[1].crystal is None
+    assert pkg.degrees[1].crystal is None
     _assert_carries_smith_hodge_numbers(pkg)
 
 
-def test_a_coefficient_twist_carries_no_hodge_numbers():
-    """The twist crystal's Hodge numbers are not known from leaves, so every
-    degree of a twisted package, and of its Tate twists, carries None and
-    keeps the Smith form route."""
-    for twist in ([[5]], [[1, 2], [3, 5]]):
-        pkg = package(VarietySpec.product([VarietySpec.projective(1, 5),
-                                           VarietySpec.torus(5)]),
-                      twist=twist, budget=BUDGET)
-        for twisted in (pkg, pkg.tate_twist(1)):
-            assert all(d.crystal is not None and d.hodge is None
-                       for d in twisted.degrees.values())
+def _random_twist(rng, p):
+    """An invertible rational matrix of rank 1 to 3 whose entries are 0 or
+    +-p^v u / w with v in [-1, 2] and u, w in [1, 6]."""
+    n = rng.randrange(1, 4)
+    while True:
+        rows = [[0 if rng.random() < 0.3 else
+                 rng.choice((-1, 1)) * Fraction(p) ** rng.randrange(-1, 3)
+                 * Fraction(rng.randrange(1, 7), rng.randrange(1, 7))
+                 for _ in range(n)] for _ in range(n)]
+        if rev_charpoly_fractions(rows)[n]:     # +-det
+            return rows
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+@pytest.mark.parametrize("a", (1, 2, 3))
+def test_twisted_and_decoded_crystals_equal_the_smith_form_route(p, a):
+    """A coefficient twist tensors every degree with a crystal whose
+    numbers come off one Smith form; a decoded crystal reads its own off
+    one; the Tate twist X(r) of a decoded package convolves those with a
+    carried {-r: 1}."""
+    rng = random.Random(1000 * p + a)
+    for _ in range(3):
+        spec = _random_spec(rng, p, a)
+        twisted = package(spec, twist=_random_twist(rng, p), prec=20,
+                          budget=BUDGET)
+        _assert_carries_smith_hodge_numbers(twisted)
+        decoded = decode_package(encode_package(
+            package(spec, prec=20, budget=BUDGET)))
+        for r in (-1, 0, 1, 2):
+            _assert_carries_smith_hodge_numbers(decoded.tate_twist(r))
 
 
 def _random_crystal(rng, ctx, n):
@@ -154,9 +175,10 @@ def test_kunneth_builds_crystals_when_read_and_drops_the_builder():
 
 
 def test_built_packages_run_no_gauge_smith_form(monkeypatch):
-    """verify_padic reads the Hodge numbers a built package carries; the
-    same package read back from its document runs one gauge Smith form per
-    degree, and both give the same report."""
+    """verify_padic reads the Hodge numbers of a built E^3 with no gauge
+    Smith form; the same package read back from its document runs one per
+    degree, and both give the same report.  Twisted by [[1, 2], [3, 5]],
+    it runs one, of the rank-2 twist, for all seven degrees."""
     calls = []
     smith_route = gauges.hodge
 
@@ -165,7 +187,6 @@ def test_built_packages_run_no_gauge_smith_form(monkeypatch):
         return smith_route(E)
 
     monkeypatch.setattr(gauges, "hodge", counting)
-    monkeypatch.setattr(specialvalues, "hodge", counting)
     curve = VarietySpec.elliptic([0, 0, 0, 1, 1], 5)
     pkg = package(VarietySpec.product([curve] * 3), budget=BUDGET)
     built = verify_padic(pkg, 1)
@@ -175,3 +196,36 @@ def test_built_packages_run_no_gauge_smith_form(monkeypatch):
                                    for d in pkg.degrees.values())
     assert built.to_dict() == read.to_dict()
     assert built.precision_audit["hodge_route"]
+    calls.clear()
+    twisted = package(VarietySpec.product([curve] * 3),
+                      twist=[[1, 2], [3, 5]], budget=BUDGET)
+    assert verify_padic(twisted, 1).precision_audit["hodge_route"]
+    assert len(twisted.degrees) == 7 and calls == [2]
+
+
+def test_a_function_that_raises_is_kept_for_the_next_read():
+    """A crystal drops its builder, and its Hodge function, only once they
+    have returned: one that raises raises the same error on every read, and
+    one that returns is called once."""
+    ctx = QqContext(5, 1, prec=16)
+
+    def fails():
+        raise ZeroDivisionError("not yet")
+
+    unbuilt = Isocrystal(ctx, rank=2, build=fails)
+    for E, read in ((unbuilt, "matrix"), (unbuilt, "hodge_numbers"),
+                    (Isocrystal(ctx, [[ctx.one()]], hodge=fails),
+                     "hodge_numbers")):
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError, match="not yet"):
+                getattr(E, read)
+    calls = []
+
+    def once(value):
+        return lambda: calls.append(value) or value
+
+    built = Isocrystal(ctx, rank=1, build=once([[ctx.one()]]),
+                       hodge=once({0: 1}))
+    for _ in range(2):
+        assert (built.matrix, built.hodge_numbers) == ([[ctx.one()]], {0: 1})
+    assert calls == [[[ctx.one()]], {0: 1}]
