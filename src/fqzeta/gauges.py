@@ -44,8 +44,7 @@ class FGaugeWindow:
         self.ctx = ctx
         self._snf = snf                 # Smith form of Frobenius on N
         self._exponents = exponents = snf.divisors  # e_k, per column of W
-        self.i_min = min(exponents)
-        self.i_max = max(exponents)
+        self.i_min, self.i_max = min(exponents), max(exponents)
         self.hodge_numbers = tally((e, 1) for e in sorted(exponents))
         self.det_val = sum(exponents)
 

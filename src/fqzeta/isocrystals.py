@@ -20,17 +20,22 @@ from .plinalg import (certified_zero, kernel_rank, mat_copy, mat_from_ints,
 from .polys import kron, poly_trim, rev_charpoly, root_multiplicity
 
 
+def _smith_hodge(E):
+    from .gauges import hodge       # gauges imports this module
+    return hodge(E).hodge_numbers
+
+
 class Isocrystal:
     """(Q_q^n, v -> A sigma(v)) at the precision of the context.
 
     `matrix` is A, or `build()` when first read (direct sums, Kronecker
     products).  `hodge_numbers` {i: #elementary divisors p^i of A} (Mazur)
-    are `hodge`, or `hodge()` when first read, else one Smith form
-    (`gauges.hodge`).  A function is dropped only once it has returned.
+    are `hodge`, or `hodge(self)` when first read, by default one Smith form.
+    A function is dropped only once it has returned.
     """
 
     def __init__(self, ctx, matrix=None, *, rank=None, build=None,
-                 hodge=None):
+                 hodge=_smith_hodge):
         self.ctx, self._hodge = ctx, hodge
         if build is not None:
             self.rank, self._build = rank, build
@@ -38,8 +43,7 @@ class Isocrystal:
         n = len(matrix)
         if any(len(r) != n for r in matrix):
             raise ValidationError("Frobenius matrix must be square")
-        self.matrix = [list(r) for r in matrix]
-        self.rank = n
+        self.matrix, self.rank = [list(r) for r in matrix], n
 
     @cached_property
     def matrix(self):
@@ -49,16 +53,20 @@ class Isocrystal:
 
     @property
     def hodge_numbers(self):
-        if self._hodge is None:
-            from .gauges import hodge       # gauges imports this module
-            self._hodge = hodge(self).hodge_numbers
-        elif callable(self._hodge):
-            self._hodge = self._hodge()
+        if callable(self._hodge):
+            self._hodge = self._hodge(self)
         return self._hodge
 
     @classmethod
-    def from_ints(cls, ctx, rows, hodge=None):
+    def from_ints(cls, ctx, rows, hodge=_smith_hodge):
         return cls(ctx, mat_from_ints(ctx, rows), hodge=hodge)
+
+    def _combine(self, other, numbers):
+        """`numbers` of the operands' Hodge numbers: now if both hold them
+        (built leaves), else when first read (a twist, a decoded crystal)."""
+        if callable(self._hodge) or callable(other._hodge):
+            return lambda _: numbers(self.hodge_numbers, other.hodge_numbers)
+        return numbers(self._hodge, other._hodge)
 
     def direct_sum(self, other):
         """The block sum, built when read; Hodge numbers add."""
@@ -69,8 +77,8 @@ class Isocrystal:
             self.ctx, rank=self.rank + other.rank, build=lambda: (
                 [row + [z] * other.rank for row in self.matrix]
                 + [[z] * self.rank + row for row in other.matrix]),
-            hodge=lambda: tally([*self.hodge_numbers.items(),
-                                 *other.hodge_numbers.items()]))
+            hodge=self._combine(other, lambda g, h: tally(
+                [*g.items(), *h.items()])))
 
     def tensor(self, other):
         """The Kronecker product, built when read; Hodge numbers convolve:
@@ -78,9 +86,8 @@ class Isocrystal:
         return Isocrystal(
             self.ctx, rank=self.rank * other.rank,
             build=lambda: kron(self.matrix, other.matrix),
-            hodge=lambda: tally([(i + k, g * h)
-                                 for i, g in self.hodge_numbers.items()
-                                 for k, h in other.hodge_numbers.items()]))
+            hodge=self._combine(other, lambda g, h: tally(
+                [(i + k, m * n) for i, m in g.items() for k, n in h.items()])))
 
     def linearize(self):
         """M(F^a) = A sigma(A) ... sigma^{a-1}(A); equals A when a = 1."""
@@ -155,11 +162,8 @@ def _profile_from_points(points, zero_bounds, n, a):
             raise PrecisionExhausted(
                 f"coefficient {i} known only to O(p^{bound}) but the "
                 f"Newton polygon needs its valuation >= {y}")
-    profile = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        s = Fraction(y2 - y1, x2 - x1)
-        profile.append((s / a, x2 - x1))
-    return profile
+    return [(Fraction(y2 - y1, x2 - x1) / a, x2 - x1)
+            for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
 
 
 def newton_slopes_qq(coeffs, ctx):
@@ -170,12 +174,10 @@ def newton_slopes_qq(coeffs, ctx):
     n = len(coeffs) - 1
     points, zero_bounds = [], []
     for i, c in enumerate(coeffs):
-        if c.is_exact_zero():
-            continue
         if c.is_ifz():
             zero_bounds.append((i, c.abs))
-            continue
-        points.append((i, c.valuation()))
+        elif not c.is_exact_zero():
+            points.append((i, c.valuation()))
     return _profile_from_points(points, zero_bounds, n, ctx.a)
 
 
